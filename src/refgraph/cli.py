@@ -12,7 +12,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import (
     GraphDumpError,
@@ -124,7 +124,7 @@ def run() -> None:
 
 @dataclass
 class PipelineOutcome:
-    """Everything the front half of the pipeline produced."""
+    """Stage counts of the front half of the pipeline, and one graph per project."""
 
     inputs: list[dict]
     parsed: int
@@ -133,7 +133,8 @@ class PipelineOutcome:
     filtered: int
     off_branch_dropped: int
     ambiguous_commit: int
-    by_project: dict[str, list[RefactoringRecord]]
+    analyzed: dict[str, int]
+    graphs: dict[str, RefactoringGraph]
 
 
 def _filter_config(args) -> FilterConfig:
@@ -163,8 +164,7 @@ def _commit_logs(args) -> dict[str, CommitLog]:
     return logs
 
 
-def _run_front_pipeline(args) -> PipelineOutcome:
-    config = _filter_config(args)
+def _run_front_pipeline(args, config: FilterConfig) -> PipelineOutcome:
     logs = _commit_logs(args)
 
     records: list[RefactoringRecord] = []
@@ -201,12 +201,21 @@ def _run_front_pipeline(args) -> PipelineOutcome:
         filtered=len(filtered),
         off_branch_dropped=off_branch,
         ambiguous_commit=ambiguous,
-        by_project=by_project,
+        analyzed={project: len(group) for project, group in by_project.items()},
+        graphs={project: build(group) for project, group in by_project.items()},
     )
 
 
-def _graphs_from_pipeline(outcome: PipelineOutcome) -> dict[str, RefactoringGraph]:
-    return {project: build(records) for project, records in outcome.by_project.items()}
+def _split_projects(
+    graphs: dict[str, RefactoringGraph], min_commits: int
+) -> Iterator[tuple[RefactoringGraph, SubgraphSplit, list[Subgraph]]]:
+    """Per project: its graph, the single-/multi-commit split of its
+    subgraphs, and the subgraphs spanning at least ``min_commits`` commits."""
+    for project, graph in graphs.items():
+        subgraphs = partition(graph)
+        kept, _ = filter_multi_commit(subgraphs, min_commits)
+        single = sum(1 for s in subgraphs if s.commit_count() == 1)
+        yield graph, SubgraphSplit(project, len(subgraphs), single, len(subgraphs) - single), kept
 
 
 def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
@@ -248,7 +257,8 @@ def _safe_name(identifier: str, fallback: str) -> str:
 
 
 def _project_dir_name(project: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", project) or "project"
+    # A name of dots alone ("." or "..") would point at --out or above it.
+    return re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project) or "project"
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -263,33 +273,31 @@ def _write_json(path: Path, document: dict) -> None:
 
 def cmd_build(args) -> int:
     min_commits = _min_commits(args)
-    outcome = _run_front_pipeline(args)
-    graphs = _graphs_from_pipeline(outcome)
+    config = _filter_config(args)
+    outcome = _run_front_pipeline(args, config)
 
     project_rows = []
     dumps: list[tuple[Path, dict]] = []
     out_dir = Path(args.out)
     totals = {"vertices": 0, "edges": 0, "subgraphs": 0, "below_threshold": 0, "kept": 0}
-    for project, graph in graphs.items():
-        subgraphs = partition(graph)
-        kept, below = filter_multi_commit(subgraphs, min_commits)
-        single = sum(1 for s in subgraphs if s.commit_count() == 1)
+    for graph, split, kept in _split_projects(outcome.graphs, min_commits):
         project_rows.append(
             {
-                "project": project,
-                "records": len(outcome.by_project[project]),
+                "project": split.project,
+                "records": outcome.analyzed[split.project],
                 "vertices": graph.n_vertices,
                 "edges": graph.n_edges,
-                "subgraphs": len(subgraphs),
-                "single_commit": single,
-                "multi_commit": len(subgraphs) - single,
-                "below_threshold": below,
+                "subgraphs": split.total,
+                "single_commit": split.single_commit,
+                "multi_commit": split.multi_commit,
+                "below_threshold": split.total - len(kept),
                 "kept": len(kept),
             }
         )
         for key in ("vertices", "edges", "subgraphs", "below_threshold", "kept"):
             totals[key] += project_rows[-1][key]
-        dumps.append((out_dir / _project_dir_name(project) / "graph.json", graph_to_dict(graph, project)))
+        dump_path = out_dir / _project_dir_name(split.project) / "graph.json"
+        dumps.append((dump_path, graph_to_dict(graph, split.project)))
 
     if not dumps:
         dumps.append((out_dir / "graph.json", graph_to_dict(RefactoringGraph(), "")))
@@ -300,8 +308,8 @@ def cmd_build(args) -> int:
         "config": {
             "min_commits": min_commits,
             "strict": bool(args.strict),
-            "exclude_keywords": list(_filter_config(args).excluded_package_keywords),
-            "drop_constructors": _filter_config(args).drop_constructors,
+            "exclude_keywords": list(config.excluded_package_keywords),
+            "drop_constructors": config.drop_constructors,
         },
         "inputs": outcome.inputs,
         "stages": {
@@ -311,7 +319,7 @@ def cmd_build(args) -> int:
             "filtered": outcome.filtered,
             "off_branch_dropped": outcome.off_branch_dropped,
             "ambiguous_commit": outcome.ambiguous_commit,
-            "analyzed": sum(len(r) for r in outcome.by_project.values()),
+            "analyzed": sum(outcome.analyzed.values()),
         },
         "projects": project_rows,
         "totals": totals,
@@ -355,7 +363,7 @@ def cmd_stats(args) -> int:
     if args.records and args.graph:
         raise CliError("pass either --records or --graph, not both", code=2)
     if args.records:
-        graphs = _graphs_from_pipeline(_run_front_pipeline(args))
+        graphs = _run_front_pipeline(args, _filter_config(args)).graphs
     elif args.graph:
         graphs = _load_graphs(args.graph)
     else:
@@ -364,21 +372,11 @@ def cmd_stats(args) -> int:
     splits = []
     metrics = []
     projects = []
-    for project, graph in graphs.items():
-        subgraphs = partition(graph)
-        single = sum(1 for s in subgraphs if s.commit_count() == 1)
-        splits.append(
-            SubgraphSplit(
-                project=project,
-                total=len(subgraphs),
-                single_commit=single,
-                multi_commit=len(subgraphs) - single,
-            )
-        )
-        kept, _ = filter_multi_commit(subgraphs, min_commits)
+    for _, split, kept in _split_projects(graphs, min_commits):
+        splits.append(split)
         for subgraph in kept:
             metrics.append(measure(subgraph))
-            projects.append(project)
+            projects.append(split.project)
 
     stats = aggregate(metrics, projects, _project_ages(args))
     bundle = ReportBundle(stats=stats, splits=tuple(splits))

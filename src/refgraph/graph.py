@@ -43,7 +43,6 @@ class Edge:
     rtype: RefactoringType
     commit: str
     timestamp: datetime
-    author_name: str
     author_email: str
 
     @property
@@ -86,7 +85,6 @@ class RefactoringGraph:
                 rtype=record.rtype,
                 commit=record.commit,
                 timestamp=record.timestamp,
-                author_name=record.author_name,
                 author_email=record.author_email,
             )
         )
@@ -112,8 +110,8 @@ class RefactoringGraph:
         return f"RefactoringGraph(vertices={self.n_vertices}, edges={self.n_edges})"
 
 
-def _metadata_rank(edge: Edge) -> tuple[datetime, str, str]:
-    return (edge.timestamp, edge.author_email, edge.author_name)
+def _metadata_rank(edge: Edge) -> tuple[datetime, str]:
+    return (edge.timestamp, edge.author_email)
 
 
 @dataclass(frozen=True)
@@ -233,8 +231,9 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
 def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     """Rebuild (project, graph) from a dump produced by :func:`graph_to_dict`.
 
-    The dump does not carry author names, so reloaded edges have an empty
-    ``author_name``; every metric works from the author email.
+    The rebuilt graph equals the dumped one.  Any malformed entry, including
+    an edge whose ``author_email`` is not a non-empty string, raises
+    :class:`GraphDumpError`.
     """
     if not isinstance(data, dict):
         raise GraphDumpError("graph dump is not an object")
@@ -248,6 +247,9 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     try:
         declared = {parse_signature(v).canonical for v in data["vertices"]}
         for entry in data["edges"]:
+            email = entry["author_email"]
+            if not isinstance(email, str) or not email.strip():
+                raise ValueError(f"invalid author_email: {email!r}")
             graph.add_edge(
                 Edge(
                     source=parse_signature(entry["source"]),
@@ -255,11 +257,10 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
                     rtype=RefactoringType.from_string(entry["type"]),
                     commit=normalize_commit(entry["commit"]),
                     timestamp=parse_timestamp(entry["timestamp"]),
-                    author_name="",
-                    author_email=entry["author_email"],
+                    author_email=email,
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
     used = {v.canonical for v in graph.vertices()}
     if used - declared:

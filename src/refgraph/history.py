@@ -5,7 +5,8 @@ A commit log file is tab-separated, one commit per line, newest first:
     <full-hash>TAB<ISO-8601 timestamp>TAB<author name>TAB<author email>
 
 Such a file is what ``git log --first-parent --format='%H%x09%aI%x09%an%x09%ae'``
-emits for the linear main-branch history.
+emits for the linear main-branch history.  The author name is required but
+not kept: developers are told apart by email.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .ingest import RefactoringRecord, normalize_commit, parse_timestamp
 
@@ -34,27 +35,19 @@ class AmbiguousCommitError(LookupError):
 class CommitMeta:
     hash: str
     timestamp: datetime
-    author_name: str
     author_email: str
 
 
 class CommitLog:
-    """Immutable ordered commit list with unambiguous prefix lookup."""
+    """Immutable set of commits, looked up by full hash or unambiguous prefix."""
 
-    def __init__(self, entries: Sequence[CommitMeta]):
-        self._entries = tuple(entries)
+    def __init__(self, entries: Iterable[CommitMeta]):
         self._by_hash: dict[str, CommitMeta] = {}
-        for entry in self._entries:
+        for entry in entries:
             if entry.hash in self._by_hash:
                 raise CommitLogError(f"duplicate commit hash: {entry.hash}")
             self._by_hash[entry.hash] = entry
         self._sorted_hashes = sorted(self._by_hash)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[CommitMeta]:
-        return iter(self._entries)
 
     def __contains__(self, commit: str) -> bool:
         try:
@@ -90,7 +83,7 @@ def parse_commit_log(lines: Iterable[str]) -> CommitLog:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 4:
             raise CommitLogError(f"line {line_no}: expected 4 tab-separated fields, got {len(parts)}")
-        raw_hash, raw_ts, name, email = parts
+        raw_hash, raw_ts, _name, email = parts
         try:
             commit = normalize_commit(raw_hash)
             timestamp = parse_timestamp(raw_ts)
@@ -99,7 +92,7 @@ def parse_commit_log(lines: Iterable[str]) -> CommitLog:
         email = email.strip()
         if not email:
             raise CommitLogError(f"line {line_no}: empty author email")
-        entries.append(CommitMeta(commit, timestamp, name.strip(), email))
+        entries.append(CommitMeta(commit, timestamp, email))
     return CommitLog(entries)
 
 
@@ -113,7 +106,7 @@ class RestrictResult:
     """Outcome of restricting records to a commit log.
 
     ``kept`` records are enriched: commit expanded to the log's full hash,
-    timestamp and author identity overwritten from the log (the log is
+    timestamp and author email overwritten from the log (the log is
     authoritative).  ``dropped`` counts records whose commit is not in the
     log; ``issues`` holds records whose commit prefix was ambiguous.
     """
@@ -142,7 +135,6 @@ def restrict_to_log(records: Iterable[RefactoringRecord], log: CommitLog) -> Res
                 record,
                 commit=meta.hash,
                 timestamp=meta.timestamp,
-                author_name=meta.author_name,
                 author_email=meta.author_email,
             )
         )

@@ -4,7 +4,8 @@ Records arrive as UTF-8 JSON lines, one object per line, with exactly the
 keys ``project``, ``commit``, ``timestamp``, ``author_name``,
 ``author_email``, ``type``, ``source`` and ``target``.  ``source`` and
 ``target`` are canonical method signature strings such as
-``util.Foo#m(int, List<String>)``.
+``util.Foo#m(int, List<String>)``.  ``author_name`` is validated as a
+string but not kept: developers are told apart by email.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 RECORD_KEYS = frozenset(
     {
@@ -84,7 +85,6 @@ class MethodRef:
     class_path: str
     method: str
     params: tuple[str, ...]
-    raw: str
     canonical: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -118,7 +118,6 @@ class RefactoringRecord:
     rtype: RefactoringType
     commit: str
     timestamp: datetime
-    author_name: str
     author_email: str
     project: str
 
@@ -129,12 +128,12 @@ class FilterConfig:
 
     Keyword matching is case-insensitive and applies to whole dot-separated
     package segments, so a keyword ``test`` drops ``com.app.test.util`` but
-    not ``com.app.protest``.
+    not ``com.app.protest``.  Self-loops are always dropped, since
+    :class:`~refgraph.graph.RefactoringGraph` assumes they are gone.
     """
 
     excluded_package_keywords: tuple[str, ...] = DEFAULT_EXCLUDED_KEYWORDS
     drop_constructors: bool = True
-    drop_self_loops: bool = True
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def parse_signature(raw: str) -> MethodRef:
     package, class_path = _split_class_path(prefix)
     if not class_path:
         raise SignatureError(f"missing class name in signature: {raw!r}")
-    return MethodRef(package, class_path, method, tuple(params), raw=text)
+    return MethodRef(package, class_path, method, tuple(params))
 
 
 def _split_params(content: str, raw: str) -> list[str]:
@@ -271,7 +270,6 @@ def parse_record_line(line: str) -> RefactoringRecord:
         rtype=RefactoringType.from_string(data["type"]),
         commit=normalize_commit(data["commit"]),
         timestamp=parse_timestamp(data["timestamp"]),
-        author_name=data["author_name"].strip(),
         author_email=author_email,
         project=project,
     )
@@ -339,12 +337,6 @@ def _exclusion_reason(
         _is_constructor(record.source) or _is_constructor(record.target)
     ):
         return REASON_CONSTRUCTOR
-    if config.drop_self_loops and record.source.canonical == record.target.canonical:
+    if record.source.canonical == record.target.canonical:
         return REASON_SELF_LOOP
     return None
-
-
-def iter_record_lines(path) -> Iterator[str]:
-    """Yield lines of a UTF-8 records file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        yield from handle

@@ -149,11 +149,9 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
     types: Counter[str] = Counter()
     timestamps = []
     for edge in subgraph.edges:
-        label = f"{edge.source.canonical} -> {edge.target.canonical} @ {edge.commit}"
-        if edge.timestamp is None:
-            raise MetricsError(f"edge without timestamp: {label}")
         email = edge.author_email.strip().lower()
         if not email:
+            label = f"{edge.source.canonical} -> {edge.target.canonical} @ {edge.commit}"
             raise MetricsError(f"edge without author email: {label}")
         commits.add(edge.commit)
         emails.add(email)

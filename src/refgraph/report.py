@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +43,6 @@ class SubgraphSplit:
 class ReportBundle:
     stats: CorpusStats
     splits: tuple[SubgraphSplit, ...]
-    format_version: str = REPORT_FORMAT_VERSION
 
 
 def _sum_splits(splits: Sequence[SubgraphSplit]) -> SubgraphSplit:
@@ -55,130 +54,30 @@ def _sum_splits(splits: Sequence[SubgraphSplit]) -> SubgraphSplit:
     )
 
 
-def _fmt(value: float | None, spec: str = ".1f") -> str:
-    return "" if value is None else format(value, spec)
+def _per_project(rows: Sequence, all_row) -> dict:
+    return {"per_project": [asdict(r) for r in rows], "all": asdict(all_row)}
 
 
-def emit_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:
-    """Write one CSV per table; returns the paths written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _summary_document(bundle: ReportBundle) -> dict:
+    """The corpus statistics as one document; every table is a projection of it."""
     stats = bundle.stats
-
-    paths = []
-    paths.append(_write_table(out_dir / "subgraph_summary.csv", _summary_rows(bundle)))
-    paths.append(_write_table(out_dir / "type_frequency.csv", _type_rows(stats)))
-    paths.append(_write_table(out_dir / "composition.csv", _composition_rows(stats)))
-    paths.append(_write_table(out_dir / "authorship.csv", _authorship_rows(stats)))
-    paths.append(_write_table(out_dir / "age_summary.csv", _age_rows(stats)))
-    paths.append(_write_table(out_dir / "histograms.csv", _histogram_rows(stats)))
-    paths.append(_write_table(out_dir / "correlations.csv", _correlation_rows(stats)))
-    return paths
-
-
-def _write_table(path: Path, rows: list[list[str]]) -> Path:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows(rows)
-    return path
-
-
-def _summary_rows(bundle: ReportBundle) -> list[list[str]]:
-    header = ["project", "total", "single_commit", "single_commit_pct", "multi_commit", "multi_commit_pct"]
-    rows = [header]
-    for split in list(bundle.splits) + [_sum_splits(bundle.splits)]:
-        rows.append(
-            [
-                split.project,
-                str(split.total),
-                str(split.single_commit),
-                _fmt(pct(split.single_commit, split.total)),
-                str(split.multi_commit),
-                _fmt(pct(split.multi_commit, split.total)),
-            ]
-        )
-    return rows
-
-
-def _type_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["refactoring", "count", "pct"]]
-    for row in stats.type_frequency:
-        rows.append([row.rtype, str(row.count), _fmt(row.pct)])
-    rows.append(["All", str(stats.n_edges), _fmt(pct(stats.n_edges, stats.n_edges))])
-    return rows
-
-
-def _composition_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["project", "homogeneous", "homogeneous_pct", "heterogeneous", "heterogeneous_pct"]]
-    for row in list(stats.composition) + [stats.composition_all]:
-        rows.append(
-            [row.project, str(row.homogeneous), _fmt(row.homogeneous_pct), str(row.heterogeneous), _fmt(row.heterogeneous_pct)]
-        )
-    return rows
-
-
-def _authorship_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["project", "single_developer", "single_developer_pct", "multiple_developers", "multiple_developers_pct"]]
-    for row in list(stats.authorship) + [stats.authorship_all]:
-        rows.append([row.project, str(row.single), _fmt(row.single_pct), str(row.multiple), _fmt(row.multiple_pct)])
-    return rows
-
-
-def _age_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["project", "subgraphs", "median_days", "q1_days", "q3_days"]]
-    for row in list(stats.age_summary) + [stats.age_summary_all]:
-        rows.append(
-            [
-                row.project,
-                str(row.count),
-                _fmt(None if row.median_days is None else round_age(row.median_days)),
-                _fmt(None if row.q1_days is None else round_age(row.q1_days)),
-                _fmt(None if row.q3_days is None else round_age(row.q3_days)),
-            ]
-        )
-    return rows
-
-
-def round_age(days: float) -> float:
-    """Ages are reported to one decimal day."""
-    return round_half_up(days, 1)
-
-
-def _histogram_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["metric", "value", "count"]]
-    for metric in sorted(stats.histograms):
-        for value, count in sorted(stats.histograms[metric].items()):
-            rows.append([metric, str(value), str(count)])
-    return rows
-
-
-def _correlation_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["study", "status", "n", "rho", "p_approx"]]
-    for outcome in stats.correlations:
-        rows.append(
-            [
-                outcome.study,
-                outcome.status,
-                "" if outcome.n is None else str(outcome.n),
-                _fmt(outcome.rho, ".3f"),
-                _fmt(outcome.p_approx, ".3g"),
-            ]
-        )
-    return rows
-
-
-def emit_json_summary(bundle: ReportBundle) -> str:
-    """Lossless machine-readable dump of the corpus statistics."""
-    stats = bundle.stats
-    doc = {
-        "format_version": bundle.format_version,
+    splits = [
+        {
+            "project": s.project,
+            "total": s.total,
+            "single_commit": s.single_commit,
+            "single_commit_pct": pct(s.single_commit, s.total),
+            "multi_commit": s.multi_commit,
+            "multi_commit_pct": pct(s.multi_commit, s.total),
+        }
+        for s in [*bundle.splits, _sum_splits(bundle.splits)]
+    ]
+    return {
+        "format_version": REPORT_FORMAT_VERSION,
         "projects": list(stats.projects),
         "n_subgraphs": stats.n_subgraphs,
         "n_edges": stats.n_edges,
-        "subgraph_summary": {
-            "per_project": [_split_doc(s) for s in bundle.splits],
-            "all": _split_doc(_sum_splits(bundle.splits)),
-        },
+        "subgraph_summary": {"per_project": splits[:-1], "all": splits[-1]},
         "histograms": {
             metric: [[value, count] for value, count in sorted(series.items())]
             for metric, series in sorted(stats.histograms.items())
@@ -186,71 +85,86 @@ def emit_json_summary(bundle: ReportBundle) -> str:
         "type_frequency": [
             {"type": row.rtype, "count": row.count, "pct": row.pct} for row in stats.type_frequency
         ],
-        "composition": {
-            "per_project": [_composition_doc(r) for r in stats.composition],
-            "all": _composition_doc(stats.composition_all),
-        },
-        "authorship": {
-            "per_project": [_authorship_doc(r) for r in stats.authorship],
-            "all": _authorship_doc(stats.authorship_all),
-        },
-        "age_summary": {
-            "per_project": [_age_doc(r) for r in stats.age_summary],
-            "all": _age_doc(stats.age_summary_all),
-        },
+        "composition": _per_project(stats.composition, stats.composition_all),
+        "authorship": _per_project(stats.authorship, stats.authorship_all),
+        "age_summary": _per_project(stats.age_summary, stats.age_summary_all),
         "correlations": [
-            {
-                "study": o.study,
-                "status": o.status,
-                "n": o.n,
-                "rho": o.rho,
-                "p_approx": o.p_approx,
-            }
+            {"study": o.study, "status": o.status, "n": o.n, "rho": o.rho, "p_approx": o.p_approx}
             for o in stats.correlations
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def _split_doc(split: SubgraphSplit) -> dict:
+def _cell(value) -> str:
+    """Table cell.  Floats show one decimal, rounded half up: percentages are
+    rounded so already, ages are rounded here.  None is blank."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(round_half_up(value, 1), ".1f")
+    return str(value)
+
+
+def _fmt(value: float | None, spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
+def _rows(header: list[str], rows: list[dict]) -> list[list[str]]:
+    """Header plus one line per document row; columns follow the row's key order."""
+    return [header] + [[_cell(v) for v in row.values()] for row in rows]
+
+
+def _with_all(table: dict) -> list[dict]:
+    return table["per_project"] + [table["all"]]
+
+
+def _table_rows(doc: dict) -> dict[str, list[list[str]]]:
+    n_edges = doc["n_edges"]
+    type_all = {"type": "All", "count": n_edges, "pct": pct(n_edges, n_edges)}
     return {
-        "project": split.project,
-        "total": split.total,
-        "single_commit": split.single_commit,
-        "single_commit_pct": pct(split.single_commit, split.total),
-        "multi_commit": split.multi_commit,
-        "multi_commit_pct": pct(split.multi_commit, split.total),
+        "subgraph_summary.csv": _rows(
+            ["project", "total", "single_commit", "single_commit_pct", "multi_commit", "multi_commit_pct"],
+            _with_all(doc["subgraph_summary"]),
+        ),
+        "type_frequency.csv": _rows(["refactoring", "count", "pct"], doc["type_frequency"] + [type_all]),
+        "composition.csv": _rows(
+            ["project", "homogeneous", "homogeneous_pct", "heterogeneous", "heterogeneous_pct"],
+            _with_all(doc["composition"]),
+        ),
+        "authorship.csv": _rows(
+            ["project", "single_developer", "single_developer_pct", "multiple_developers", "multiple_developers_pct"],
+            _with_all(doc["authorship"]),
+        ),
+        "age_summary.csv": _rows(
+            ["project", "subgraphs", "median_days", "q1_days", "q3_days"], _with_all(doc["age_summary"])
+        ),
+        "histograms.csv": [["metric", "value", "count"]]
+        + [[metric, str(value), str(count)] for metric, series in doc["histograms"].items() for value, count in series],
+        "correlations.csv": [["study", "status", "n", "rho", "p_approx"]]
+        + [
+            [o["study"], o["status"], _cell(o["n"]), _fmt(o["rho"], ".3f"), _fmt(o["p_approx"], ".3g")]
+            for o in doc["correlations"]
+        ],
     }
 
 
-def _composition_doc(row) -> dict:
-    return {
-        "project": row.project,
-        "homogeneous": row.homogeneous,
-        "homogeneous_pct": row.homogeneous_pct,
-        "heterogeneous": row.heterogeneous,
-        "heterogeneous_pct": row.heterogeneous_pct,
-    }
+def emit_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:
+    """Write one CSV per table; returns the paths written."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tables = _table_rows(_summary_document(bundle))
+    paths = []
+    for name in TABLE_FILES:
+        path = out_dir / name
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(tables[name])
+        paths.append(path)
+    return paths
 
 
-def _authorship_doc(row) -> dict:
-    return {
-        "project": row.project,
-        "single": row.single,
-        "single_pct": row.single_pct,
-        "multiple": row.multiple,
-        "multiple_pct": row.multiple_pct,
-    }
-
-
-def _age_doc(row) -> dict:
-    return {
-        "project": row.project,
-        "count": row.count,
-        "median_days": row.median_days,
-        "q1_days": row.q1_days,
-        "q3_days": row.q3_days,
-    }
+def emit_json_summary(bundle: ReportBundle) -> str:
+    """Lossless machine-readable dump of the corpus statistics."""
+    return json.dumps(_summary_document(bundle), indent=2) + "\n"
 
 
 def write_json_summary(bundle: ReportBundle, path: Path) -> Path:

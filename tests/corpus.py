@@ -196,7 +196,6 @@ def make_record(
     commit: str = "abcdef1",
     offset_seconds: int = 0,
     author_email: str = "dev@example.org",
-    author_name: str = "Dev",
     project: str = "proj",
 ) -> RefactoringRecord:
     return RefactoringRecord(
@@ -205,7 +204,6 @@ def make_record(
         rtype=rtype,
         commit=commit,
         timestamp=_BASE_TS + timedelta(seconds=offset_seconds),
-        author_name=author_name,
         author_email=author_email,
         project=project,
     )

@@ -157,6 +157,17 @@ class TestStats:
         main(["stats", "--graph", *dumps, "--out", str(b)])
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_corrupt_dump_email_is_a_clean_error(self, corpus_file, tmp_path, capsys):
+        build_out = tmp_path / "build"
+        main(["build", "--records", str(corpus_file), "--out", str(build_out)])
+        dump_path = build_out / "okhttp" / "graph.json"
+        dump = _read_json(dump_path)
+        dump["edges"][0]["author_email"] = ""
+        dump_path.write_text(json.dumps(dump), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump")
+
     def test_threshold_one_populates_both_split_columns(self, tmp_path):
         records = tmp_path / "all.jsonl"
         records.write_text(
@@ -236,6 +247,25 @@ class TestExport:
     def test_missing_dump_path(self, tmp_path):
         code = main(["export", "--graph", str(tmp_path / "missing"), "--out", str(tmp_path / "o"), "--all"])
         assert code == 1
+
+
+@pytest.mark.parametrize("project", ["..", "."])
+def test_dot_project_names_stay_inside_out(tmp_path, project):
+    records = tmp_path / "work" / "records.jsonl"
+    records.parent.mkdir()
+    records.write_text(
+        corpus.to_jsonl(dict(r, project=project) for r in corpus.CHART_AXIS_RECORDS), encoding="utf-8"
+    )
+    build_out = tmp_path / "work" / "build"
+    dot_out = tmp_path / "work" / "dot"
+    assert main(["build", "--records", str(records), "--out", str(build_out)]) == 0
+    assert main(["export", "--graph", str(build_out), "--all", "--out", str(dot_out)]) == 0
+    written = {p for p in tmp_path.rglob("*") if p.is_file()} - {records}
+    assert written
+    for path in written:
+        assert build_out in path.parents or dot_out in path.parents, path
+    assert (build_out / "_" / "graph.json").is_file()
+    assert len(list((dot_out / "_").glob("*.dot"))) == 1
 
 
 def test_usage_error_exits_2(capsys):

@@ -19,19 +19,6 @@ from refgraph.graph import (
 from refgraph.ingest import RefactoringType, parse_signature
 
 
-def _graphs_agree(a, b) -> bool:
-    """Structural equality ignoring author_name (lost by the dump format)."""
-    if [v.canonical for v in a.vertices()] != [v.canonical for v in b.vertices()]:
-        return False
-    ea, eb = a.edges(), b.edges()
-    if len(ea) != len(eb):
-        return False
-    return all(
-        x.key == y.key and x.timestamp == y.timestamp and x.author_email == y.author_email
-        for x, y in zip(ea, eb)
-    )
-
-
 class TestBuild:
     def test_single_commit_fanout_shape(self):
         graph = build(corpus.records_of(corpus.SINGLE_COMMIT_FANOUT_RECORDS))
@@ -167,7 +154,7 @@ class TestGraphDump:
         graph = build(corpus.records_of(corpus.DEMO_CORPUS))
         project, reloaded = graph_from_dict(graph_to_dict(graph, "demo"))
         assert project == "demo"
-        assert _graphs_agree(graph, reloaded)
+        assert reloaded == graph
 
     def test_round_trip_through_file(self, tmp_path):
         graph = build(corpus.records_of(corpus.CHART_AXIS_RECORDS))
@@ -175,7 +162,7 @@ class TestGraphDump:
         save_graph(graph, "mpandroidchart", path)
         project, reloaded = load_graph(path)
         assert project == "mpandroidchart"
-        assert _graphs_agree(graph, reloaded)
+        assert reloaded == graph
 
     def test_dump_edge_fields(self):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
@@ -206,4 +193,19 @@ class TestGraphDump:
         data = graph_to_dict(graph, "p")
         data["edges"][0]["type"] = "refactorize"
         with pytest.raises(GraphDumpError, match="corrupt"):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("author_email", ""),
+        ("author_email", "   "),
+        ("author_email", None),
+        ("author_email", 42),
+        ("commit", 1234567),
+        ("source", ["p.A#m()"]),
+    ])
+    def test_corrupt_edge_field_rejected(self, field, value):
+        graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
+        data = graph_to_dict(graph, "p")
+        data["edges"][0][field] = value
+        with pytest.raises(GraphDumpError, match="corrupt graph dump"):
             graph_from_dict(data)

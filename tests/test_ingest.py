@@ -186,7 +186,6 @@ class TestParseRecords:
         assert record.rtype is RefactoringType.MOVE
         assert record.commit == "c1a2b3c"
         assert record.timestamp == datetime(2019, 1, 1, tzinfo=timezone.utc)
-        assert record.author_name == "Alice"
         assert record.author_email == "a@x.org"
         assert record.project == "demo"
 
@@ -238,6 +237,22 @@ class TestParseRecords:
         ],
     )
     def test_field_validation(self, mutate, expected):
+        entry = json.loads(VALID_LINE)
+        mutate(entry)
+        result = parse_records([json.dumps(entry)])
+        assert not result.records
+        assert len(result.issues) == 1
+        assert expected in result.issues[0].message
+
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [
+            (lambda d: d.pop("author_name"), "missing keys"),
+            (lambda d: d.update(author_name=7), "not a string"),
+        ],
+    )
+    def test_author_name_still_validated(self, mutate, expected):
+        # author_name is not kept on the record, but it is still required and must be a string.
         entry = json.loads(VALID_LINE)
         mutate(entry)
         result = parse_records([json.dumps(entry)])
