@@ -17,7 +17,6 @@ from .graph import (
     graph_to_dict,
     load_graph,
     partition,
-    save_graph,
 )
 from .history import (
     CommitLog,
@@ -103,7 +102,6 @@ __all__ = [
     "parse_signature",
     "partition",
     "restrict_to_log",
-    "save_graph",
     "spearman",
     "__version__",
 ]

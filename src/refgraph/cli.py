@@ -10,9 +10,8 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     GraphDumpError,
@@ -27,7 +26,6 @@ from .graph import (
 from .history import CommitLog, CommitLogError, load_commit_log, restrict_to_log
 from .ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
-    FILTER_REASONS,
     FilterConfig,
     RecordError,
     RefactoringRecord,
@@ -122,21 +120,6 @@ def run() -> None:
 # shared pipeline
 
 
-@dataclass
-class PipelineOutcome:
-    """Stage counts of the front half of the pipeline, and one graph per project."""
-
-    inputs: list[dict]
-    parsed: int
-    parse_skipped: int
-    excluded: dict[str, int]
-    filtered: int
-    off_branch_dropped: int
-    ambiguous_commit: int
-    analyzed: dict[str, int]
-    graphs: dict[str, RefactoringGraph]
-
-
 def _filter_config(args) -> FilterConfig:
     if args.exclude_keywords is None:
         keywords = DEFAULT_EXCLUDED_KEYWORDS
@@ -164,46 +147,47 @@ def _commit_logs(args) -> dict[str, CommitLog]:
     return logs
 
 
-def _run_front_pipeline(args, config: FilterConfig) -> PipelineOutcome:
+def _run_front_pipeline(
+    args, config: FilterConfig
+) -> tuple[dict[str, RefactoringGraph], dict[str, int], dict]:
+    """One graph per project, the records analyzed per project, and the run
+    log's ``inputs`` and ``stages`` blocks."""
     logs = _commit_logs(args)
 
     records: list[RefactoringRecord] = []
     inputs = []
-    parse_skipped = 0
     for path in args.records:
         with open(path, "r", encoding="utf-8") as handle:
             result = parse_records(handle, strict=args.strict)
         records.extend(result.records)
-        parse_skipped += len(result.issues)
         inputs.append({"path": str(path), "records": len(result.records), "skipped": len(result.issues)})
 
     filtered, excluded = apply_filters(records, config)
+    stages = {
+        "parsed": len(records),
+        "parse_skipped": sum(entry["skipped"] for entry in inputs),
+        "excluded": excluded,
+        "filtered": len(filtered),
+        "off_branch_dropped": 0,
+        "ambiguous_commit": 0,
+    }
 
     by_project: dict[str, list[RefactoringRecord]] = {}
     for record in filtered:
         by_project.setdefault(record.project, []).append(record)
 
-    off_branch = 0
-    ambiguous = 0
     for project, log in logs.items():
         if project not in by_project:
             continue
         outcome = restrict_to_log(by_project[project], log)
         by_project[project] = list(outcome.kept)
-        off_branch += outcome.dropped
-        ambiguous += len(outcome.issues)
+        stages["off_branch_dropped"] += outcome.dropped
+        stages["ambiguous_commit"] += len(outcome.issues)
 
-    return PipelineOutcome(
-        inputs=inputs,
-        parsed=len(records),
-        parse_skipped=parse_skipped,
-        excluded=dict(excluded),
-        filtered=len(filtered),
-        off_branch_dropped=off_branch,
-        ambiguous_commit=ambiguous,
-        analyzed={project: len(group) for project, group in by_project.items()},
-        graphs={project: build(group) for project, group in by_project.items()},
-    )
+    analyzed = {project: len(group) for project, group in by_project.items()}
+    stages["analyzed"] = sum(analyzed.values())
+    graphs = {project: build(group) for project, group in by_project.items()}
+    return graphs, analyzed, {"inputs": inputs, "stages": stages}
 
 
 def _split_projects(
@@ -256,9 +240,16 @@ def _safe_name(identifier: str, fallback: str) -> str:
     return f"{safe[:80] or fallback}-{digest}"
 
 
-def _project_dir_name(project: str) -> str:
+def _project_dirs(projects: Iterable[str]) -> dict[str, str]:
+    """Map each project to its directory under ``--out``; two projects
+    sharing one directory are an error, raised before anything is written."""
     # A name of dots alone ("." or "..") would point at --out or above it.
-    return re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project) or "project"
+    dirs = {p: re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", p) or "project" for p in projects}
+    owners: dict[str, str] = {}
+    for project, name in dirs.items():
+        if owners.setdefault(name, project) != project:
+            raise CliError(f"projects {owners[name]!r} and {project!r} would share the output directory {name!r}")
+    return dirs
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -274,17 +265,18 @@ def _write_json(path: Path, document: dict) -> None:
 def cmd_build(args) -> int:
     min_commits = _min_commits(args)
     config = _filter_config(args)
-    outcome = _run_front_pipeline(args, config)
+    graphs, analyzed, front_log = _run_front_pipeline(args, config)
+    dirs = _project_dirs(graphs)
 
     project_rows = []
     dumps: list[tuple[Path, dict]] = []
     out_dir = Path(args.out)
     totals = {"vertices": 0, "edges": 0, "subgraphs": 0, "below_threshold": 0, "kept": 0}
-    for graph, split, kept in _split_projects(outcome.graphs, min_commits):
+    for graph, split, kept in _split_projects(graphs, min_commits):
         project_rows.append(
             {
                 "project": split.project,
-                "records": outcome.analyzed[split.project],
+                "records": analyzed[split.project],
                 "vertices": graph.n_vertices,
                 "edges": graph.n_edges,
                 "subgraphs": split.total,
@@ -296,7 +288,7 @@ def cmd_build(args) -> int:
         )
         for key in ("vertices", "edges", "subgraphs", "below_threshold", "kept"):
             totals[key] += project_rows[-1][key]
-        dump_path = out_dir / _project_dir_name(split.project) / "graph.json"
+        dump_path = out_dir / dirs[split.project] / "graph.json"
         dumps.append((dump_path, graph_to_dict(graph, split.project)))
 
     if not dumps:
@@ -311,16 +303,7 @@ def cmd_build(args) -> int:
             "exclude_keywords": list(config.excluded_package_keywords),
             "drop_constructors": config.drop_constructors,
         },
-        "inputs": outcome.inputs,
-        "stages": {
-            "parsed": outcome.parsed,
-            "parse_skipped": outcome.parse_skipped,
-            "excluded": {reason: outcome.excluded.get(reason, 0) for reason in FILTER_REASONS},
-            "filtered": outcome.filtered,
-            "off_branch_dropped": outcome.off_branch_dropped,
-            "ambiguous_commit": outcome.ambiguous_commit,
-            "analyzed": sum(outcome.analyzed.values()),
-        },
+        **front_log,
         "projects": project_rows,
         "totals": totals,
     }
@@ -363,7 +346,7 @@ def cmd_stats(args) -> int:
     if args.records and args.graph:
         raise CliError("pass either --records or --graph, not both", code=2)
     if args.records:
-        graphs = _run_front_pipeline(args, _filter_config(args)).graphs
+        graphs = _run_front_pipeline(args, _filter_config(args))[0]
     elif args.graph:
         graphs = _load_graphs(args.graph)
     else:
@@ -411,9 +394,10 @@ def cmd_export(args) -> int:
     if not matched:
         raise CliError(f"selector matched no subgraph: {args.selector!r}", code=2)
 
+    dirs = _project_dirs(project for project, _ in matched)
     out_dir = Path(args.out)
     for project, subgraph in matched:
-        target_dir = out_dir / _project_dir_name(project)
+        target_dir = out_dir / dirs[project]
         target_dir.mkdir(parents=True, exist_ok=True)
         name = _safe_name(subgraph.id, fallback="subgraph")
         (target_dir / f"{name}.dot").write_text(emit_dot(subgraph), encoding="utf-8")

@@ -20,9 +20,8 @@ from .ingest import (
     RefactoringRecord,
     RefactoringType,
     format_timestamp,
-    normalize_commit,
+    parse_edge_fields,
     parse_signature,
-    parse_timestamp,
 )
 
 GRAPH_DUMP_VERSION = "1"
@@ -77,18 +76,6 @@ class RefactoringGraph:
         """Edges sorted by (source, target, type, commit)."""
         return [self._edges[k] for k in sorted(self._edges)]
 
-    def add_record(self, record: RefactoringRecord) -> None:
-        self.add_edge(
-            Edge(
-                source=record.source,
-                target=record.target,
-                rtype=record.rtype,
-                commit=record.commit,
-                timestamp=record.timestamp,
-                author_email=record.author_email,
-            )
-        )
-
     def add_edge(self, edge: Edge) -> None:
         self._vertices.setdefault(edge.source.canonical, edge.source)
         self._vertices.setdefault(edge.target.canonical, edge.target)
@@ -96,7 +83,7 @@ class RefactoringGraph:
         existing = self._edges.get(key)
         if existing is None:
             self._edges[key] = edge
-        elif _metadata_rank(edge) < _metadata_rank(existing):
+        elif (edge.timestamp, edge.author_email) < (existing.timestamp, existing.author_email):
             # Same edge key with conflicting metadata: keep the smaller
             # tuple so the result is independent of insertion order.
             self._edges[key] = edge
@@ -108,10 +95,6 @@ class RefactoringGraph:
 
     def __repr__(self) -> str:
         return f"RefactoringGraph(vertices={self.n_vertices}, edges={self.n_edges})"
-
-
-def _metadata_rank(edge: Edge) -> tuple[datetime, str]:
-    return (edge.timestamp, edge.author_email)
 
 
 @dataclass(frozen=True)
@@ -141,62 +124,43 @@ class Subgraph:
 def build(records: Iterable[RefactoringRecord]) -> RefactoringGraph:
     """Accumulate all records into one graph (set semantics)."""
     graph = RefactoringGraph()
-    for record in records:
-        graph.add_record(record)
+    for r in records:
+        graph.add_edge(Edge(r.source, r.target, r.rtype, r.commit, r.timestamp, r.author_email))
     return graph
 
 
-class _UnionFind:
-    """Disjoint sets over vertex labels, with path halving + union by size."""
-
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-        self._size: dict[str, int] = {}
-
-    def add(self, item: str) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
-
-    def find(self, item: str) -> str:
-        parent = self._parent
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-
-
 def partition(graph: RefactoringGraph) -> list[Subgraph]:
-    """Split a graph into its weakly connected components, sorted by id."""
-    uf = _UnionFind()
-    for vertex in graph.vertices():
-        uf.add(vertex.canonical)
-    for edge in graph.edges():
-        uf.union(edge.source.canonical, edge.target.canonical)
+    """Split a graph into its weakly connected components, sorted by id.
 
-    members: dict[str, list[MethodRef]] = {}
-    for vertex in graph.vertices():
-        members.setdefault(uf.find(vertex.canonical), []).append(vertex)
-    component_edges: dict[str, list[Edge]] = {root: [] for root in members}
-    for edge in graph.edges():
-        component_edges[uf.find(edge.source.canonical)].append(edge)
+    Every vertex lies on an edge.  In the union-find the smaller label always
+    becomes the root, so a component's root is its id.
+    """
+    parent: dict[str, str] = {}
 
-    subgraphs = []
-    for root, vertices in members.items():
-        vertices.sort(key=lambda v: v.canonical)
-        edges = sorted(component_edges[root], key=lambda e: e.key)
-        subgraphs.append(Subgraph(id=vertices[0].canonical, vertices=tuple(vertices), edges=tuple(edges)))
-    subgraphs.sort(key=lambda s: s.id)
-    return subgraphs
+    def find(label: str) -> str:
+        parent.setdefault(label, label)
+        while (up := parent[label]) != label:
+            parent[label] = parent[up]  # path halving
+            label = parent[label]
+        return label
+
+    components: dict[str, tuple[list[str], list[EdgeKey]]] = {}
+    for source, target, _, _ in graph._edges:
+        a, b = find(source), find(target)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    for label in parent:
+        components.setdefault(find(label), ([], []))[0].append(label)
+    for key in graph._edges:
+        components[find(key[0])][1].append(key)
+    return [
+        Subgraph(
+            id=root,
+            vertices=tuple(graph._vertices[label] for label in sorted(labels)),
+            edges=tuple(graph._edges[key] for key in sorted(keys)),
+        )
+        for root, (labels, keys) in sorted(components.items())
+    ]
 
 
 def filter_multi_commit(
@@ -231,9 +195,9 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
 def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     """Rebuild (project, graph) from a dump produced by :func:`graph_to_dict`.
 
-    The rebuilt graph equals the dumped one.  Any malformed entry, including
-    an edge whose ``author_email`` is not a non-empty string, raises
-    :class:`GraphDumpError`.
+    The rebuilt graph equals the dumped one.  Edges are checked by
+    :func:`~refgraph.ingest.parse_edge_fields`, the rule record lines
+    follow; any malformed entry raises :class:`GraphDumpError`.
     """
     if not isinstance(data, dict):
         raise GraphDumpError("graph dump is not an object")
@@ -247,20 +211,10 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     try:
         declared = {parse_signature(v).canonical for v in data["vertices"]}
         for entry in data["edges"]:
-            email = entry["author_email"]
-            if not isinstance(email, str) or not email.strip():
-                raise ValueError(f"invalid author_email: {email!r}")
-            graph.add_edge(
-                Edge(
-                    source=parse_signature(entry["source"]),
-                    target=parse_signature(entry["target"]),
-                    rtype=RefactoringType.from_string(entry["type"]),
-                    commit=normalize_commit(entry["commit"]),
-                    timestamp=parse_timestamp(entry["timestamp"]),
-                    author_email=email,
-                )
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            if not isinstance(entry, dict):
+                raise ValueError("edge is not an object")
+            graph.add_edge(Edge(**parse_edge_fields(entry)))
+    except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
     used = {v.canonical for v in graph.vertices()}
     if used - declared:
@@ -268,12 +222,6 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     if declared - used:
         raise GraphDumpError("graph dump declares vertices not used by any edge")
     return str(data["project"]), graph
-
-
-def save_graph(graph: RefactoringGraph, project: str, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(graph_to_dict(graph, project), handle, indent=2)
-        handle.write("\n")
 
 
 def load_graph(path) -> tuple[str, RefactoringGraph]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable
 
-from .ingest import RefactoringRecord, normalize_commit, parse_timestamp
+from .ingest import RefactoringRecord, parse_metadata
 
 
 class CommitLogError(ValueError):
@@ -85,14 +85,10 @@ def parse_commit_log(lines: Iterable[str]) -> CommitLog:
             raise CommitLogError(f"line {line_no}: expected 4 tab-separated fields, got {len(parts)}")
         raw_hash, raw_ts, _name, email = parts
         try:
-            commit = normalize_commit(raw_hash)
-            timestamp = parse_timestamp(raw_ts)
+            meta = parse_metadata(raw_hash, raw_ts, email)
         except ValueError as exc:
             raise CommitLogError(f"line {line_no}: {exc}") from None
-        email = email.strip()
-        if not email:
-            raise CommitLogError(f"line {line_no}: empty author email")
-        entries.append(CommitMeta(commit, timestamp, email))
+        entries.append(CommitMeta(meta["commit"], meta["timestamp"], meta["author_email"]))
     return CommitLog(entries)
 
 

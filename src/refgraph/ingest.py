@@ -13,22 +13,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Iterable
 
-RECORD_KEYS = frozenset(
-    {
-        "project",
-        "commit",
-        "timestamp",
-        "author_name",
-        "author_email",
-        "type",
-        "source",
-        "target",
-    }
-)
+EDGE_KEYS = ("source", "target", "type", "commit", "timestamp", "author_email")
+RECORD_KEYS = frozenset({"project", "author_name", *EDGE_KEYS})
 
 DEFAULT_EXCLUDED_KEYWORDS = ("test", "tests", "example", "examples", "sample", "samples")
 
@@ -39,6 +29,11 @@ REASON_SELF_LOOP = "self-loop"
 FILTER_REASONS = (REASON_PACKAGE_KEYWORD, REASON_CONSTRUCTOR, REASON_SELF_LOOP)
 
 _COMMIT_RE = re.compile(r"^[0-9a-f]{7,40}$")
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.\d+)?"
+    r"(?:[Zz]|([+-])([01]\d|2[0-3]):([0-5]\d))?",
+    re.ASCII,
+)
 
 
 class SignatureError(ValueError):
@@ -151,17 +146,25 @@ class ParseResult:
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp into a UTC datetime at seconds precision."""
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+    """Parse an RFC 3339 date-time into a UTC datetime at seconds precision.
+
+    Date and time are separated by ``T``, ``t`` or a space; a fractional
+    second of any length is dropped; the offset is ``Z``, ``z`` or
+    ``+HH:MM``/``-HH:MM``, and a missing offset means UTC.  The grammar is
+    the same on every Python version, unlike ``datetime.fromisoformat``.
+    """
+    match = _TIMESTAMP_RE.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"invalid ISO-8601 timestamp: {value!r}")
+    *parts, sign, hours, minutes = match.groups()
     try:
-        parsed = datetime.fromisoformat(text)
-    except ValueError:
+        parsed = datetime(*map(int, parts), tzinfo=timezone.utc)
+        if sign:
+            offset = timedelta(hours=int(hours), minutes=int(minutes))
+            parsed -= offset if sign == "+" else -offset
+    except (OverflowError, ValueError):  # no such date, or out of datetime's range in UTC
         raise ValueError(f"invalid ISO-8601 timestamp: {value!r}") from None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    return parsed
 
 
 def format_timestamp(value: datetime) -> str:
@@ -176,6 +179,36 @@ def normalize_commit(value: str) -> str:
     return commit
 
 
+def _require_strings(fields: dict, keys: Iterable[str]) -> None:
+    for key in keys:
+        if not isinstance(fields.get(key), str):
+            raise ValueError(f"field {key!r} is not a string")
+
+
+def parse_metadata(commit: str, timestamp: str, email: str) -> dict:
+    """Normalize an edge's commit metadata into ``commit``, ``timestamp``
+    and ``author_email`` keyword arguments of :class:`~refgraph.graph.Edge`."""
+    author_email = email.strip()
+    if not author_email:
+        raise ValueError("empty author_email")
+    return {"commit": normalize_commit(commit), "timestamp": parse_timestamp(timestamp), "author_email": author_email}
+
+
+def parse_edge_fields(fields: dict) -> dict:
+    """Check the :data:`EDGE_KEYS` of a record or dump entry and normalize
+    them into keyword arguments of :class:`~refgraph.graph.Edge`.
+
+    Raises ValueError naming the first bad field; other keys are ignored.
+    """
+    _require_strings(fields, EDGE_KEYS)
+    return {
+        "source": parse_signature(fields["source"]),
+        "target": parse_signature(fields["target"]),
+        "rtype": RefactoringType.from_string(fields["type"]),
+        **parse_metadata(fields["commit"], fields["timestamp"], fields["author_email"]),
+    }
+
+
 def parse_signature(raw: str) -> MethodRef:
     """Parse a signature string like ``util.Foo#m(int, List<String>)``.
 
@@ -184,6 +217,8 @@ def parse_signature(raw: str) -> MethodRef:
     split on top-level commas only, so commas inside generic type arguments
     are preserved.
     """
+    if not isinstance(raw, str):
+        raise SignatureError(f"signature is not a string: {raw!r}")
     text = raw.strip()
     if text.count("#") != 1:
         raise SignatureError(f"expected exactly one '#' in signature: {raw!r}")
@@ -255,24 +290,11 @@ def parse_record_line(line: str) -> RefactoringRecord:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
     if extra:
         raise ValueError(f"unexpected keys: {', '.join(sorted(extra))}")
-    for key in RECORD_KEYS:
-        if not isinstance(data[key], str):
-            raise ValueError(f"field {key!r} is not a string")
+    _require_strings(data, ("project", "author_name"))
     project = data["project"].strip()
     if not project:
         raise ValueError("empty project name")
-    author_email = data["author_email"].strip()
-    if not author_email:
-        raise ValueError("empty author_email")
-    return RefactoringRecord(
-        source=parse_signature(data["source"]),
-        target=parse_signature(data["target"]),
-        rtype=RefactoringType.from_string(data["type"]),
-        commit=normalize_commit(data["commit"]),
-        timestamp=parse_timestamp(data["timestamp"]),
-        author_email=author_email,
-        project=project,
-    )
+    return RefactoringRecord(project=project, **parse_edge_fields(data))
 
 
 def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:

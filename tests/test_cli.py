@@ -268,6 +268,34 @@ def test_dot_project_names_stay_inside_out(tmp_path, project):
     assert len(list((dot_out / "_").glob("*.dot"))) == 1
 
 
+def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
+    # "a/b" and "a_b" both map to directory a_b; neither command may write.
+    def records_file(name, projects):
+        path = tmp_path / name
+        path.write_text(
+            corpus.to_jsonl(dict(r, project=p) for p in projects for r in corpus.CHART_AXIS_RECORDS),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    both = tmp_path / "both"
+    assert main(["build", "--records", records_file("both.jsonl", ["a/b", "a_b"]), "--out", str(both)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refgraph: error:") and "'a/b'" in err and "'a_b'" in err
+    assert not both.exists()
+
+    for name in ("a/b", "a_b"):
+        out = str(tmp_path / ("one" if name == "a/b" else "two"))
+        assert main(["build", "--records", records_file("r.jsonl", [name]), "--out", out]) == 0
+    capsys.readouterr()
+    dot_out = tmp_path / "dot"
+    code = main(["export", "--graph", str(tmp_path / "one"), str(tmp_path / "two"), "--all", "--out", str(dot_out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refgraph: error:") and "'a/b'" in err and "'a_b'" in err
+    assert not dot_out.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["build"])  # --records and --out are required

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from oracles import bfs_components
 from refgraph.graph import (
     GraphDumpError,
+    Subgraph,
     build,
     filter_multi_commit,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     partition,
-    save_graph,
 )
 from refgraph.ingest import RefactoringType, parse_signature
 
@@ -113,6 +118,47 @@ class TestPartition:
                 assert edge.target in subgraph.vertices
 
 
+def _oracle_partition(graph):
+    """The full partition result, with components from the BFS oracle."""
+    edges = graph.edges()
+    components = bfs_components([(e.source.canonical, e.target.canonical) for e in edges])
+    vertices = {v.canonical: v for v in graph.vertices()}
+    root_of = {label: min(component) for component in components for label in component}
+    edges_of: dict[str, list] = {}
+    for edge in edges:
+        edges_of.setdefault(root_of[edge.source.canonical], []).append(edge)
+    return [
+        Subgraph(
+            id=min(component),
+            vertices=tuple(vertices[label] for label in sorted(component)),
+            edges=tuple(sorted(edges_of[min(component)], key=lambda e: e.key)),
+        )
+        for component in sorted(components, key=min)
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_edges=st.integers(1, 10**4),
+    pool_size=st.integers(2, 2 * 10**4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_edges=10**4, pool_size=2 * 10**4, seed=1)
+@example(n_edges=10**4, pool_size=5000, seed=2)
+def test_partition_matches_bfs_oracle_and_ignores_order_and_duplicates(n_edges, pool_size, seed):
+    rng = random.Random(seed)
+    records = corpus.random_records(rng, n_edges, pool_size=pool_size)
+    subgraphs = partition(build(records))
+    assert subgraphs == _oracle_partition(build(records))
+
+    # Exact duplicates, plus copies whose later timestamp must lose the metadata tie-break.
+    duplicates = rng.choices(records, k=len(records) // 2)
+    later = [replace(r, timestamp=r.timestamp + timedelta(seconds=1)) for r in duplicates[::2]]
+    noisy = records + duplicates + later
+    rng.shuffle(noisy)
+    assert partition(build(noisy)) == subgraphs
+
+
 class TestFilterMultiCommit:
     def test_single_commit_subgraph_excluded(self):
         subgraphs = partition(build(corpus.records_of(corpus.SINGLE_COMMIT_FANOUT_RECORDS)))
@@ -159,7 +205,7 @@ class TestGraphDump:
     def test_round_trip_through_file(self, tmp_path):
         graph = build(corpus.records_of(corpus.CHART_AXIS_RECORDS))
         path = tmp_path / "graph.json"
-        save_graph(graph, "mpandroidchart", path)
+        path.write_text(json.dumps(graph_to_dict(graph, "mpandroidchart")), encoding="utf-8")
         project, reloaded = load_graph(path)
         assert project == "mpandroidchart"
         assert reloaded == graph
@@ -207,5 +253,17 @@ class TestGraphDump:
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "p")
         data["edges"][0][field] = value
+        with pytest.raises(GraphDumpError, match="corrupt graph dump"):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["vertices"].__setitem__(0, 5),
+        lambda d: d["edges"].__setitem__(0, ["p.A#m()"]),
+        lambda d: d["edges"][0].pop("timestamp"),
+    ], ids=["vertex not a string", "edge not an object", "edge field missing"])
+    def test_corrupt_dump_structure_rejected(self, corrupt):
+        graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
+        data = graph_to_dict(graph, "p")
+        corrupt(data)
         with pytest.raises(GraphDumpError, match="corrupt graph dump"):
             graph_from_dict(data)

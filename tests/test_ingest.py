@@ -16,6 +16,7 @@ from refgraph.ingest import (
     RefactoringType,
     SignatureError,
     apply_filters,
+    format_timestamp,
     normalize_commit,
     parse_record_line,
     parse_records,
@@ -148,6 +149,51 @@ def test_parse_is_identity_on_canonical_forms(signature):
     assert parse_signature(ref.canonical) == ref
 
 
+# The timestamp grammar (RFC 3339 date-time) as plain literals: input -> UTC
+# result, and inputs that must be rejected.  Several rejected forms are
+# accepted by ``datetime.fromisoformat`` on Python 3.11+ but not on 3.10.
+TIMESTAMPS_ACCEPTED = [
+    ("2014-01-20T08:30:00Z", "2014-01-20T08:30:00Z"),
+    ("2014-01-20t08:30:00z", "2014-01-20T08:30:00Z"),
+    ("2014-01-20 08:30:00Z", "2014-01-20T08:30:00Z"),
+    ("2014-01-20T08:30:00", "2014-01-20T08:30:00Z"),
+    ("2014-01-20T08:30:00.5Z", "2014-01-20T08:30:00Z"),
+    ("2014-01-20T08:30:00.999999999+02:00", "2014-01-20T06:30:00Z"),
+    ("2014-01-20T08:30:00-05:30", "2014-01-20T14:00:00Z"),
+    ("2014-01-20T23:30:00-01:00", "2014-01-21T00:30:00Z"),
+    ("2014-01-20T08:30:00+00:00", "2014-01-20T08:30:00Z"),
+    ("  2014-01-20T08:30:00Z\n", "2014-01-20T08:30:00Z"),
+    ("2016-02-29T00:00:00+23:59", "2016-02-28T00:01:00Z"),
+]
+TIMESTAMPS_REJECTED = [
+    "20140120T083000Z",
+    "2014-W04-1T08:30:00Z",
+    "2014-020T08:30:00Z",
+    "2014-01-20 08:30:00+0200",
+    "2014-01-20T08:30:00+02",
+    "2014-01-20T08:30:00+24:00",
+    "2014-01-20T08:30:00+02:60",
+    "0001-01-01T00:00:00+01:00",
+    "9999-12-31T23:59:59-01:00",
+    "2014-01-20",
+    "2014-01-20T08:30Z",
+    "2014-01-20T08Z",
+    "2014-01-20T08:30:00.Z",
+    "2014-01-20T08:30:00,5Z",
+    "2014-01-20T08:30:00ZZ",
+    "2014-01-20T08:30:00 Z",
+    "2014-01-20_08:30:00Z",
+    "2014-02-30T08:30:00Z",
+    "2014-01-20T24:00:00Z",
+    "2014-01-20T08:60:00Z",
+    "2014-01-20T08:30:60Z",
+    "\u0662\u0660\u0661\u0664-01-20T08:30:00Z",
+    "+2014-01-20T08:30:00Z",
+    "yesterday",
+    "",
+]
+
+
 class TestTimestamps:
     def test_z_suffix(self):
         assert parse_timestamp("2019-01-01T00:00:00Z") == datetime(2019, 1, 1, tzinfo=timezone.utc)
@@ -163,6 +209,15 @@ class TestTimestamps:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="ISO-8601"):
             parse_timestamp("yesterday")
+
+    @pytest.mark.parametrize("text, expected", TIMESTAMPS_ACCEPTED)
+    def test_grammar_accepts(self, text, expected):
+        assert format_timestamp(parse_timestamp(text)) == expected
+
+    @pytest.mark.parametrize("text", TIMESTAMPS_REJECTED)
+    def test_grammar_rejects(self, text):
+        with pytest.raises(ValueError, match="invalid ISO-8601 timestamp"):
+            parse_timestamp(text)
 
 
 class TestNormalizeCommit:
