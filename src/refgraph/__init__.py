@@ -43,9 +43,7 @@ from .ingest import (
 from .metrics import (
     Authorship,
     Composition,
-    CorpusStats,
     CorrelationError,
-    CorrelationOutcome,
     MetricsError,
     SpearmanResult,
     SubgraphMetrics,
@@ -54,7 +52,7 @@ from .metrics import (
     measure,
     spearman,
 )
-from .report import ReportBundle, SubgraphSplit, emit_dot, emit_json_summary, emit_tables
+from .report import emit_dot, emit_json_summary, emit_tables
 
 __version__ = "0.1.0"
 
@@ -64,9 +62,7 @@ __all__ = [
     "CommitLogError",
     "CommitMeta",
     "Composition",
-    "CorpusStats",
     "CorrelationError",
-    "CorrelationOutcome",
     "Edge",
     "FilterConfig",
     "MethodRef",
@@ -77,13 +73,11 @@ __all__ = [
     "RefactoringGraph",
     "RefactoringRecord",
     "RefactoringType",
-    "ReportBundle",
     "RestrictResult",
     "SignatureError",
     "SpearmanResult",
     "Subgraph",
     "SubgraphMetrics",
-    "SubgraphSplit",
     "aggregate",
     "apply_filters",
     "build",

@@ -33,7 +33,7 @@ from .ingest import (
     parse_records,
 )
 from .metrics import aggregate, measure
-from .report import ReportBundle, SubgraphSplit, emit_dot, emit_tables, write_json_summary
+from .report import emit_dot, emit_tables, write_json_summary
 
 RUN_LOG_VERSION = "1"
 
@@ -138,13 +138,15 @@ def _min_commits(args) -> int:
 
 
 def _commit_logs(args) -> dict[str, CommitLog]:
-    logs: dict[str, CommitLog] = {}
+    paths: dict[str, str] = {}
     for item in args.commit_log:
         project, sep, path = item.partition("=")
         if not sep or not project or not path:
             raise CliError(f"--commit-log expects PROJECT=PATH, got {item!r}", code=2)
-        logs[project] = load_commit_log(path)
-    return logs
+        if project in paths:
+            raise CliError(f"--commit-log given more than once for project {project!r}", code=2)
+        paths[project] = path
+    return {project: load_commit_log(path) for project, path in paths.items()}
 
 
 def _run_front_pipeline(
@@ -192,14 +194,14 @@ def _run_front_pipeline(
 
 def _split_projects(
     graphs: dict[str, RefactoringGraph], min_commits: int
-) -> Iterator[tuple[RefactoringGraph, SubgraphSplit, list[Subgraph]]]:
-    """Per project: its graph, the single-/multi-commit split of its
-    subgraphs, and the subgraphs spanning at least ``min_commits`` commits."""
+) -> Iterator[tuple[RefactoringGraph, tuple[str, int, int], list[Subgraph]]]:
+    """Per project: its graph, its ``(project, subgraphs, single_commit)``
+    counts, and the subgraphs spanning at least ``min_commits`` commits."""
     for project, graph in graphs.items():
         subgraphs = partition(graph)
         kept, _ = filter_multi_commit(subgraphs, min_commits)
         single = sum(1 for s in subgraphs if s.commit_count() == 1)
-        yield graph, SubgraphSplit(project, len(subgraphs), single, len(subgraphs) - single), kept
+        yield graph, (project, len(subgraphs), single), kept
 
 
 def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
@@ -272,24 +274,24 @@ def cmd_build(args) -> int:
     dumps: list[tuple[Path, dict]] = []
     out_dir = Path(args.out)
     totals = {"vertices": 0, "edges": 0, "subgraphs": 0, "below_threshold": 0, "kept": 0}
-    for graph, split, kept in _split_projects(graphs, min_commits):
+    for graph, (project, total, single), kept in _split_projects(graphs, min_commits):
         project_rows.append(
             {
-                "project": split.project,
-                "records": analyzed[split.project],
+                "project": project,
+                "records": analyzed[project],
                 "vertices": graph.n_vertices,
                 "edges": graph.n_edges,
-                "subgraphs": split.total,
-                "single_commit": split.single_commit,
-                "multi_commit": split.multi_commit,
-                "below_threshold": split.total - len(kept),
+                "subgraphs": total,
+                "single_commit": single,
+                "multi_commit": total - single,
+                "below_threshold": total - len(kept),
                 "kept": len(kept),
             }
         )
         for key in ("vertices", "edges", "subgraphs", "below_threshold", "kept"):
             totals[key] += project_rows[-1][key]
-        dump_path = out_dir / dirs[split.project] / "graph.json"
-        dumps.append((dump_path, graph_to_dict(graph, split.project)))
+        dump_path = out_dir / dirs[project] / "graph.json"
+        dumps.append((dump_path, graph_to_dict(graph, project)))
 
     if not dumps:
         dumps.append((out_dir / "graph.json", graph_to_dict(RefactoringGraph(), "")))
@@ -334,8 +336,10 @@ def _project_ages(args) -> dict[str, float] | None:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid project ages file {args.project_ages}: {exc.msg}")
+    # json reads NaN and Infinity, and 1e400 as inf: an age must be a finite float
     if not isinstance(data, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data.values()
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+        for v in data.values()
     ):
         raise CliError(f"project ages file must map project names to numbers: {args.project_ages}")
     return {str(k): float(v) for k, v in data.items()}
@@ -359,16 +363,15 @@ def cmd_stats(args) -> int:
         splits.append(split)
         for subgraph in kept:
             metrics.append(measure(subgraph))
-            projects.append(split.project)
+            projects.append(split[0])
 
-    stats = aggregate(metrics, projects, _project_ages(args))
-    bundle = ReportBundle(stats=stats, splits=tuple(splits))
+    summary = aggregate(metrics, projects, splits, _project_ages(args))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = emit_tables(bundle, out_dir)
-    written.append(write_json_summary(bundle, out_dir / "summary.json"))
-    print(f"stats: {stats.n_subgraphs} subgraphs across {len(stats.projects)} projects -> {out_dir}")
+    emit_tables(summary, out_dir)
+    write_json_summary(summary, out_dir / "summary.json")
+    print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {out_dir}")
     return 0
 
 

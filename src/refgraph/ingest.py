@@ -29,6 +29,7 @@ REASON_SELF_LOOP = "self-loop"
 FILTER_REASONS = (REASON_PACKAGE_KEYWORD, REASON_CONSTRUCTOR, REASON_SELF_LOOP)
 
 _COMMIT_RE = re.compile(r"^[0-9a-f]{7,40}$")
+_PARAM_SEPARATOR_RE = re.compile(r"\s*([,<>\[\]])\s*|([()])")
 _TIMESTAMP_RE = re.compile(
     r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.\d+)?"
     r"(?:[Zz]|([+-])([01]\d|2[0-3]):([0-5]\d))?",
@@ -215,7 +216,10 @@ def parse_signature(raw: str) -> MethodRef:
     The class path starts at the first dot-separated segment with an
     uppercase initial; everything before it is the package.  Parameters are
     split on top-level commas only, so commas inside generic type arguments
-    are preserved.
+    are preserved.  Spacing inside a parameter is canonical, so
+    ``Map<K,V>``, ``Map<K, V>`` and ``Map< K ,V >`` are one type: whitespace
+    runs become one space, whitespace next to ``<``, ``>``, ``[`` and ``]``
+    is dropped, and nested commas are written ``, ``.
     """
     if not isinstance(raw, str):
         raise SignatureError(f"signature is not a string: {raw!r}")
@@ -241,30 +245,39 @@ def parse_signature(raw: str) -> MethodRef:
 
 
 def _split_params(content: str, raw: str) -> list[str]:
-    params: list[str] = []
-    current: list[str] = []
+    """Split on top-level commas and canonicalize each parameter's spacing."""
+    if "  " in content or not content.isprintable():  # a run of spaces, or a tab, newline, ...
+        content = " ".join(content.split())
+    # text, separator, paren, text, ...: the split drops whitespace around <>[] and commas
+    parts = _PARAM_SEPARATOR_RE.split(content)
+    if len(parts) == 1:
+        content = content.strip()
+        return [content] if content else []
+    params = []
+    current = parts[0]
     depth = 0
-    for ch in content:
-        if ch in "(<[":
+    pieces = iter(parts[1:])
+    for separator, paren, text in zip(pieces, pieces, pieces):
+        separator = separator or paren
+        if separator == ",":
+            if depth == 0:
+                params.append(current.strip())
+                current = text
+                continue
+            separator = ", "
+        elif separator in "(<[":
             depth += 1
-        elif ch in ")>]":
+        else:
             depth -= 1
             if depth < 0:
                 raise SignatureError(f"unbalanced brackets in signature: {raw!r}")
-        if ch == "," and depth == 0:
-            params.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+        current += separator + text
     if depth != 0:
         raise SignatureError(f"unbalanced brackets in signature: {raw!r}")
-    params.append("".join(current))
-    stripped = [p.strip() for p in params]
-    if stripped == [""]:
-        return []
-    if any(not p for p in stripped):
+    params.append(current.strip())
+    if not all(params):
         raise SignatureError(f"empty parameter in signature: {raw!r}")
-    return stripped
+    return params
 
 
 def _split_class_path(prefix: str) -> tuple[str, str]:

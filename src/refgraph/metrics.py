@@ -2,8 +2,9 @@
 
 Each subgraph is characterized by size (vertices/edges), distinct commits,
 age in fractional days, refactoring-type composition, and developer count.
-Corpus aggregation produces histograms, per-project tables, and Spearman
-rank correlations with an approximate two-tailed p-value.
+Corpus aggregation produces the summary document: histograms, per-project
+tables, and Spearman rank correlations with an approximate two-tailed
+p-value.
 """
 
 from __future__ import annotations
@@ -61,67 +62,6 @@ class SpearmanResult:
     rho: float
     n: int
     p_approx: float
-
-
-@dataclass(frozen=True)
-class CorrelationOutcome:
-    """One correlation study: either a result or the reason it was skipped."""
-
-    study: str
-    status: str  # "ok" or the reason the study was not computed
-    rho: float | None = None
-    n: int | None = None
-    p_approx: float | None = None
-
-
-@dataclass(frozen=True)
-class TypeFrequencyRow:
-    rtype: str
-    count: int
-    pct: float
-
-
-@dataclass(frozen=True)
-class CompositionRow:
-    project: str
-    homogeneous: int
-    homogeneous_pct: float
-    heterogeneous: int
-    heterogeneous_pct: float
-
-
-@dataclass(frozen=True)
-class AuthorshipRow:
-    project: str
-    single: int
-    single_pct: float
-    multiple: int
-    multiple_pct: float
-
-
-@dataclass(frozen=True)
-class AgeSummaryRow:
-    project: str
-    count: int
-    median_days: float | None
-    q1_days: float | None
-    q3_days: float | None
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    projects: tuple[str, ...]
-    n_subgraphs: int
-    n_edges: int
-    histograms: Mapping[str, Mapping[int, int]]
-    type_frequency: tuple[TypeFrequencyRow, ...]
-    composition: tuple[CompositionRow, ...]
-    composition_all: CompositionRow
-    authorship: tuple[AuthorshipRow, ...]
-    authorship_all: AuthorshipRow
-    age_summary: tuple[AgeSummaryRow, ...]
-    age_summary_all: AgeSummaryRow
-    correlations: tuple[CorrelationOutcome, ...]
 
 
 def round_half_up(value: float, digits: int = 1) -> float:
@@ -228,17 +168,19 @@ def quartiles(values: Sequence[float]) -> tuple[float, float]:
     return median(lower), median(upper)
 
 
+
+
 def correlate_corpus(
     metrics: Sequence[SubgraphMetrics],
     projects: Sequence[str],
     project_ages: Mapping[str, float] | None = None,
-) -> tuple[CorrelationOutcome, CorrelationOutcome]:
+) -> tuple[dict, dict]:
     """Run the two corpus-level correlation studies.
 
     The first relates developer count to commit count across subgraphs; the
     second relates each project's age to the median age of its subgraphs.
-    Degenerate inputs yield an outcome whose status names the reason
-    instead of a result.
+    Each study is one row ``{study, status, n, rho, p_approx}``; degenerate
+    inputs yield a status naming the reason and no numbers.
     """
     if len(metrics) != len(projects):
         raise ValueError("metrics and projects must be parallel sequences")
@@ -252,135 +194,127 @@ def correlate_corpus(
     )
 
     if project_ages is None:
-        project_age = CorrelationOutcome(STUDY_PROJECT_AGE, status="no project ages provided")
+        project_age = _study(STUDY_PROJECT_AGE, "no project ages provided")
     else:
         ages_by_project: dict[str, list[float]] = {}
         for project, metric in zip(projects, metrics):
             ages_by_project.setdefault(project, []).append(metric.age_days)
         xs = []
         ys = []
-        for project in _unique_in_order(projects):
-            if project in project_ages and ages_by_project.get(project):
+        for project, ages in ages_by_project.items():
+            if project in project_ages:
                 xs.append(float(project_ages[project]))
-                ys.append(median(ages_by_project[project]))
+                ys.append(median(ages))
         project_age = _attempt(
             STUDY_PROJECT_AGE, xs, ys, minimum=3, too_few="fewer than 3 projects"
         )
     return dev_commit, project_age
 
 
-def _attempt(
-    study: str, xs: list[float], ys: list[float], minimum: int, too_few: str
-) -> CorrelationOutcome:
+def _study(study: str, status: str, result: SpearmanResult | None = None) -> dict:
+    n, rho, p_approx = (result.n, result.rho, result.p_approx) if result else (None, None, None)
+    return {"study": study, "status": status, "n": n, "rho": rho, "p_approx": p_approx}
+
+
+def _attempt(study: str, xs: list[float], ys: list[float], minimum: int, too_few: str) -> dict:
     if len(xs) < minimum:
-        return CorrelationOutcome(study, status=too_few)
+        return _study(study, too_few)
     try:
-        result = spearman(xs, ys)
+        return _study(study, "ok", spearman(xs, ys))
     except CorrelationError as exc:
-        return CorrelationOutcome(study, status=str(exc))
-    return CorrelationOutcome(study, status="ok", rho=result.rho, n=result.n, p_approx=result.p_approx)
-
-
-def _unique_in_order(items: Iterable[str]) -> list[str]:
-    seen: dict[str, None] = {}
-    for item in items:
-        seen.setdefault(item)
-    return list(seen)
+        return _study(study, str(exc))
 
 
 def aggregate(
     metrics: Sequence[SubgraphMetrics],
     projects: Sequence[str],
+    splits: Iterable[tuple[str, int, int]],
     project_ages: Mapping[str, float] | None = None,
-) -> CorpusStats:
-    """Aggregate per-subgraph metrics into corpus-level tables.
+) -> dict:
+    """The summary document: corpus-level tables from per-subgraph metrics.
 
-    ``projects`` is parallel to ``metrics``; project ordering in every table
-    follows first appearance.  Type rows are sorted by descending count,
-    then name.
+    ``projects`` is parallel to ``metrics``; ``splits`` holds each project's
+    ``(project, subgraphs, single_commit)`` counts before thresholding.
+    Project ordering in every table follows first appearance in ``projects``;
+    type rows are sorted by descending count, then name.  The document is
+    plain dicts, lists and scalars, in the key order ``summary.json`` keeps.
     """
     if len(metrics) != len(projects):
         raise ValueError("metrics and projects must be parallel sequences")
 
-    project_order = _unique_in_order(projects)
-    by_project: dict[str, list[SubgraphMetrics]] = {p: [] for p in project_order}
+    groups: dict[str, list[SubgraphMetrics]] = {}
     for project, metric in zip(projects, metrics):
-        by_project[project].append(metric)
-
-    histograms = {
-        "vertices": _histogram(m.n_vertices for m in metrics),
-        "edges": _histogram(m.n_edges for m in metrics),
-        "commits": _histogram(m.n_commits for m in metrics),
-        "distinct_types_heterogeneous": _histogram(
-            m.n_distinct_types for m in metrics if m.composition is Composition.HETEROGENEOUS
-        ),
-    }
+        groups.setdefault(project, []).append(metric)
 
     type_totals: Counter[str] = Counter()
     for metric in metrics:
         type_totals.update(metric.type_counts)
     n_edges = sum(type_totals.values())
-    type_frequency = tuple(
-        TypeFrequencyRow(rtype=name, count=count, pct=pct(count, n_edges))
-        for name, count in sorted(type_totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    )
 
-    composition_rows = []
-    authorship_rows = []
-    age_rows = []
-    for project in project_order:
-        group = by_project[project]
-        composition_rows.append(_composition_row(project, group))
-        authorship_rows.append(_authorship_row(project, group))
-        age_rows.append(_age_row(project, group))
+    split_counts = list(splits)
+    split_counts.append(("All", sum(t for _, t, _ in split_counts), sum(s for _, _, s in split_counts)))
+    composition = []
+    authorship = []
+    age_summary = []
+    for project, group in [*groups.items(), ("All", metrics)]:
+        n = len(group)
+        homogeneous = sum(1 for m in group if m.composition is Composition.HOMOGENEOUS)
+        single = sum(1 for m in group if m.authorship is Authorship.SINGLE)
+        composition.append({"project": project, **_shares(n, homogeneous=homogeneous, heterogeneous=n - homogeneous)})
+        authorship.append({"project": project, **_shares(n, single=single, multiple=n - single)})
+        age_summary.append(_age_row(project, group))
 
-    return CorpusStats(
-        projects=tuple(project_order),
-        n_subgraphs=len(metrics),
-        n_edges=n_edges,
-        histograms=histograms,
-        type_frequency=type_frequency,
-        composition=tuple(composition_rows),
-        composition_all=_composition_row("All", list(metrics)),
-        authorship=tuple(authorship_rows),
-        authorship_all=_authorship_row("All", list(metrics)),
-        age_summary=tuple(age_rows),
-        age_summary_all=_age_row("All", list(metrics)),
-        correlations=correlate_corpus(metrics, projects, project_ages),
-    )
-
-
-def _histogram(values: Iterable[int]) -> dict[int, int]:
-    return dict(sorted(Counter(values).items()))
-
-
-def _composition_row(label: str, group: Sequence[SubgraphMetrics]) -> CompositionRow:
-    homogeneous = sum(1 for m in group if m.composition is Composition.HOMOGENEOUS)
-    heterogeneous = len(group) - homogeneous
-    return CompositionRow(
-        project=label,
-        homogeneous=homogeneous,
-        homogeneous_pct=pct(homogeneous, len(group)),
-        heterogeneous=heterogeneous,
-        heterogeneous_pct=pct(heterogeneous, len(group)),
-    )
+    return {
+        "projects": list(groups),
+        "n_subgraphs": len(metrics),
+        "n_edges": n_edges,
+        "subgraph_summary": _with_all_row(
+            [
+                {"project": project, "total": total, **_shares(total, single_commit=single, multi_commit=total - single)}
+                for project, total, single in split_counts
+            ]
+        ),
+        "histograms": {  # keyed in name order
+            "commits": _histogram(m.n_commits for m in metrics),
+            "distinct_types_heterogeneous": _histogram(
+                m.n_distinct_types for m in metrics if m.composition is Composition.HETEROGENEOUS
+            ),
+            "edges": _histogram(m.n_edges for m in metrics),
+            "vertices": _histogram(m.n_vertices for m in metrics),
+        },
+        "type_frequency": [
+            {"type": name, "count": count, "pct": pct(count, n_edges)}
+            for name, count in sorted(type_totals.items(), key=lambda kv: (-kv[1], kv[0]))
+        ],
+        "composition": _with_all_row(composition),
+        "authorship": _with_all_row(authorship),
+        "age_summary": _with_all_row(age_summary),
+        "correlations": list(correlate_corpus(metrics, projects, project_ages)),
+    }
 
 
-def _authorship_row(label: str, group: Sequence[SubgraphMetrics]) -> AuthorshipRow:
-    single = sum(1 for m in group if m.authorship is Authorship.SINGLE)
-    multiple = len(group) - single
-    return AuthorshipRow(
-        project=label,
-        single=single,
-        single_pct=pct(single, len(group)),
-        multiple=multiple,
-        multiple_pct=pct(multiple, len(group)),
-    )
+def _histogram(values: Iterable[int]) -> list[list[int]]:
+    """``[value, count]`` pairs in ascending value order."""
+    return [[value, count] for value, count in sorted(Counter(values).items())]
 
 
-def _age_row(label: str, group: Sequence[SubgraphMetrics]) -> AgeSummaryRow:
+def _shares(total: int, **counts: int) -> dict:
+    """Each class's count followed by its percentage of ``total``."""
+    row = {}
+    for name, count in counts.items():
+        row[name] = count
+        row[f"{name}_pct"] = pct(count, total)
+    return row
+
+
+def _with_all_row(rows: list[dict]) -> dict:
+    """A table whose last row is the ``All`` row."""
+    return {"per_project": rows[:-1], "all": rows[-1]}
+
+
+def _age_row(project: str, group: Sequence[SubgraphMetrics]) -> dict:
     if not group:
-        return AgeSummaryRow(project=label, count=0, median_days=None, q1_days=None, q3_days=None)
+        return {"project": project, "count": 0, "median_days": None, "q1_days": None, "q3_days": None}
     ages = [m.age_days for m in group]
     q1, q3 = quartiles(ages)
-    return AgeSummaryRow(project=label, count=len(group), median_days=median(ages), q1_days=q1, q3_days=q3)
+    return {"project": project, "count": len(group), "median_days": median(ages), "q1_days": q1, "q3_days": q3}

@@ -1,4 +1,5 @@
-"""Report emission: delimited tables, JSON summary, and DOT renderings.
+"""Report emission: the summary document as JSON and as CSV tables, and
+DOT renderings of subgraphs.
 
 Every emitter is deterministic: identical inputs produce byte-identical
 output, so report directories can be diffed across runs.
@@ -8,13 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .graph import Subgraph
 from .ingest import format_timestamp
-from .metrics import CorpusStats, pct, round_half_up
+from .metrics import pct, round_half_up
 
 REPORT_FORMAT_VERSION = "1"
 
@@ -27,72 +26,6 @@ TABLE_FILES = (
     "histograms.csv",
     "correlations.csv",
 )
-
-
-@dataclass(frozen=True)
-class SubgraphSplit:
-    """Per-project subgraph counts by commit span (before thresholding)."""
-
-    project: str
-    total: int
-    single_commit: int
-    multi_commit: int
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    stats: CorpusStats
-    splits: tuple[SubgraphSplit, ...]
-
-
-def _sum_splits(splits: Sequence[SubgraphSplit]) -> SubgraphSplit:
-    return SubgraphSplit(
-        project="All",
-        total=sum(s.total for s in splits),
-        single_commit=sum(s.single_commit for s in splits),
-        multi_commit=sum(s.multi_commit for s in splits),
-    )
-
-
-def _per_project(rows: Sequence, all_row) -> dict:
-    return {"per_project": [asdict(r) for r in rows], "all": asdict(all_row)}
-
-
-def _summary_document(bundle: ReportBundle) -> dict:
-    """The corpus statistics as one document; every table is a projection of it."""
-    stats = bundle.stats
-    splits = [
-        {
-            "project": s.project,
-            "total": s.total,
-            "single_commit": s.single_commit,
-            "single_commit_pct": pct(s.single_commit, s.total),
-            "multi_commit": s.multi_commit,
-            "multi_commit_pct": pct(s.multi_commit, s.total),
-        }
-        for s in [*bundle.splits, _sum_splits(bundle.splits)]
-    ]
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "projects": list(stats.projects),
-        "n_subgraphs": stats.n_subgraphs,
-        "n_edges": stats.n_edges,
-        "subgraph_summary": {"per_project": splits[:-1], "all": splits[-1]},
-        "histograms": {
-            metric: [[value, count] for value, count in sorted(series.items())]
-            for metric, series in sorted(stats.histograms.items())
-        },
-        "type_frequency": [
-            {"type": row.rtype, "count": row.count, "pct": row.pct} for row in stats.type_frequency
-        ],
-        "composition": _per_project(stats.composition, stats.composition_all),
-        "authorship": _per_project(stats.authorship, stats.authorship_all),
-        "age_summary": _per_project(stats.age_summary, stats.age_summary_all),
-        "correlations": [
-            {"study": o.study, "status": o.status, "n": o.n, "rho": o.rho, "p_approx": o.p_approx}
-            for o in stats.correlations
-        ],
-    }
 
 
 def _cell(value) -> str:
@@ -148,11 +81,12 @@ def _table_rows(doc: dict) -> dict[str, list[list[str]]]:
     }
 
 
-def emit_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:
-    """Write one CSV per table; returns the paths written."""
+def emit_tables(summary: dict, out_dir: Path) -> list[Path]:
+    """Write one CSV per table of the summary document from
+    :func:`~refgraph.metrics.aggregate`; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = _table_rows(_summary_document(bundle))
+    tables = _table_rows(summary)
     paths = []
     for name in TABLE_FILES:
         path = out_dir / name
@@ -162,14 +96,14 @@ def emit_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     return paths
 
 
-def emit_json_summary(bundle: ReportBundle) -> str:
-    """Lossless machine-readable dump of the corpus statistics."""
-    return json.dumps(_summary_document(bundle), indent=2) + "\n"
+def emit_json_summary(summary: dict) -> str:
+    """The summary document as JSON, led by its ``format_version``."""
+    return json.dumps({"format_version": REPORT_FORMAT_VERSION, **summary}, indent=2) + "\n"
 
 
-def write_json_summary(bundle: ReportBundle, path: Path) -> Path:
+def write_json_summary(summary: dict, path: Path) -> Path:
     path = Path(path)
-    path.write_text(emit_json_summary(bundle), encoding="utf-8")
+    path.write_text(emit_json_summary(summary), encoding="utf-8")
     return path
 
 

@@ -17,6 +17,7 @@ from refgraph.ingest import (
     MethodRef,
     RefactoringRecord,
     RefactoringType,
+    format_timestamp,
     parse_records,
     parse_signature,
 )
@@ -165,6 +166,14 @@ def to_jsonl(dicts) -> str:
     return "".join(json.dumps(d) + "\n" for d in dicts)
 
 
+def record_dict(record: RefactoringRecord) -> dict:
+    """The record line that parses back to ``record``."""
+    return rec(
+        record.project, record.commit, format_timestamp(record.timestamp), "Dev", record.author_email,
+        record.rtype.value, record.source.canonical, record.target.canonical,
+    )
+
+
 def records_of(dicts) -> list[RefactoringRecord]:
     """Run fixture dicts through the real line parser; fixtures must be clean."""
     result = parse_records(to_jsonl(dicts).splitlines())
@@ -216,6 +225,7 @@ def random_records(
     n_commits: int = 8,
     n_authors: int = 4,
     prefix: str = "pool",
+    project: str = "proj",
 ) -> list[RefactoringRecord]:
     """Random self-loop-free records over a fixed vertex pool.
 
@@ -241,6 +251,7 @@ def random_records(
                 commit=commit,
                 offset_seconds=offset,
                 author_email=email,
+                project=project,
             )
         )
     return records

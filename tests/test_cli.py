@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from refgraph.cli import main
@@ -82,6 +87,17 @@ class TestBuild:
         code = main(["build", "--records", str(corpus_file), "--out", str(tmp_path / "o"), "--commit-log", "nope"])
         assert code == 2
 
+    def test_repeated_commit_log_for_one_project(self, corpus_file, tmp_path, demo_commit_log_path, capsys):
+        # The second path does not exist: the error comes before any log is read.
+        code = main(
+            ["build", "--records", str(corpus_file), "--out", str(tmp_path / "o"),
+             "--commit-log", f"mpandroidchart={demo_commit_log_path}",
+             "--commit-log", f"mpandroidchart={tmp_path / 'missing.tsv'}"]
+        )
+        assert code == 2
+        assert "--commit-log given more than once for project 'mpandroidchart'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_commit_log_restricts_and_enriches(self, corpus_file, tmp_path, demo_commit_log_path):
         out = tmp_path / "out"
         code = main(
@@ -157,6 +173,39 @@ class TestStats:
         main(["stats", "--graph", *dumps, "--out", str(b)])
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    @settings(max_examples=8, deadline=None)
+    @given(
+        batches=st.lists(st.integers(1, 2500), min_size=1, max_size=4),
+        min_commits=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batches=[2500] * 4, min_commits=2, seed=7)
+    def test_records_and_dumps_give_identical_trees(self, batches, min_commits, seed):
+        rng = random.Random(seed)
+        records = []
+        for i, n_edges in enumerate(batches):
+            records += corpus.random_records(
+                rng, n_edges, pool_size=rng.randint(2, 2 * n_edges + 1), n_commits=rng.randint(1, 40),
+                prefix=f"p{i}", project=f"proj{i}",
+            )
+        rng.shuffle(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / "records.jsonl"
+            path.write_text(corpus.to_jsonl(corpus.record_dict(r) for r in records), encoding="utf-8")
+            threshold = ["--min-commits", str(min_commits)]
+            assert main(["build", "--records", str(path), "--out", str(tmp / "build"), *threshold]) == 0
+            assert main(["stats", "--records", str(path), "--out", str(tmp / "a"), *threshold]) == 0
+            # Project order follows the inputs, so list the dumps in first-seen order.
+            projects = dict.fromkeys(r.project for r in records)
+            dumps = [str(tmp / "build" / project / "graph.json") for project in projects]
+            assert main(["stats", "--graph", *dumps, "--out", str(tmp / "b"), *threshold]) == 0
+            written = sorted(p.name for p in (tmp / "a").iterdir())
+            assert len(written) == 8
+            assert written == sorted(p.name for p in (tmp / "b").iterdir())
+            for name in written:
+                assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes(), name
+
     def test_corrupt_dump_email_is_a_clean_error(self, corpus_file, tmp_path, capsys):
         build_out = tmp_path / "build"
         main(["build", "--records", str(corpus_file), "--out", str(build_out)])
@@ -197,6 +246,24 @@ class TestStats:
             ["stats", "--records", str(corpus_file), "--graph", str(build_out), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "age", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"],
+    )
+    def test_non_finite_age_rejected(self, corpus_file, tmp_path, capsys, age):
+        ages = tmp_path / "ages.json"
+        ages.write_text(
+            f'{{"mpandroidchart": {age}, "elasticsearch": 9.0, "spring-framework": 11.0, "okhttp": 7.0}}',
+            encoding="utf-8",
+        )
+        code = main(
+            ["stats", "--records", str(corpus_file), "--out", str(tmp_path / "o"),
+             "--project-ages", str(ages)]
+        )
+        assert code == 1
+        assert "project ages file must map project names to numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_age_map(self, corpus_file, tmp_path):
         ages = tmp_path / "ages.json"

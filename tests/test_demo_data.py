@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 import corpus
+from refgraph.cli import main
 from refgraph.history import load_commit_log
 from refgraph.ingest import parse_records
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_demo_records_match_fixture_definitions(demo_records_path):
@@ -30,3 +39,21 @@ def test_demo_commit_log_covers_the_chart_commits(demo_commit_log_path):
     log = load_commit_log(demo_commit_log_path)
     for record in corpus.CHART_AXIS_RECORDS:
         assert record["commit"] in log
+
+
+def test_readme_library_example_runs_and_matches_stats(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.chdir(REPO_ROOT)
+        exec(compile(code, "README.md", "exec"), namespace)
+    summary = namespace["summary"]
+    assert stdout.getvalue() == f"{summary['composition']['all']}\n"
+    assert summary["composition"]["all"] == {
+        "project": "All", "homogeneous": 1, "homogeneous_pct": 25.0, "heterogeneous": 3, "heterogeneous_pct": 75.0,
+    }
+    assert main(["stats", "--records", str(REPO_ROOT / "demo" / "refactorings.jsonl"), "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert written == {"format_version": "1", **summary}

@@ -59,6 +59,21 @@ class TestBuild:
         graph = build(records)
         assert graph.n_edges == 2
 
+    def test_generic_spacing_does_not_split_a_subgraph(self):
+        # The second record cites the first one's target with other spacing.
+        records = corpus.records_of(
+            [
+                corpus.rec("p", "aaaaaaa", "2020-01-01T00:00:00Z", "Ann", "ann@x.org", "move",
+                           "p.A#m(Map<K,V>)", "p.B#m(Map<K,V>)"),
+                corpus.rec("p", "bbbbbbb", "2020-02-01T00:00:00Z", "Ann", "ann@x.org", "rename",
+                           "p.B#m(Map< K , V >)", "p.B#n(Map<K, V>)"),
+            ]
+        )
+        subgraphs = partition(build(records))
+        assert len(subgraphs) == 1
+        assert subgraphs[0].n_vertices == 3
+        assert subgraphs[0].commit_count() == 2
+
     def test_insertion_order_irrelevant(self):
         rng = random.Random(13)
         records = corpus.random_records(rng, 120, pool_size=25)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -102,6 +103,23 @@ class TestParseSignature:
         assert hash(parse_signature("a.B#m()")) == hash(parse_signature(" a.B#m() "))
 
     @pytest.mark.parametrize(
+        "raw, params",
+        [
+            ("p.A#m(Map<K,V>)", ("Map<K, V>",)),
+            ("p.A#m(Map<K, V>)", ("Map<K, V>",)),
+            ("p.A#m(Map< K ,V >)", ("Map<K, V>",)),
+            ("a.B#m(String [ ] , int)", ("String[]", "int")),
+            ("a.B#m(Set<?  extends\tNumber>)", ("Set<? extends Number>",)),
+            ("a.B#m(Map<K,List< V >>[],Map.Entry<K ,V>)", ("Map<K, List<V>>[]", "Map.Entry<K, V>")),
+            ("a.B#m(Function<?  super T,\n? extends R>)", ("Function<? super T, ? extends R>",)),
+        ],
+    )
+    def test_parameter_spacing_is_canonical(self, raw, params):
+        ref = parse_signature(raw)
+        assert ref.params == params
+        assert ref.canonical == f"{raw.partition('(')[0]}({', '.join(params)})"
+
+    @pytest.mark.parametrize(
         "bad",
         [
             "NoHash",
@@ -147,6 +165,17 @@ def test_parse_is_identity_on_canonical_forms(signature):
     ref = parse_signature(signature)
     assert ref.canonical == signature
     assert parse_signature(ref.canonical) == ref
+
+
+@given(canonical_signatures(), st.randoms(use_true_random=False))
+def test_parse_ignores_spacing_around_brackets_and_commas(signature, rnd):
+    head, _, params = signature.partition("(")
+    noisy = re.sub(
+        r"\s*([<>\[\],])\s*",
+        lambda m: rnd.choice(["", " ", "\t", "  \n "]) + m.group(1) + rnd.choice(["", " ", "\t", "  \n "]),
+        params,
+    )
+    assert parse_signature(f"{head}({noisy}").canonical == signature
 
 
 # The timestamp grammar (RFC 3339 date-time) as plain literals: input -> UTC

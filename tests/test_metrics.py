@@ -212,74 +212,74 @@ def _story_metrics_with_projects():
 class TestAggregate:
     def test_fixture_composition_and_authorship(self):
         metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects)
-        assert stats.composition_all.homogeneous == 1
-        assert stats.composition_all.heterogeneous == 3
-        assert stats.composition_all.homogeneous_pct == 25.0
-        assert stats.composition_all.heterogeneous_pct == 75.0
-        assert stats.authorship_all.single == 2
-        assert stats.authorship_all.multiple == 2
+        stats = aggregate(metrics, projects, [])
+        assert stats["composition"]["all"]["homogeneous"] == 1
+        assert stats["composition"]["all"]["heterogeneous"] == 3
+        assert stats["composition"]["all"]["homogeneous_pct"] == 25.0
+        assert stats["composition"]["all"]["heterogeneous_pct"] == 75.0
+        assert stats["authorship"]["all"]["single"] == 2
+        assert stats["authorship"]["all"]["multiple"] == 2
 
     def test_fixture_type_frequency(self):
         metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects)
-        by_type = {row.rtype: row.count for row in stats.type_frequency}
+        stats = aggregate(metrics, projects, [])
+        by_type = {row["type"]: row["count"] for row in stats["type_frequency"]}
         assert by_type == {"extract": 7, "rename": 6, "move": 3, "extract_and_move": 2}
-        assert stats.n_edges == 18
-        counts = [row.count for row in stats.type_frequency]
+        assert stats["n_edges"] == 18
+        counts = [row["count"] for row in stats["type_frequency"]]
         assert counts == sorted(counts, reverse=True)
 
     def test_fixture_histograms(self):
         metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects)
-        assert stats.histograms["vertices"] == {2: 1, 5: 1, 6: 1, 8: 1}
-        assert stats.histograms["edges"] == {2: 1, 4: 1, 5: 1, 7: 1}
-        assert stats.histograms["commits"] == {2: 2, 3: 2}
-        assert stats.histograms["distinct_types_heterogeneous"] == {2: 1, 3: 2}
+        stats = aggregate(metrics, projects, [])
+        assert dict(stats["histograms"]["vertices"]) == {2: 1, 5: 1, 6: 1, 8: 1}
+        assert dict(stats["histograms"]["edges"]) == {2: 1, 4: 1, 5: 1, 7: 1}
+        assert dict(stats["histograms"]["commits"]) == {2: 2, 3: 2}
+        assert dict(stats["histograms"]["distinct_types_heterogeneous"]) == {2: 1, 3: 2}
 
     def test_project_order_is_first_seen(self):
         metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects)
-        assert stats.projects == ("mpandroidchart", "elasticsearch", "spring-framework", "okhttp")
-        assert [row.project for row in stats.composition] == list(stats.projects)
+        stats = aggregate(metrics, projects, [])
+        assert stats["projects"] == ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]
+        assert [row["project"] for row in stats["composition"]["per_project"]] == stats["projects"]
 
     def test_single_subgraph_histograms(self):
         metrics = [measure(corpus.subgraph_of(corpus.CHART_AXIS_RECORDS))]
-        stats = aggregate(metrics, ["mpandroidchart"])
-        for series in stats.histograms.values():
-            assert sum(series.values()) in (0, 1)
-        assert sum(stats.histograms["vertices"].values()) == 1
+        stats = aggregate(metrics, ["mpandroidchart"], [])
+        for series in stats["histograms"].values():
+            assert sum(dict(series).values()) in (0, 1)
+        assert sum(dict(stats["histograms"]["vertices"]).values()) == 1
 
     def test_generated_corpus_totals(self):
         rng = random.Random(99)
         metrics = [_random_metrics(rng, i) for i in range(1000)]
         projects = [f"proj{rng.randrange(10)}" for _ in metrics]
-        stats = aggregate(metrics, projects)
-        assert stats.n_subgraphs == 1000
+        stats = aggregate(metrics, projects, [])
+        assert stats["n_subgraphs"] == 1000
         for name in ("vertices", "edges", "commits"):
-            assert sum(stats.histograms[name].values()) == 1000
+            assert sum(dict(stats["histograms"][name]).values()) == 1000
         heterogeneous = sum(1 for m in metrics if m.composition is Composition.HETEROGENEOUS)
-        assert sum(stats.histograms["distinct_types_heterogeneous"].values()) == heterogeneous
-        assert stats.composition_all.homogeneous + stats.composition_all.heterogeneous == 1000
-        assert stats.authorship_all.single + stats.authorship_all.multiple == 1000
+        assert sum(dict(stats["histograms"]["distinct_types_heterogeneous"]).values()) == heterogeneous
+        assert stats["composition"]["all"]["homogeneous"] + stats["composition"]["all"]["heterogeneous"] == 1000
+        assert stats["authorship"]["all"]["single"] + stats["authorship"]["all"]["multiple"] == 1000
 
     def test_percentages_sum_to_100(self):
         rng = random.Random(123)
         metrics = [_random_metrics(rng, i) for i in range(137)]
         projects = [f"proj{rng.randrange(4)}" for _ in metrics]
-        stats = aggregate(metrics, projects)
-        for row in list(stats.composition) + [stats.composition_all]:
-            assert abs(row.homogeneous_pct + row.heterogeneous_pct - 100.0) <= 0.1
-        for row in list(stats.authorship) + [stats.authorship_all]:
-            assert abs(row.single_pct + row.multiple_pct - 100.0) <= 0.1
-        assert abs(sum(r.pct for r in stats.type_frequency) - 100.0) <= 0.5
+        stats = aggregate(metrics, projects, [])
+        for row in stats["composition"]["per_project"] + [stats["composition"]["all"]]:
+            assert abs(row["homogeneous_pct"] + row["heterogeneous_pct"] - 100.0) <= 0.1
+        for row in stats["authorship"]["per_project"] + [stats["authorship"]["all"]]:
+            assert abs(row["single_pct"] + row["multiple_pct"] - 100.0) <= 0.1
+        assert abs(sum(r["pct"] for r in stats["type_frequency"]) - 100.0) <= 0.5
 
     def test_empty_corpus(self):
-        stats = aggregate([], [])
-        assert stats.n_subgraphs == 0
-        assert stats.projects == ()
-        assert stats.composition_all.homogeneous == 0
-        assert stats.age_summary_all.median_days is None
+        stats = aggregate([], [], [])
+        assert stats["n_subgraphs"] == 0
+        assert stats["projects"] == []
+        assert stats["composition"]["all"]["homogeneous"] == 0
+        assert stats["age_summary"]["all"]["median_days"] is None
 
 
 def _random_metrics(rng: random.Random, index: int) -> SubgraphMetrics:
@@ -314,9 +314,9 @@ class TestCorrelateCorpus:
             for i in range(10)
         ]
         dev_commit, _ = correlate_corpus(metrics, ["p"] * 10)
-        assert dev_commit.status != "ok"
-        assert "constant series" in dev_commit.status
-        assert dev_commit.rho is None
+        assert dev_commit["status"] != "ok"
+        assert "constant series" in dev_commit["status"]
+        assert dev_commit["rho"] is None
 
     def test_monotone_trend_detected(self):
         rng = random.Random(8)
@@ -326,12 +326,12 @@ class TestCorrelateCorpus:
             devs = commits + rng.randint(0, 2)  # noisy increasing function
             metrics.append(replace(_random_metrics(rng, i), n_commits=commits, n_developers=devs))
         dev_commit, _ = correlate_corpus(metrics, ["p"] * 60)
-        assert dev_commit.status == "ok"
-        assert dev_commit.rho > 0
+        assert dev_commit["status"] == "ok"
+        assert dev_commit["rho"] > 0
         expected = spearman_rho_oracle(
             [float(m.n_commits) for m in metrics], [float(m.n_developers) for m in metrics]
         )
-        assert dev_commit.rho == pytest.approx(expected, abs=1e-9)
+        assert dev_commit["rho"] == pytest.approx(expected, abs=1e-9)
 
     def test_ten_project_ages_match_oracle(self):
         rng = random.Random(21)
@@ -345,35 +345,35 @@ class TestCorrelateCorpus:
                 metrics.append(_random_metrics(rng, p * 100 + i))
                 projects.append(name)
         _, project_age = correlate_corpus(metrics, projects, ages)
-        assert project_age.status == "ok"
-        assert project_age.n == 10
+        assert project_age["status"] == "ok"
+        assert project_age["n"] == 10
         medians = {}
         for name, metric in zip(projects, metrics):
             medians.setdefault(name, []).append(metric.age_days)
         xs = [ages[f"proj{p}"] for p in range(10)]
         ys = [median(medians[f"proj{p}"]) for p in range(10)]
-        assert project_age.rho == pytest.approx(spearman_rho_oracle(xs, ys), abs=1e-9)
+        assert project_age["rho"] == pytest.approx(spearman_rho_oracle(xs, ys), abs=1e-9)
 
     def test_missing_age_map(self):
         metrics, projects = _story_metrics_with_projects()
         _, project_age = correlate_corpus(metrics, projects)
-        assert project_age.status == "no project ages provided"
-        assert project_age.rho is None
+        assert project_age["status"] == "no project ages provided"
+        assert project_age["rho"] is None
 
     def test_fewer_than_three_projects(self):
         metrics, projects = _story_metrics_with_projects()
         _, project_age = correlate_corpus(metrics, projects, {"mpandroidchart": 6.0, "okhttp": 7.0})
-        assert project_age.status == "fewer than 3 projects"
+        assert project_age["status"] == "fewer than 3 projects"
 
     def test_demo_corpus_studies(self):
         metrics, projects = _story_metrics_with_projects()
         dev_commit, project_age = correlate_corpus(metrics, projects, corpus.DEMO_PROJECT_AGES)
         # commits (3,2,2,3) vs developers (1,2,1,2) have orthogonal ranks.
-        assert dev_commit.status == "ok"
-        assert dev_commit.rho == pytest.approx(0.0, abs=1e-12)
-        assert dev_commit.p_approx == pytest.approx(1.0, abs=1e-12)
-        assert project_age.status == "ok"
-        assert project_age.rho == pytest.approx(-0.4, abs=1e-12)
-        assert project_age.rho == pytest.approx(
+        assert dev_commit["status"] == "ok"
+        assert dev_commit["rho"] == pytest.approx(0.0, abs=1e-12)
+        assert dev_commit["p_approx"] == pytest.approx(1.0, abs=1e-12)
+        assert project_age["status"] == "ok"
+        assert project_age["rho"] == pytest.approx(-0.4, abs=1e-12)
+        assert project_age["rho"] == pytest.approx(
             spearman_rho_oracle([6.0, 9.0, 11.0, 7.0], [15.0, 91.0, 6.0, 516.0]), abs=1e-12
         )

@@ -8,14 +8,7 @@ import corpus
 from dot_grammar import parse_dot
 from refgraph.graph import build, filter_multi_commit, partition
 from refgraph.metrics import aggregate, measure
-from refgraph.report import (
-    TABLE_FILES,
-    ReportBundle,
-    SubgraphSplit,
-    emit_dot,
-    emit_json_summary,
-    emit_tables,
-)
+from refgraph.report import TABLE_FILES, emit_dot, emit_json_summary, emit_tables
 
 
 def _read_csv(path):
@@ -23,7 +16,7 @@ def _read_csv(path):
         return list(csv.reader(handle))
 
 
-def _demo_bundle() -> ReportBundle:
+def _demo_summary() -> dict:
     metrics = []
     projects = []
     splits = []
@@ -36,41 +29,32 @@ def _demo_bundle() -> ReportBundle:
         project = dicts[0]["project"]
         subgraphs = partition(build(corpus.records_of(dicts)))
         single = sum(1 for s in subgraphs if s.commit_count() == 1)
-        splits.append(
-            SubgraphSplit(
-                project=project,
-                total=len(subgraphs),
-                single_commit=single,
-                multi_commit=len(subgraphs) - single,
-            )
-        )
+        splits.append((project, len(subgraphs), single))
         kept, _ = filter_multi_commit(subgraphs)
         for subgraph in kept:
             metrics.append(measure(subgraph))
             projects.append(project)
-    return ReportBundle(
-        stats=aggregate(metrics, projects, corpus.DEMO_PROJECT_AGES), splits=tuple(splits)
-    )
+    return aggregate(metrics, projects, splits, corpus.DEMO_PROJECT_AGES)
 
 
 class TestTables:
     def test_all_tables_written(self, tmp_path):
-        paths = emit_tables(_demo_bundle(), tmp_path)
+        paths = emit_tables(_demo_summary(), tmp_path)
         assert sorted(p.name for p in paths) == sorted(TABLE_FILES)
 
     def test_composition_all_row(self, tmp_path):
-        emit_tables(_demo_bundle(), tmp_path)
+        emit_tables(_demo_summary(), tmp_path)
         rows = _read_csv(tmp_path / "composition.csv")
         assert rows[0] == ["project", "homogeneous", "homogeneous_pct", "heterogeneous", "heterogeneous_pct"]
         assert rows[-1] == ["All", "1", "25.0", "3", "75.0"]
 
     def test_authorship_all_row(self, tmp_path):
-        emit_tables(_demo_bundle(), tmp_path)
+        emit_tables(_demo_summary(), tmp_path)
         rows = _read_csv(tmp_path / "authorship.csv")
         assert rows[-1] == ["All", "2", "50.0", "2", "50.0"]
 
     def test_summary_all_row_is_column_sum(self, tmp_path):
-        emit_tables(_demo_bundle(), tmp_path)
+        emit_tables(_demo_summary(), tmp_path)
         rows = _read_csv(tmp_path / "subgraph_summary.csv")
         body, all_row = rows[1:-1], rows[-1]
         for column in (1, 2, 4):
@@ -78,14 +62,14 @@ class TestTables:
         assert all_row == ["All", "4", "0", "0.0", "4", "100.0"]
 
     def test_type_frequency_total_row(self, tmp_path):
-        emit_tables(_demo_bundle(), tmp_path)
+        emit_tables(_demo_summary(), tmp_path)
         rows = _read_csv(tmp_path / "type_frequency.csv")
         assert rows[-1][0] == "All"
         assert int(rows[-1][1]) == sum(int(r[1]) for r in rows[1:-1])
         assert rows[-1][1] == "18"
 
     def test_age_summary_one_decimal(self, tmp_path):
-        emit_tables(_demo_bundle(), tmp_path)
+        emit_tables(_demo_summary(), tmp_path)
         rows = _read_csv(tmp_path / "age_summary.csv")
         by_project = {r[0]: r for r in rows[1:]}
         assert by_project["mpandroidchart"][2] == "15.0"
@@ -93,7 +77,7 @@ class TestTables:
         assert by_project["All"][1] == "4"
 
     def test_correlations_rows(self, tmp_path):
-        emit_tables(_demo_bundle(), tmp_path)
+        emit_tables(_demo_summary(), tmp_path)
         rows = _read_csv(tmp_path / "correlations.csv")
         assert rows[0] == ["study", "status", "n", "rho", "p_approx"]
         by_study = {r[0]: r for r in rows[1:]}
@@ -102,8 +86,7 @@ class TestTables:
         assert by_study["project_age_vs_median_subgraph_age"][3] == "-0.400"
 
     def test_empty_corpus_tables(self, tmp_path):
-        bundle = ReportBundle(stats=aggregate([], []), splits=())
-        emit_tables(bundle, tmp_path)
+        emit_tables(aggregate([], [], []), tmp_path)
         summary = _read_csv(tmp_path / "subgraph_summary.csv")
         assert summary == [
             ["project", "total", "single_commit", "single_commit_pct", "multi_commit", "multi_commit_pct"],
@@ -123,51 +106,45 @@ class TestTables:
             singles += n_commits == 1
             records.extend(corpus.chain_records(rng, index, n_edges, n_commits))
         subgraphs = partition(build(records))
-        split = SubgraphSplit(
-            project="proj",
-            total=len(subgraphs),
-            single_commit=sum(1 for s in subgraphs if s.commit_count() == 1),
-            multi_commit=sum(1 for s in subgraphs if s.commit_count() > 1),
-        )
+        split = ("proj", len(subgraphs), sum(1 for s in subgraphs if s.commit_count() == 1))
         kept, _ = filter_multi_commit(subgraphs)
-        stats = aggregate([measure(s) for s in kept], ["proj"] * len(kept))
-        emit_tables(ReportBundle(stats=stats, splits=(split,)), tmp_path)
+        emit_tables(aggregate([measure(s) for s in kept], ["proj"] * len(kept), [split]), tmp_path)
         rows = _read_csv(tmp_path / "subgraph_summary.csv")
         assert rows[-1][1] == str(total)
         assert rows[-1][2] == str(singles)
         assert rows[-1][4] == str(total - singles)
 
     def test_reemission_is_byte_identical(self, tmp_path):
-        bundle = _demo_bundle()
+        summary = _demo_summary()
         first = tmp_path / "a"
         second = tmp_path / "b"
-        emit_tables(bundle, first)
-        emit_tables(bundle, second)
+        emit_tables(summary, first)
+        emit_tables(summary, second)
         for name in TABLE_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestJsonSummary:
     def test_fixture_developer_table(self):
-        doc = json.loads(emit_json_summary(_demo_bundle()))
+        doc = json.loads(emit_json_summary(_demo_summary()))
         assert doc["authorship"]["all"]["single"] == 2
         assert doc["authorship"]["all"]["multiple"] == 2
 
     def test_empty_corpus_document(self):
-        doc = json.loads(emit_json_summary(ReportBundle(stats=aggregate([], []), splits=())))
+        doc = json.loads(emit_json_summary(aggregate([], [], [])))
         assert doc["n_subgraphs"] == 0
         assert doc["projects"] == []
         assert doc["type_frequency"] == []
         assert doc["subgraph_summary"]["all"]["total"] == 0
 
     def test_deterministic_output(self):
-        bundle = _demo_bundle()
-        assert emit_json_summary(bundle) == emit_json_summary(bundle)
+        summary = _demo_summary()
+        assert emit_json_summary(summary) == emit_json_summary(summary)
 
     def test_tables_are_projections_of_the_summary(self, tmp_path):
-        bundle = _demo_bundle()
-        emit_tables(bundle, tmp_path)
-        doc = json.loads(emit_json_summary(bundle))
+        summary = _demo_summary()
+        emit_tables(summary, tmp_path)
+        doc = json.loads(emit_json_summary(summary))
 
         composition = _read_csv(tmp_path / "composition.csv")[1:]
         from_json = doc["composition"]["per_project"] + [doc["composition"]["all"]]
@@ -192,7 +169,7 @@ class TestJsonSummary:
         assert from_json == histogram_rows
 
     def test_format_version_present(self):
-        doc = json.loads(emit_json_summary(_demo_bundle()))
+        doc = json.loads(emit_json_summary(_demo_summary()))
         assert doc["format_version"] == "1"
 
 
