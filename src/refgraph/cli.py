@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -163,6 +164,10 @@ def _run_front_pipeline(
             result = parse_records(handle, strict=args.strict)
         records.extend(result.records)
         inputs.append({"path": str(path), "records": len(result.records), "skipped": len(result.issues)})
+    parsed_projects = {record.project for record in records}
+    for project in logs:
+        if project not in parsed_projects:
+            raise CliError(f"--commit-log project {project!r} matches no record", code=2)
 
     filtered, excluded = apply_filters(records, config)
     stages = {
@@ -255,8 +260,12 @@ def _project_dirs(projects: Iterable[str]) -> dict[str, str]:
 
 
 def _write_json(path: Path, document: dict) -> None:
+    # Chunks are written 1024 at a time: json.dump makes one write per token,
+    # and json.dumps would hold every chunk of a large dump in memory at once.
+    chunks = json.JSONEncoder(indent=2).iterencode(document)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
+        while batch := "".join(itertools.islice(chunks, 1024)):
+            handle.write(batch)
         handle.write("\n")
 
 

@@ -33,7 +33,7 @@ class GraphDumpError(ValueError):
     """A graph dump file is missing, malformed, or internally inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A directed refactoring edge (before-state -> after-state)."""
 

@@ -10,6 +10,7 @@ string but not kept: developers are told apart by email.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ class RefactoringType(Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MethodRef:
     """A fully qualified method signature; vertex identity in the graph.
 
@@ -105,7 +106,7 @@ class MethodRef:
         return self.canonical
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefactoringRecord:
     """One detected refactoring operation plus its commit metadata."""
 
@@ -146,6 +147,7 @@ class ParseResult:
     issues: tuple[ParseIssue, ...]
 
 
+@functools.cache
 def parse_timestamp(value: str) -> datetime:
     """Parse an RFC 3339 date-time into a UTC datetime at seconds precision.
 
@@ -153,6 +155,9 @@ def parse_timestamp(value: str) -> datetime:
     second of any length is dropped; the offset is ``Z``, ``z`` or
     ``+HH:MM``/``-HH:MM``, and a missing offset means UTC.  The grammar is
     the same on every Python version, unlike ``datetime.fromisoformat``.
+
+    Results are memoized per string for the life of the process (errors
+    are not), so a timestamp shared by many lines is parsed once.
     """
     match = _TIMESTAMP_RE.fullmatch(value.strip())
     if match is None:
@@ -220,9 +225,17 @@ def parse_signature(raw: str) -> MethodRef:
     ``Map<K,V>``, ``Map<K, V>`` and ``Map< K ,V >`` are one type: whitespace
     runs become one space, whitespace next to ``<``, ``>``, ``[`` and ``]``
     is dropped, and nested commas are written ``, ``.
+
+    Results are memoized per string for the life of the process (errors
+    are not): every record naming one signature shares one :class:`MethodRef`.
     """
     if not isinstance(raw, str):
         raise SignatureError(f"signature is not a string: {raw!r}")
+    return _parse_signature(raw)
+
+
+@functools.cache
+def _parse_signature(raw: str) -> MethodRef:
     text = raw.strip()
     if text.count("#") != 1:
         raise SignatureError(f"expected exactly one '#' in signature: {raw!r}")

@@ -12,12 +12,18 @@ from hypothesis import strategies as st
 
 import corpus
 from refgraph.cli import main
+from refgraph.ingest import _parse_signature, parse_timestamp
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def _read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _read_csv(path):
@@ -97,6 +103,26 @@ class TestBuild:
         assert code == 2
         assert "--commit-log given more than once for project 'mpandroidchart'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_commit_log_for_unknown_project(self, corpus_file, tmp_path, demo_commit_log_path, capsys):
+        code = main(
+            ["build", "--records", str(corpus_file), "--out", str(tmp_path / "o"),
+             "--commit-log", f"mpandroidchrat={demo_commit_log_path}"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refgraph: error:") and "'mpandroidchrat'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_commit_log_for_a_filtered_out_project(self, corpus_file, tmp_path, demo_commit_log_path):
+        # Every mpandroidchart record is excluded, but the project exists.
+        out = tmp_path / "out"
+        code = main(
+            ["build", "--records", str(corpus_file), "--out", str(out), "--exclude-keywords", "charting",
+             "--commit-log", f"mpandroidchart={demo_commit_log_path}"]
+        )
+        assert code == 0
+        assert not (out / "mpandroidchart").exists()
 
     def test_commit_log_restricts_and_enriches(self, corpus_file, tmp_path, demo_commit_log_path):
         out = tmp_path / "out"
@@ -361,6 +387,24 @@ def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("refgraph: error:") and "'a/b'" in err and "'a_b'" in err
     assert not dot_out.exists()
+
+
+def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
+    # The first run starts from empty parser caches, the second reuses them.
+    _parse_signature.cache_clear()
+    parse_timestamp.cache_clear()
+    monkeypatch.chdir(TESTS_DIR.parent)
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(["build", "--records", "demo/refactorings.jsonl",
+                     "--commit-log", "mpandroidchart=demo/commit_log_mpandroidchart.tsv",
+                     "--out", str(out / "build")]) == 0
+        assert main(["stats", "--graph", str(out / "build"),
+                     "--project-ages", "demo/project_ages.json", "--out", str(out / "stats")]) == 0
+        assert main(["export", "--graph", str(out / "build"), "--all", "--out", str(out / "export")]) == 0
+    assert _parse_signature.cache_info().hits and parse_timestamp.cache_info().hits
+    assert _tree(tmp_path / "warm") == _tree(tmp_path / "cold")
+    assert _tree(tmp_path / "cold") == _tree(TESTS_DIR / "golden")
 
 
 def test_usage_error_exits_2(capsys):

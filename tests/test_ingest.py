@@ -141,6 +141,26 @@ class TestParseSignature:
         with pytest.raises(SignatureError, match="NoHash"):
             parse_signature("NoHash")
 
+    def test_one_string_parses_to_one_object(self):
+        # Two equal strings that are distinct objects share one cached ref.
+        first = parse_signature("".join(["a.B#m(int, ", "List<String>)"]))
+        assert parse_signature("".join(["a.B#m(int, List", "<String>)"])) is first
+
+    @pytest.mark.parametrize("bad", ["NoHash", "a.B#m(List<String)", "a.B#m(int,)"])
+    def test_errors_are_raised_on_every_call(self, bad):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SignatureError) as excinfo:
+                parse_signature(bad)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert repr(bad) in messages[0]
+
+    @pytest.mark.parametrize("raw", [["a.B#m()"], {}, None, 7])
+    def test_non_string_is_a_signature_error(self, raw):
+        with pytest.raises(SignatureError, match="signature is not a string"):
+            parse_signature(raw)
+
 
 _lower_seg = st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True)
 _class_seg = st.from_regex(r"[A-Z][A-Za-z0-9]{0,5}", fullmatch=True)
@@ -247,6 +267,19 @@ class TestTimestamps:
     def test_grammar_rejects(self, text):
         with pytest.raises(ValueError, match="invalid ISO-8601 timestamp"):
             parse_timestamp(text)
+
+    def test_one_string_parses_to_one_object(self):
+        first = parse_timestamp("".join(["2019-01-01T02:00:00", "+02:00"]))
+        assert parse_timestamp("".join(["2019-01-01T02:00", ":00+02:00"])) is first
+
+    @pytest.mark.parametrize("bad", ["yesterday", "2014-02-30T08:30:00Z", "0001-01-01T00:00:00+01:00"])
+    def test_errors_are_raised_on_every_call(self, bad):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as excinfo:
+                parse_timestamp(bad)
+            messages.append(str(excinfo.value))
+        assert messages == [f"invalid ISO-8601 timestamp: {bad!r}"] * 2
 
 
 class TestNormalizeCommit:
