@@ -11,6 +11,7 @@ import itertools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -160,7 +161,9 @@ def _run_front_pipeline(
     records: list[RefactoringRecord] = []
     inputs = []
     for path in args.records:
-        with open(path, "r", encoding="utf-8") as handle:
+        # Undecodable bytes become lone surrogates, which parse_records
+        # reports per line, so one bad line does not end the run.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             result = parse_records(handle, strict=args.strict)
         records.extend(result.records)
         inputs.append({"path": str(path), "records": len(result.records), "skipped": len(result.issues)})
@@ -259,14 +262,66 @@ def _project_dirs(projects: Iterable[str]) -> dict[str, str]:
     return dirs
 
 
-def _write_json(path: Path, document: dict) -> None:
-    # Chunks are written 1024 at a time: json.dump makes one write per token,
-    # and json.dumps would hold every chunk of a large dump in memory at once.
-    chunks = json.JSONEncoder(indent=2).iterencode(document)
+def _write_json(path: Path, chunks: Iterator[str]) -> None:
+    # Chunks are written 1024 at a time: one write per chunk is slow, and
+    # joining them all would hold a large dump in memory at once.
     with open(path, "w", encoding="utf-8") as handle:
         while batch := "".join(itertools.islice(chunks, 1024)):
             handle.write(batch)
         handle.write("\n")
+
+
+_EDGE_TEMPLATE = (
+    "{\n"
+    '      "source": %s,\n'
+    '      "target": %s,\n'
+    '      "type": %s,\n'
+    '      "commit": %s,\n'
+    '      "timestamp": %s,\n'
+    '      "author_email": %s\n'
+    "    }"
+)
+
+
+def _dump_chunks(dump: dict) -> Iterator[str]:
+    """The text of ``json.dumps(dump, indent=2)`` for a dump made by
+    :func:`~refgraph.graph.graph_to_dict`, in chunks of one vertex or edge.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder; this
+    template fills in strings escaped by the same C function it uses.
+    """
+    yield (
+        "{\n"
+        f'  "format_version": {_encode(dump["format_version"])},\n'
+        f'  "project": {_encode(dump["project"])},\n'
+        '  "vertices": '
+    )
+    yield from _list_chunks(_encode(vertex) for vertex in dump["vertices"])
+    yield ',\n  "edges": '
+    yield from _list_chunks(
+        _EDGE_TEMPLATE % (
+            _encode(edge["source"]),
+            _encode(edge["target"]),
+            _encode(edge["type"]),
+            _encode(edge["commit"]),
+            _encode(edge["timestamp"]),
+            _encode(edge["author_email"]),
+        )
+        for edge in dump["edges"]
+    )
+    yield "\n}"
+
+
+def _list_chunks(items: Iterator[str]) -> Iterator[str]:
+    """A list one level below the top of an ``indent=2`` document."""
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n    " + first
+    for item in items:
+        yield ",\n    " + item
+    yield "\n  ]"
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +378,11 @@ def cmd_build(args) -> int:
     try:
         for path, document in dumps:
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_json(path, document)
+            _write_json(path, _dump_chunks(document))
             written.append(path)
         log_path = out_dir / "run_log.json"
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(log_path, run_log)
+        _write_json(log_path, json.JSONEncoder(indent=2).iterencode(run_log))
         written.append(log_path)
     except OSError:
         for path in written:
@@ -344,7 +399,11 @@ def _project_ages(args) -> dict[str, float] | None:
         with open(args.project_ages, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise CliError(f"invalid project ages file {args.project_ages}: {exc.msg}")
+        raise CliError(f"invalid project ages file {args.project_ages}: {exc.msg}") from None
+    except RecursionError:
+        raise CliError(f"invalid project ages file {args.project_ages}: nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"invalid UTF-8 in project ages file {args.project_ages}: {exc.reason}") from None
     # json reads NaN and Infinity, and 1e400 as inf: an age must be a finite float
     if not isinstance(data, dict) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max

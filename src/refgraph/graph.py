@@ -213,7 +213,7 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
         for entry in data["edges"]:
             if not isinstance(entry, dict):
                 raise ValueError("edge is not an object")
-            graph.add_edge(Edge(**parse_edge_fields(entry)))
+            graph.add_edge(Edge(*parse_edge_fields(entry)))
     except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
     used = {v.canonical for v in graph.vertices()}
@@ -230,4 +230,8 @@ def load_graph(path) -> tuple[str, RefactoringGraph]:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise GraphDumpError(f"invalid JSON in graph dump {path}: {exc.msg}") from None
+    except RecursionError:
+        raise GraphDumpError(f"invalid JSON in graph dump {path}: nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise GraphDumpError(f"invalid UTF-8 in graph dump {path}: {exc.reason}") from None
     return graph_from_dict(data)

@@ -88,13 +88,16 @@ def parse_commit_log(lines: Iterable[str]) -> CommitLog:
             meta = parse_metadata(raw_hash, raw_ts, email)
         except ValueError as exc:
             raise CommitLogError(f"line {line_no}: {exc}") from None
-        entries.append(CommitMeta(meta["commit"], meta["timestamp"], meta["author_email"]))
+        entries.append(CommitMeta(*meta))
     return CommitLog(entries)
 
 
 def load_commit_log(path) -> CommitLog:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_commit_log(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_commit_log(handle)
+    except UnicodeDecodeError as exc:
+        raise CommitLogError(f"invalid UTF-8 in commit log {path}: {exc.reason}") from None
 
 
 @dataclass(frozen=True)

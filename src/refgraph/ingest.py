@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable
 
 EDGE_KEYS = ("source", "target", "type", "commit", "timestamp", "author_email")
@@ -60,13 +61,17 @@ class RefactoringType(Enum):
 
     @classmethod
     def from_string(cls, value: str) -> "RefactoringType":
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"unknown refactoring type: {value!r}") from None
+        member = _TYPE_BY_VALUE.get(value)
+        if member is None:
+            raise ValueError(f"unknown refactoring type: {value!r}")
+        return member
 
     def __str__(self) -> str:
         return self.value
+
+
+# A plain dict lookup: ``RefactoringType(value)`` goes through ``Enum.__call__``.
+_TYPE_BY_VALUE = MappingProxyType({member.value: member for member in RefactoringType})
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -173,7 +178,13 @@ def parse_timestamp(value: str) -> datetime:
     return parsed
 
 
+@functools.cache
 def format_timestamp(value: datetime) -> str:
+    """Format an aware datetime as ``YYYY-MM-DDTHH:MM:SSZ`` in UTC.
+
+    Memoized per value for the life of the process: parsed timestamps are
+    shared objects, so each distinct one is formatted once.
+    """
     return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -191,28 +202,28 @@ def _require_strings(fields: dict, keys: Iterable[str]) -> None:
             raise ValueError(f"field {key!r} is not a string")
 
 
-def parse_metadata(commit: str, timestamp: str, email: str) -> dict:
-    """Normalize an edge's commit metadata into ``commit``, ``timestamp``
-    and ``author_email`` keyword arguments of :class:`~refgraph.graph.Edge`."""
+def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, datetime, str]:
+    """Normalize an edge's commit metadata into ``(commit, timestamp,
+    author_email)``, the last three fields of :class:`~refgraph.graph.Edge`."""
     author_email = email.strip()
     if not author_email:
         raise ValueError("empty author_email")
-    return {"commit": normalize_commit(commit), "timestamp": parse_timestamp(timestamp), "author_email": author_email}
+    return normalize_commit(commit), parse_timestamp(timestamp), author_email
 
 
-def parse_edge_fields(fields: dict) -> dict:
+def parse_edge_fields(fields: dict) -> tuple[MethodRef, MethodRef, RefactoringType, str, datetime, str]:
     """Check the :data:`EDGE_KEYS` of a record or dump entry and normalize
-    them into keyword arguments of :class:`~refgraph.graph.Edge`.
+    them into the fields of :class:`~refgraph.graph.Edge`, in field order.
 
     Raises ValueError naming the first bad field; other keys are ignored.
     """
     _require_strings(fields, EDGE_KEYS)
-    return {
-        "source": parse_signature(fields["source"]),
-        "target": parse_signature(fields["target"]),
-        "rtype": RefactoringType.from_string(fields["type"]),
-        **parse_metadata(fields["commit"], fields["timestamp"], fields["author_email"]),
-    }
+    return (
+        parse_signature(fields["source"]),
+        parse_signature(fields["target"]),
+        RefactoringType.from_string(fields["type"]),
+        *parse_metadata(fields["commit"], fields["timestamp"], fields["author_email"]),
+    )
 
 
 def parse_signature(raw: str) -> MethodRef:
@@ -250,22 +261,30 @@ def _parse_signature(raw: str) -> MethodRef:
     method = member[:lparen].strip()
     if not method:
         raise SignatureError(f"missing method name in signature: {raw!r}")
-    params = _split_params(member[lparen + 1 : -1], raw)
+    try:
+        params = _split_params(member[lparen + 1 : -1])
+    except SignatureError as exc:  # the split is shared, so name this signature here
+        raise SignatureError(f"{exc} in signature: {raw!r}") from None
     package, class_path = _split_class_path(prefix)
     if not class_path:
         raise SignatureError(f"missing class name in signature: {raw!r}")
-    return MethodRef(package, class_path, method, tuple(params))
+    return MethodRef(package, class_path, method, params)
 
 
-def _split_params(content: str, raw: str) -> list[str]:
-    """Split on top-level commas and canonicalize each parameter's spacing."""
+@functools.cache
+def _split_params(content: str) -> tuple[str, ...]:
+    """Split on top-level commas and canonicalize each parameter's spacing.
+
+    Memoized per parameter-list string (errors are not): many distinct
+    signatures share one list, such as ``()`` or ``(int, String)``.
+    """
     if "  " in content or not content.isprintable():  # a run of spaces, or a tab, newline, ...
         content = " ".join(content.split())
     # text, separator, paren, text, ...: the split drops whitespace around <>[] and commas
     parts = _PARAM_SEPARATOR_RE.split(content)
     if len(parts) == 1:
         content = content.strip()
-        return [content] if content else []
+        return (content,) if content else ()
     params = []
     current = parts[0]
     depth = 0
@@ -283,14 +302,14 @@ def _split_params(content: str, raw: str) -> list[str]:
         else:
             depth -= 1
             if depth < 0:
-                raise SignatureError(f"unbalanced brackets in signature: {raw!r}")
+                raise SignatureError("unbalanced brackets")
         current += separator + text
     if depth != 0:
-        raise SignatureError(f"unbalanced brackets in signature: {raw!r}")
+        raise SignatureError("unbalanced brackets")
     params.append(current.strip())
     if not all(params):
-        raise SignatureError(f"empty parameter in signature: {raw!r}")
-    return params
+        raise SignatureError("empty parameter")
+    return tuple(params)
 
 
 def _split_class_path(prefix: str) -> tuple[str, str]:
@@ -302,11 +321,23 @@ def _split_class_path(prefix: str) -> tuple[str, str]:
 
 
 def parse_record_line(line: str) -> RefactoringRecord:
-    """Parse one JSON record line; raises ValueError with the defect named."""
+    """Parse one JSON record line; raises ValueError with the defect named.
+
+    A line holding undecodable bytes (lone surrogates, as decoding a file
+    with ``errors="surrogateescape"`` leaves them) is rejected as invalid
+    UTF-8.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"invalid UTF-8 at column {exc.start + 1}") from None
     try:
         data = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("record is not an object")
     keys = set(data)
@@ -320,7 +351,7 @@ def parse_record_line(line: str) -> RefactoringRecord:
     project = data["project"].strip()
     if not project:
         raise ValueError("empty project name")
-    return RefactoringRecord(project=project, **parse_edge_fields(data))
+    return RefactoringRecord(*parse_edge_fields(data), project)
 
 
 def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
@@ -352,6 +383,19 @@ def _is_constructor(ref: MethodRef) -> bool:
     return ref.method == "<init>" or ref.method == ref.class_simple_name
 
 
+# Per-vertex verdicts of apply_filters, ordered like FILTER_REASONS: the
+# smaller verdict of a record's two vertices is the first rule that fires.
+_KEYWORD, _CONSTRUCTOR, _CLEAN = range(3)
+
+
+def _verdict(ref: MethodRef, keywords: frozenset[str], drop_constructors: bool) -> int:
+    if keywords and _matches_keyword(ref, keywords):
+        return _KEYWORD
+    if drop_constructors and _is_constructor(ref):
+        return _CONSTRUCTOR
+    return _CLEAN
+
+
 def apply_filters(
     records: Iterable[RefactoringRecord],
     config: FilterConfig = FilterConfig(),
@@ -360,31 +404,29 @@ def apply_filters(
 
     A record matched by several rules is counted once, under the first rule
     that fires (package keyword, then constructor, then self-loop).  Kept
-    order is the input order.
+    order is the input order.  The keyword and constructor rules look at one
+    vertex at a time, so each distinct vertex is judged once per call.
     """
     keywords = frozenset(k.lower() for k in config.excluded_package_keywords)
+    drop_constructors = config.drop_constructors
+    verdicts: dict[str, int] = {}  # by canonical signature
     report = {reason: 0 for reason in FILTER_REASONS}
     kept: list[RefactoringRecord] = []
     for record in records:
-        reason = _exclusion_reason(record, keywords, config)
-        if reason is None:
-            kept.append(record)
+        source, target = record.source.canonical, record.target.canonical
+        rule = verdicts.get(source)
+        if rule is None:
+            rule = verdicts[source] = _verdict(record.source, keywords, drop_constructors)
+        other = verdicts.get(target)
+        if other is None:
+            other = verdicts[target] = _verdict(record.target, keywords, drop_constructors)
+        if other < rule:
+            rule = other
+        if rule == _CLEAN:
+            if source == target:
+                report[REASON_SELF_LOOP] += 1
+            else:
+                kept.append(record)
         else:
-            report[reason] += 1
+            report[FILTER_REASONS[rule]] += 1
     return kept, report
-
-
-def _exclusion_reason(
-    record: RefactoringRecord, keywords: frozenset[str], config: FilterConfig
-) -> str | None:
-    if keywords and (
-        _matches_keyword(record.source, keywords) or _matches_keyword(record.target, keywords)
-    ):
-        return REASON_PACKAGE_KEYWORD
-    if config.drop_constructors and (
-        _is_constructor(record.source) or _is_constructor(record.target)
-    ):
-        return REASON_CONSTRUCTOR
-    if record.source.canonical == record.target.canonical:
-        return REASON_SELF_LOOP
-    return None

@@ -1,13 +1,16 @@
 """Independent oracles the test suite checks library outputs against.
 
 These deliberately avoid the library's own code paths: components come from
-a plain breadth-first search over an undirected adjacency map, and the rank
-correlation oracle uses O(n^2) counting ranks plus a hand-written Pearson.
+a plain breadth-first search over an undirected adjacency map, the rank
+correlation oracle uses O(n^2) counting ranks plus a hand-written Pearson,
+and the filter oracle judges each record on its own, as the ingest filters
+once did, with no per-vertex reuse.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 
 
@@ -59,3 +62,37 @@ def pearson(xs, ys) -> float:
 def spearman_rho_oracle(xs, ys) -> float:
     """Rank-then-Pearson with average ranks for ties."""
     return pearson(counting_ranks(xs), counting_ranks(ys))
+
+
+def exclusion_reason(record, keywords: frozenset[str], drop_constructors: bool) -> str | None:
+    """The filter rule that drops one record, checked record by record: a
+    package keyword on either end, then a constructor on either end, then a
+    self-loop; ``None`` keeps it."""
+
+    def keyword(ref) -> bool:
+        return any(seg.lower() in keywords for seg in ref.package.split(".") if seg)
+
+    def constructor(ref) -> bool:
+        return ref.method == "<init>" or ref.method == re.split(r"[.$]", ref.class_path)[-1]
+
+    if keywords and (keyword(record.source) or keyword(record.target)):
+        return "package-keyword"
+    if drop_constructors and (constructor(record.source) or constructor(record.target)):
+        return "constructor"
+    if record.source.canonical == record.target.canonical:
+        return "self-loop"
+    return None
+
+
+def filter_records(records, keywords, drop_constructors: bool) -> tuple[list, dict[str, int]]:
+    """Kept records in input order plus the count of dropped ones per reason."""
+    keywords = frozenset(k.lower() for k in keywords)
+    kept = []
+    report = {"package-keyword": 0, "constructor": 0, "self-loop": 0}
+    for record in records:
+        reason = exclusion_reason(record, keywords, drop_constructors)
+        if reason is None:
+            kept.append(record)
+        else:
+            report[reason] += 1
+    return kept, report

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from refgraph.cli import main
-from refgraph.ingest import _parse_signature, parse_timestamp
+from refgraph.cli import _dump_chunks, main
+from refgraph.ingest import EDGE_KEYS, _parse_signature, _split_params, format_timestamp, parse_timestamp
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
 TESTS_DIR = Path(__file__).resolve().parent
@@ -391,8 +391,8 @@ def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
 
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
     # The first run starts from empty parser caches, the second reuses them.
-    _parse_signature.cache_clear()
-    parse_timestamp.cache_clear()
+    for cached in (_parse_signature, _split_params, parse_timestamp, format_timestamp):
+        cached.cache_clear()
     monkeypatch.chdir(TESTS_DIR.parent)
     for run in ("cold", "warm"):
         out = tmp_path / run
@@ -402,7 +402,8 @@ def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
         assert main(["stats", "--graph", str(out / "build"),
                      "--project-ages", "demo/project_ages.json", "--out", str(out / "stats")]) == 0
         assert main(["export", "--graph", str(out / "build"), "--all", "--out", str(out / "export")]) == 0
-    assert _parse_signature.cache_info().hits and parse_timestamp.cache_info().hits
+    for cached in (_parse_signature, _split_params, parse_timestamp, format_timestamp):
+        assert cached.cache_info().hits, cached
     assert _tree(tmp_path / "warm") == _tree(tmp_path / "cold")
     assert _tree(tmp_path / "cold") == _tree(TESTS_DIR / "golden")
 
@@ -411,3 +412,89 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["build"])  # --records and --out are required
     assert excinfo.value.code == 2
+
+
+DEEP_JSON = "[" * 100_000
+
+
+class TestUnreadableInputs:
+    """Hostile bytes in any input end in ``refgraph: error:``, not a traceback."""
+
+    @pytest.fixture
+    def build_out(self, corpus_file, tmp_path):
+        out = tmp_path / "build"
+        assert main(["build", "--records", str(corpus_file), "--out", str(out)]) == 0
+        return out
+
+    def test_undecodable_record_line_is_skipped(self, tmp_path):
+        lines = corpus.to_jsonl(corpus.DEMO_CORPUS).encode("utf-8").splitlines(keepends=True)
+        lines.insert(2, lines[2].replace(b'"project": "', b'"project": "\xff'))
+        assert b"\xff" in lines[2]
+        records = tmp_path / "records.jsonl"
+        records.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert main(["build", "--records", str(records), "--out", str(out)]) == 0
+        run_log = _read_json(out / "run_log.json")
+        assert run_log["inputs"][0]["skipped"] == 1
+        assert run_log["stages"]["parsed"] == len(corpus.DEMO_CORPUS)
+
+    def test_undecodable_record_line_is_fatal_in_strict_mode(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_bytes(corpus.to_jsonl(corpus.DEMO_CORPUS[:2]).encode("utf-8") + b"\xfe\n")
+        assert main(["build", "--records", str(records), "--out", str(tmp_path / "out"), "--strict"]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: line 3: invalid UTF-8")
+
+    def test_undecodable_commit_log(self, corpus_file, demo_commit_log_path, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(demo_commit_log_path.read_bytes().replace(b"\t", b"\t\xc3(", 1))
+        code = main(["build", "--records", str(corpus_file), "--commit-log", f"mpandroidchart={log}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"refgraph: error: invalid UTF-8 in commit log {log}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, problem", [
+        (DEEP_JSON.encode("ascii"), "invalid JSON in graph dump {path}: nested too deeply"),
+        (b'{"format_version": "1", "project": "\xff"}', "invalid UTF-8 in graph dump {path}"),
+    ], ids=["deep", "utf8"])
+    def test_unreadable_dump(self, build_out, tmp_path, capsys, content, problem):
+        dump = build_out / "okhttp" / "graph.json"
+        dump.write_bytes(content)
+        capsys.readouterr()
+        assert main(["export", "--graph", str(build_out), "--all", "--out", str(tmp_path / "dot")]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=dump))
+
+    @pytest.mark.parametrize("content, problem", [
+        (DEEP_JSON.encode("ascii"), "invalid project ages file {path}: nested too deeply"),
+        (b'{"okhttp": 7.0, "\x80": 1}', "invalid UTF-8 in project ages file {path}"),
+    ], ids=["deep", "utf8"])
+    def test_unreadable_project_ages(self, corpus_file, tmp_path, capsys, content, problem):
+        ages = tmp_path / "ages.json"
+        ages.write_bytes(content)
+        code = main(["stats", "--records", str(corpus_file), "--project-ages", str(ages),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=ages))
+        assert not (tmp_path / "o").exists()
+
+
+# Text that stresses the writer's escaping: quotes, backslashes, control
+# characters, non-ASCII letters and characters outside the BMP.
+_dump_text = st.text(st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]))
+
+@given(
+    version=_dump_text,
+    project=_dump_text,
+    vertices=st.lists(_dump_text, max_size=5),
+    edges=st.lists(st.tuples(*[_dump_text] * len(EDGE_KEYS)), max_size=5),
+)
+@example(version="1", project="", vertices=[], edges=[])
+def test_dump_chunks_are_the_stdlib_encoding(version, project, vertices, edges):
+    # Keys in graph_to_dict's order (EDGE_KEYS is in that order too), which json.dumps keeps.
+    dump = {
+        "format_version": version,
+        "project": project,
+        "vertices": vertices,
+        "edges": [dict(zip(EDGE_KEYS, values)) for values in edges],
+    }
+    assert "".join(_dump_chunks(dump)) == json.dumps(dump, indent=2)

@@ -6,10 +6,11 @@ import re
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from refgraph.ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
     FilterConfig,
@@ -155,6 +156,25 @@ class TestParseSignature:
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert repr(bad) in messages[0]
+
+    @pytest.mark.parametrize("params", ["List<String", "int,", "Map<K, V>>", "int, , long"])
+    def test_a_shared_bad_parameter_list_names_each_signature(self, params):
+        # The parameter-list split is cached per list; its error must still
+        # name the signature it came from, on every call.
+        signatures = [f"a.B#m({params})", f"  x.y.Other#run({params})"]
+        for _ in range(2):
+            for raw in signatures:
+                with pytest.raises(SignatureError) as excinfo:
+                    parse_signature(raw)
+                message = str(excinfo.value)
+                assert message.endswith(f"in signature: {raw!r}")
+                assert all(repr(other) not in message for other in signatures if other != raw)
+
+    def test_a_shared_parameter_list_splits_once(self):
+        first = parse_signature("a.B#m(int,  Map<K,V>)")
+        second = parse_signature("c.D#n(int,  Map<K,V>)")
+        assert first.params == ("int", "Map<K, V>")
+        assert second.params is first.params
 
     @pytest.mark.parametrize("raw", [["a.B#m()"], {}, None, 7])
     def test_non_string_is_a_signature_error(self, raw):
@@ -385,6 +405,24 @@ class TestParseRecords:
         with pytest.raises(RecordError, match="line 2"):
             parse_records([VALID_LINE, "{broken", VALID_LINE], strict=True)
 
+    def test_deep_nesting_is_a_skipped_line(self):
+        deep = "[" * 100_000
+        result = parse_records([VALID_LINE, deep, VALID_LINE])
+        assert len(result.records) == 2
+        assert [(i.line_no, i.message) for i in result.issues] == [(2, "invalid JSON: nested too deeply")]
+        with pytest.raises(RecordError, match="line 2: invalid JSON: nested too deeply"):
+            parse_records([VALID_LINE, deep], strict=True)
+
+    def test_undecodable_bytes_are_a_skipped_line(self):
+        # A file read with errors="surrogateescape" turns the byte 0xff into "\udcff".
+        bad = VALID_LINE.replace("Alice", "Al\udcffce")
+        result = parse_records([VALID_LINE, bad, VALID_LINE])
+        assert len(result.records) == 2
+        assert [i.line_no for i in result.issues] == [2]
+        assert result.issues[0].message.startswith("invalid UTF-8")
+        with pytest.raises(RecordError, match="line 1: invalid UTF-8"):
+            parse_records([bad], strict=True)
+
 
 def _record(source: str, target: str):
     return corpus.make_record(parse_signature(source), parse_signature(target))
@@ -485,3 +523,37 @@ def test_kept_plus_report_equals_total(pairs):
     records = [_record(s, t) for s, t in pairs]
     kept, report = apply_filters(records)
     assert len(kept) + sum(report.values()) == len(records)
+
+
+# Signatures chosen so the filter rules fire alone and in every combination:
+# keyword packages in several cases, constructors of each kind, and plain ones.
+_FILTER_SIGNATURES = [
+    "a.b.C#m()", "d.e.F#n(int)", "x.Y#z()", "a.protest.C#m()",
+    "a.tests.C#m()", "a.TEST.C#go()", "x.sample.Y#z()", "q.Examples.A#b()",
+    "a.b.Foo#Foo()", "a.b.Foo#<init>(int)", "a.Outer$Inner#Inner()", "a.Outer.Inner#Inner()",
+    "a.tests.Foo#Foo()", "x.sample.Y#<init>()",
+]
+
+
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from(_FILTER_SIGNATURES), st.sampled_from(_FILTER_SIGNATURES)), max_size=60),
+    keywords=st.lists(st.sampled_from(["test", "TESTS", "sample", "examples", "protest", ""]), max_size=4),
+    drop_constructors=st.booleans(),
+)
+@example(  # source and target fire different rules, in both orders
+    pairs=[("a.b.Foo#Foo()", "a.tests.C#m()"), ("a.tests.C#m()", "a.b.Foo#Foo()"),
+           ("a.b.Foo#Foo()", "a.b.C#m()"), ("a.b.C#m()", "a.b.Foo#<init>(int)"),
+           ("a.tests.Foo#Foo()", "a.tests.Foo#Foo()"), ("x.Y#z()", "x.Y#z()")],
+    keywords=["tests"],
+    drop_constructors=True,
+)
+def test_apply_filters_matches_the_per_record_oracle(pairs, keywords, drop_constructors):
+    records = [
+        corpus.make_record(parse_signature(s), parse_signature(t), commit=f"{i:07x}")
+        for i, (s, t) in enumerate(pairs)
+    ]
+    config = FilterConfig(excluded_package_keywords=tuple(keywords), drop_constructors=drop_constructors)
+    kept, report = apply_filters(records, config)
+    expected_kept, expected_report = oracles.filter_records(records, keywords, drop_constructors)
+    assert [r.commit for r in kept] == [r.commit for r in expected_kept]
+    assert report == expected_report
