@@ -8,7 +8,6 @@ composition, and developer count.
 """
 
 from .graph import (
-    Edge,
     RefactoringGraph,
     Subgraph,
     build,
@@ -63,7 +62,6 @@ __all__ = [
     "CommitMeta",
     "Composition",
     "CorrelationError",
-    "Edge",
     "FilterConfig",
     "MethodRef",
     "MetricsError",

@@ -262,13 +262,15 @@ def _project_dirs(projects: Iterable[str]) -> dict[str, str]:
     return dirs
 
 
-def _write_json(path: Path, chunks: Iterator[str]) -> None:
+def _write_json(path: Path, chunks: Iterator[str]) -> Path:
     # Chunks are written 1024 at a time: one write per chunk is slow, and
     # joining them all would hold a large dump in memory at once.
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         while batch := "".join(itertools.islice(chunks, 1024)):
             handle.write(batch)
         handle.write("\n")
+    return path
 
 
 _EDGE_TEMPLATE = (
@@ -334,56 +336,46 @@ def cmd_build(args) -> int:
     graphs, analyzed, front_log = _run_front_pipeline(args, config)
     dirs = _project_dirs(graphs)
 
-    project_rows = []
-    dumps: list[tuple[Path, dict]] = []
     out_dir = Path(args.out)
-    totals = {"vertices": 0, "edges": 0, "subgraphs": 0, "below_threshold": 0, "kept": 0}
-    for graph, (project, total, single), kept in _split_projects(graphs, min_commits):
-        project_rows.append(
-            {
-                "project": project,
-                "records": analyzed[project],
-                "vertices": graph.n_vertices,
-                "edges": graph.n_edges,
-                "subgraphs": total,
-                "single_commit": single,
-                "multi_commit": total - single,
-                "below_threshold": total - len(kept),
-                "kept": len(kept),
-            }
-        )
-        for key in ("vertices", "edges", "subgraphs", "below_threshold", "kept"):
-            totals[key] += project_rows[-1][key]
-        dump_path = out_dir / dirs[project] / "graph.json"
-        dumps.append((dump_path, graph_to_dict(graph, project)))
-
-    if not dumps:
-        dumps.append((out_dir / "graph.json", graph_to_dict(RefactoringGraph(), "")))
-
-    run_log = {
-        "format_version": RUN_LOG_VERSION,
-        "command": "build",
-        "config": {
-            "min_commits": min_commits,
-            "strict": bool(args.strict),
-            "exclude_keywords": list(config.excluded_package_keywords),
-            "drop_constructors": config.drop_constructors,
-        },
-        **front_log,
-        "projects": project_rows,
-        "totals": totals,
-    }
-
+    project_rows = []
     written: list[Path] = []
     try:
-        for path, document in dumps:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _write_json(path, _dump_chunks(document))
-            written.append(path)
-        log_path = out_dir / "run_log.json"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(log_path, json.JSONEncoder(indent=2).iterencode(run_log))
-        written.append(log_path)
+        for graph, (project, total, single), kept in _split_projects(graphs, min_commits):
+            project_rows.append(
+                {
+                    "project": project,
+                    "records": analyzed[project],
+                    "vertices": graph.n_vertices,
+                    "edges": graph.n_edges,
+                    "subgraphs": total,
+                    "single_commit": single,
+                    "multi_commit": total - single,
+                    "below_threshold": total - len(kept),
+                    "kept": len(kept),
+                }
+            )
+            # An exhausted generator drops its frame, so no dump outlives its write.
+            chunks = _dump_chunks(graph_to_dict(graph, project))
+            written.append(_write_json(out_dir / dirs[project] / "graph.json", chunks))
+        if not written:  # an empty build still leaves a dump for stats and export to read
+            chunks = _dump_chunks(graph_to_dict(RefactoringGraph(), ""))
+            written.append(_write_json(out_dir / "graph.json", chunks))
+        keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
+        totals = {key: sum(row[key] for row in project_rows) for key in keys}
+        run_log = {
+            "format_version": RUN_LOG_VERSION,
+            "command": "build",
+            "config": {
+                "min_commits": min_commits,
+                "strict": bool(args.strict),
+                "exclude_keywords": list(config.excluded_package_keywords),
+                "drop_constructors": config.drop_constructors,
+            },
+            **front_log,
+            "projects": project_rows,
+            "totals": totals,
+        }
+        written.append(_write_json(out_dir / "run_log.json", json.JSONEncoder(indent=2).iterencode(run_log)))
     except OSError:
         for path in written:
             path.unlink(missing_ok=True)
@@ -398,12 +390,12 @@ def _project_ages(args) -> dict[str, float] | None:
     try:
         with open(args.project_ages, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid project ages file {args.project_ages}: {exc.msg}") from None
-    except RecursionError:
-        raise CliError(f"invalid project ages file {args.project_ages}: nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise CliError(f"invalid UTF-8 in project ages file {args.project_ages}: {exc.reason}") from None
+    except RecursionError:
+        raise CliError(f"invalid project ages file {args.project_ages}: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
+        raise CliError(f"invalid project ages file {args.project_ages}: {exc}") from None
     # json reads NaN and Infinity, and 1e400 as inf: an age must be a finite float
     if not isinstance(data, dict) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Iterable, Sequence
 
 from .ingest import (
+    EdgeKey,
     MethodRef,
     RefactoringRecord,
-    RefactoringType,
     format_timestamp,
     parse_edge_fields,
     parse_signature,
@@ -26,31 +25,14 @@ from .ingest import (
 
 GRAPH_DUMP_VERSION = "1"
 
-EdgeKey = tuple[str, str, str, str]
-
 
 class GraphDumpError(ValueError):
     """A graph dump file is missing, malformed, or internally inconsistent."""
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A directed refactoring edge (before-state -> after-state)."""
-
-    source: MethodRef
-    target: MethodRef
-    rtype: RefactoringType
-    commit: str
-    timestamp: datetime
-    author_email: str
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.source.canonical, self.target.canonical, self.rtype.value, self.commit)
-
-
 class RefactoringGraph:
-    """Vertex and edge sets accumulated from refactoring records.
+    """Vertex and edge sets accumulated from refactoring records, each
+    record being one edge.
 
     Callers are expected to have run the ingest filters first; in
     particular self-loop records are assumed to be gone already.
@@ -58,7 +40,7 @@ class RefactoringGraph:
 
     def __init__(self) -> None:
         self._vertices: dict[str, MethodRef] = {}
-        self._edges: dict[EdgeKey, Edge] = {}
+        self._edges: dict[EdgeKey, RefactoringRecord] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -72,11 +54,11 @@ class RefactoringGraph:
         """Vertices sorted by canonical signature."""
         return [self._vertices[c] for c in sorted(self._vertices)]
 
-    def edges(self) -> list[Edge]:
+    def edges(self) -> list[RefactoringRecord]:
         """Edges sorted by (source, target, type, commit)."""
         return [self._edges[k] for k in sorted(self._edges)]
 
-    def add_edge(self, edge: Edge) -> None:
+    def add_edge(self, edge: RefactoringRecord) -> None:
         self._vertices.setdefault(edge.source.canonical, edge.source)
         self._vertices.setdefault(edge.target.canonical, edge.target)
         key = edge.key
@@ -107,7 +89,7 @@ class Subgraph:
 
     id: str
     vertices: tuple[MethodRef, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[RefactoringRecord, ...]
 
     @property
     def n_vertices(self) -> int:
@@ -124,8 +106,8 @@ class Subgraph:
 def build(records: Iterable[RefactoringRecord]) -> RefactoringGraph:
     """Accumulate all records into one graph (set semantics)."""
     graph = RefactoringGraph()
-    for r in records:
-        graph.add_edge(Edge(r.source, r.target, r.rtype, r.commit, r.timestamp, r.author_email))
+    for record in records:
+        graph.add_edge(record)
     return graph
 
 
@@ -195,7 +177,8 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
 def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     """Rebuild (project, graph) from a dump produced by :func:`graph_to_dict`.
 
-    The rebuilt graph equals the dumped one.  Edges are checked by
+    The rebuilt graph equals the dumped one, and its edges carry the dump's
+    project, which must be a string.  Edges are checked by
     :func:`~refgraph.ingest.parse_edge_fields`, the rule record lines
     follow; any malformed entry raises :class:`GraphDumpError`.
     """
@@ -207,13 +190,16 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     for key in ("project", "vertices", "edges"):
         if key not in data:
             raise GraphDumpError(f"graph dump missing key: {key!r}")
+    project = data["project"]
     graph = RefactoringGraph()
     try:
+        if not isinstance(project, str):
+            raise ValueError("field 'project' is not a string")
         declared = {parse_signature(v).canonical for v in data["vertices"]}
         for entry in data["edges"]:
             if not isinstance(entry, dict):
                 raise ValueError("edge is not an object")
-            graph.add_edge(Edge(*parse_edge_fields(entry)))
+            graph.add_edge(RefactoringRecord(*parse_edge_fields(entry), project))
     except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
     used = {v.canonical for v in graph.vertices()}
@@ -221,17 +207,17 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
         raise GraphDumpError("graph dump edges reference undeclared vertices")
     if declared - used:
         raise GraphDumpError("graph dump declares vertices not used by any edge")
-    return str(data["project"]), graph
+    return project, graph
 
 
 def load_graph(path) -> tuple[str, RefactoringGraph]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise GraphDumpError(f"invalid JSON in graph dump {path}: {exc.msg}") from None
-    except RecursionError:
-        raise GraphDumpError(f"invalid JSON in graph dump {path}: nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise GraphDumpError(f"invalid UTF-8 in graph dump {path}: {exc.reason}") from None
+    except RecursionError:
+        raise GraphDumpError(f"invalid JSON in graph dump {path}: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
+        raise GraphDumpError(f"invalid JSON in graph dump {path}: {exc}") from None
     return graph_from_dict(data)

@@ -12,7 +12,7 @@ not kept: developers are told apart by email.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
 
@@ -98,6 +98,8 @@ def load_commit_log(path) -> CommitLog:
             return parse_commit_log(handle)
     except UnicodeDecodeError as exc:
         raise CommitLogError(f"invalid UTF-8 in commit log {path}: {exc.reason}") from None
+    except CommitLogError as exc:
+        raise CommitLogError(f"commit log {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,9 @@ def restrict_to_log(records: Iterable[RefactoringRecord], log: CommitLog) -> Res
             issues.append(str(exc))
             continue
         kept.append(
-            replace(
-                record,
-                commit=meta.hash,
-                timestamp=meta.timestamp,
-                author_email=meta.author_email,
+            RefactoringRecord(
+                record.source, record.target, record.rtype,
+                meta.hash, meta.timestamp, meta.author_email, record.project,
             )
         )
     return RestrictResult(tuple(kept), dropped, tuple(issues))

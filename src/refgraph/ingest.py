@@ -111,9 +111,13 @@ class MethodRef:
         return self.canonical
 
 
+EdgeKey = tuple[str, str, str, str]
+
+
 @dataclass(frozen=True, slots=True)
 class RefactoringRecord:
-    """One detected refactoring operation plus its commit metadata."""
+    """One detected refactoring operation plus its commit metadata, and an
+    edge of its project's graph.  Equality and hash ignore ``project``."""
 
     source: MethodRef
     target: MethodRef
@@ -121,7 +125,11 @@ class RefactoringRecord:
     commit: str
     timestamp: datetime
     author_email: str
-    project: str
+    project: str = field(compare=False)
+
+    @property
+    def key(self) -> EdgeKey:
+        return (self.source.canonical, self.target.canonical, self.rtype.value, self.commit)
 
 
 @dataclass(frozen=True)
@@ -204,7 +212,7 @@ def _require_strings(fields: dict, keys: Iterable[str]) -> None:
 
 def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, datetime, str]:
     """Normalize an edge's commit metadata into ``(commit, timestamp,
-    author_email)``, the last three fields of :class:`~refgraph.graph.Edge`."""
+    author_email)``, fields four to six of :class:`RefactoringRecord`."""
     author_email = email.strip()
     if not author_email:
         raise ValueError("empty author_email")
@@ -213,7 +221,7 @@ def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, dateti
 
 def parse_edge_fields(fields: dict) -> tuple[MethodRef, MethodRef, RefactoringType, str, datetime, str]:
     """Check the :data:`EDGE_KEYS` of a record or dump entry and normalize
-    them into the fields of :class:`~refgraph.graph.Edge`, in field order.
+    them into the first six fields of :class:`RefactoringRecord`, in order.
 
     Raises ValueError naming the first bad field; other keys are ignored.
     """

@@ -158,6 +158,26 @@ class TestBuild:
         assert config["drop_constructors"] is False
         assert config["exclude_keywords"] == ["vendor", "generated"]
 
+    def test_malformed_commit_log_line_names_its_file(self, demo_records_path, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_text("notalog\n", encoding="utf-8")
+        code = main(["build", "--records", str(demo_records_path), "--commit-log", f"mpandroidchart={log}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"refgraph: error: commit log {log}: line 1: expected 4 tab-separated fields, got 1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_write_error_removes_what_the_run_wrote(self, demo_records_path, tmp_path, capsys):
+        # okhttp's directory is taken by a file, so its dump fails after earlier projects' dumps are written.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "okhttp").write_text("not a directory", encoding="utf-8")
+        assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error:")
+        assert [p.name for p in out.rglob("*") if p.is_file()] == ["okhttp"]
+        assert (out / "mpandroidchart").is_dir()  # made before the failure; only files are removed
+
 
 class TestStats:
     def test_from_records(self, corpus_file, tmp_path, demo_ages_path):
@@ -263,6 +283,47 @@ class TestStats:
         assert main(["stats", "--records", str(records), "--out", str(out)]) == 0
         doc = _read_json(out / "summary.json")
         assert doc["n_subgraphs"] == 0
+
+    def test_from_an_empty_build(self, tmp_path):
+        records = tmp_path / "empty.jsonl"
+        records.write_text("", encoding="utf-8")
+        build_out = tmp_path / "build"
+        assert main(["build", "--records", str(records), "--out", str(build_out)]) == 0
+        out = tmp_path / "stats"
+        assert main(["stats", "--graph", str(build_out), "--out", str(out)]) == 0
+        doc = _read_json(out / "summary.json")
+        assert doc["projects"] == [] and doc["n_subgraphs"] == 0
+        assert _read_csv(out / "subgraph_summary.csv")[1:] == [["All", "0", "0", "0.0", "0", "0.0"]]
+
+    def test_two_dumps_of_one_project_merge(self, tmp_path):
+        records = corpus.random_records(random.Random(5), 300, pool_size=150, n_commits=12)
+        parts = {"part0": records[:200], "part1": records[100:]}  # records 100-199 are in both
+        for name, part in parts.items():
+            (tmp_path / f"{name}.jsonl").write_text(
+                corpus.to_jsonl(corpus.record_dict(r) for r in part), encoding="utf-8"
+            )
+            assert main(["build", "--records", str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / name)]) == 0
+        union = [str(tmp_path / f"{name}.jsonl") for name in parts]
+        assert main(["stats", "--records", *union, "--out", str(tmp_path / "from_records")]) == 0
+        dumps = [str(tmp_path / name / "proj" / "graph.json") for name in parts]
+        assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "from_dumps")]) == 0
+        assert main(["stats", "--graph", dumps[0], "--out", str(tmp_path / "first_only")]) == 0
+        assert _tree(tmp_path / "from_dumps") == _tree(tmp_path / "from_records")
+        assert _tree(tmp_path / "first_only") != _tree(tmp_path / "from_records")
+
+    @pytest.mark.parametrize("project", [None, 7, ["mpandroidchart"]], ids=["null", "number", "list"])
+    def test_non_string_dump_project_is_a_clean_error(self, tmp_path, capsys, project):
+        golden = _read_json(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
+        empty = {"format_version": "1", "project": None, "vertices": [], "edges": []}
+        for dump in (golden, empty):
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(dict(dump, project=project)), encoding="utf-8")
+            for command in (["stats"], ["export", "--all"]):
+                out = tmp_path / command[0]
+                assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("refgraph: error: corrupt graph dump: field 'project' is not a string")
+                assert not out.exists()
 
     def test_requires_exactly_one_source(self, corpus_file, tmp_path):
         assert main(["stats", "--out", str(tmp_path / "o")]) == 2
@@ -475,6 +536,25 @@ class TestUnreadableInputs:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=ages))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, content, problem", [
+        ("export", b'{"format_version": "1", "project": "p", "n": ' + b"9" * 5000 + b"}",
+         "invalid JSON in graph dump {path}: Exceeds the limit"),
+        ("export", b'{"format_version": "1", "project": ', "invalid JSON in graph dump {path}: Expecting value"),
+        ("stats", b'{"okhttp": 7' + b"0" * 5000 + b"}", "invalid project ages file {path}: Exceeds the limit"),
+        ("stats", b'{"okhttp": 7.0', "invalid project ages file {path}: Expecting"),
+    ], ids=["dump-long-int", "dump-truncated", "ages-long-int", "ages-truncated"])
+    def test_json_that_does_not_decode(self, corpus_file, tmp_path, capsys, command, content, problem):
+        # An integer of more than 4300 digits is a ValueError from int(), not a JSONDecodeError.
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        if command == "export":
+            argv = ["export", "--graph", str(path), "--all"]
+        else:
+            argv = ["stats", "--records", str(corpus_file), "--project-ages", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=path))
         assert not (tmp_path / "o").exists()
 
 

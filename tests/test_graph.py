@@ -282,3 +282,24 @@ class TestGraphDump:
         corrupt(data)
         with pytest.raises(GraphDumpError, match="corrupt graph dump"):
             graph_from_dict(data)
+
+    def test_loaded_edges_carry_the_dump_project(self):
+        graph = build(corpus.records_of(corpus.DEMO_CORPUS))  # four projects
+        _, reloaded = graph_from_dict(graph_to_dict(graph, "demo"))
+        assert {edge.project for edge in reloaded.edges()} == {"demo"}
+        assert {edge.project for edge in graph.edges()} == {
+            "mpandroidchart", "elasticsearch", "spring-framework", "okhttp"
+        }
+
+
+class TestRecordAsEdge:
+    def test_build_keeps_the_records_themselves(self):
+        records = corpus.records_of(corpus.CHART_AXIS_RECORDS)
+        edges = build(records).edges()
+        assert all(any(edge is record for record in records) for edge in edges)
+
+    def test_equality_and_hash_ignore_project(self):
+        record = corpus.records_of(corpus.CHART_AXIS_RECORDS)[0]
+        moved = replace(record, project="elsewhere")
+        assert moved == record and hash(moved) == hash(record)
+        assert replace(record, commit="abcdef0") != record

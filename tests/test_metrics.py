@@ -12,7 +12,7 @@ from scipy import stats as scipy_stats
 
 import corpus
 from oracles import spearman_rho_oracle
-from refgraph.graph import Edge, Subgraph, build, partition
+from refgraph.graph import Subgraph, build, partition
 from refgraph.ingest import parse_signature
 from refgraph.metrics import (
     Authorship,
