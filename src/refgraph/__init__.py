@@ -40,8 +40,6 @@ from .ingest import (
     parse_signature,
 )
 from .metrics import (
-    Authorship,
-    Composition,
     CorrelationError,
     MetricsError,
     SpearmanResult,
@@ -56,11 +54,9 @@ from .report import emit_dot, emit_json_summary, emit_tables
 __version__ = "0.1.0"
 
 __all__ = [
-    "Authorship",
     "CommitLog",
     "CommitLogError",
     "CommitMeta",
-    "Composition",
     "CorrelationError",
     "FilterConfig",
     "MethodRef",

@@ -417,15 +417,12 @@ def cmd_stats(args) -> int:
         raise CliError("stats requires --records or --graph", code=2)
 
     splits = []
-    metrics = []
-    projects = []
+    groups = {}
     for _, split, kept in _split_projects(graphs, min_commits):
         splits.append(split)
-        for subgraph in kept:
-            metrics.append(measure(subgraph))
-            projects.append(split[0])
+        groups[split[0]] = [measure(subgraph) for subgraph in kept]
 
-    summary = aggregate(metrics, projects, splits, _project_ages(args))
+    summary = aggregate(groups, splits, _project_ages(args))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ from .ingest import (
     format_timestamp,
     parse_edge_fields,
     parse_signature,
+    require_strings,
 )
 
 GRAPH_DUMP_VERSION = "1"
@@ -193,8 +194,7 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     project = data["project"]
     graph = RefactoringGraph()
     try:
-        if not isinstance(project, str):
-            raise ValueError("field 'project' is not a string")
+        require_strings(data, ("project",))
         declared = {parse_signature(v).canonical for v in data["vertices"]}
         for entry in data["edges"]:
             if not isinstance(entry, dict):
@@ -214,10 +214,12 @@ def load_graph(path) -> tuple[str, RefactoringGraph]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
+        return graph_from_dict(data)
+    except GraphDumpError as exc:  # before ValueError, its base class
+        raise GraphDumpError(f"{exc} in {path}") from None
     except UnicodeDecodeError as exc:
         raise GraphDumpError(f"invalid UTF-8 in graph dump {path}: {exc.reason}") from None
     except RecursionError:
         raise GraphDumpError(f"invalid JSON in graph dump {path}: nested too deeply") from None
     except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise GraphDumpError(f"invalid JSON in graph dump {path}: {exc}") from None
-    return graph_from_dict(data)

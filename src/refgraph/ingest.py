@@ -31,6 +31,7 @@ REASON_SELF_LOOP = "self-loop"
 FILTER_REASONS = (REASON_PACKAGE_KEYWORD, REASON_CONSTRUCTOR, REASON_SELF_LOOP)
 
 _COMMIT_RE = re.compile(r"^[0-9a-f]{7,40}$")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 _PARAM_SEPARATOR_RE = re.compile(r"\s*([,<>\[\]])\s*|([()])")
 _TIMESTAMP_RE = re.compile(
     r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.\d+)?"
@@ -204,10 +205,14 @@ def normalize_commit(value: str) -> str:
     return commit
 
 
-def _require_strings(fields: dict, keys: Iterable[str]) -> None:
+def require_strings(fields: dict, keys: Iterable[str]) -> None:
+    """Check that each of ``keys`` holds a string UTF-8 can encode."""
     for key in keys:
-        if not isinstance(fields.get(key), str):
+        value = fields.get(key)
+        if not isinstance(value, str):
             raise ValueError(f"field {key!r} is not a string")
+        if not value.isascii() and _SURROGATE_RE.search(value):
+            raise ValueError(f"field {key!r} is not valid UTF-8")
 
 
 def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, datetime, str]:
@@ -225,7 +230,7 @@ def parse_edge_fields(fields: dict) -> tuple[MethodRef, MethodRef, RefactoringTy
 
     Raises ValueError naming the first bad field; other keys are ignored.
     """
-    _require_strings(fields, EDGE_KEYS)
+    require_strings(fields, EDGE_KEYS)
     return (
         parse_signature(fields["source"]),
         parse_signature(fields["target"]),
@@ -255,6 +260,8 @@ def parse_signature(raw: str) -> MethodRef:
 
 @functools.cache
 def _parse_signature(raw: str) -> MethodRef:
+    if not raw.isascii() and _SURROGATE_RE.search(raw):
+        raise SignatureError(f"invalid UTF-8 in signature: {raw!r}")
     text = raw.strip()
     if text.count("#") != 1:
         raise SignatureError(f"expected exactly one '#' in signature: {raw!r}")
@@ -335,11 +342,8 @@ def parse_record_line(line: str) -> RefactoringRecord:
     with ``errors="surrogateescape"`` leaves them) is rejected as invalid
     UTF-8.
     """
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(f"invalid UTF-8 at column {exc.start + 1}") from None
+    if not line.isascii() and (bad := _SURROGATE_RE.search(line)):
+        raise ValueError(f"invalid UTF-8 at column {bad.start() + 1}")
     try:
         data = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -355,7 +359,7 @@ def parse_record_line(line: str) -> RefactoringRecord:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
     if extra:
         raise ValueError(f"unexpected keys: {', '.join(sorted(extra))}")
-    _require_strings(data, ("project", "author_name"))
+    require_strings(data, ("project", "author_name"))
     project = data["project"].strip()
     if not project:
         raise ValueError("empty project name")

@@ -1,7 +1,7 @@
 """Per-subgraph measurements and corpus-level aggregation.
 
 Each subgraph is characterized by size (vertices/edges), distinct commits,
-age in fractional days, refactoring-type composition, and developer count.
+age in fractional days, counts per refactoring type, and developer count.
 Corpus aggregation produces the summary document: histograms, per-project
 tables, and Spearman rank correlations with an approximate two-tailed
 p-value.
@@ -14,7 +14,6 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Subgraph
@@ -33,28 +32,17 @@ class CorrelationError(ValueError):
     """Correlation is undefined for the given series."""
 
 
-class Composition(Enum):
-    HOMOGENEOUS = "homogeneous"
-    HETEROGENEOUS = "heterogeneous"
-
-
-class Authorship(Enum):
-    SINGLE = "single"
-    MULTIPLE = "multiple"
-
-
 @dataclass(frozen=True)
 class SubgraphMetrics:
+    """Measured values only: :func:`aggregate` derives composition and authorship."""
+
     subgraph_id: str
     n_vertices: int
     n_edges: int
     n_commits: int
     age_days: float
     type_counts: Mapping[str, int]
-    n_distinct_types: int
-    composition: Composition
     n_developers: int
-    authorship: Authorship
 
 
 @dataclass(frozen=True)
@@ -98,8 +86,6 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
         types[edge.rtype.value] += 1
         timestamps.append(edge.timestamp)
     age_days = (max(timestamps) - min(timestamps)).total_seconds() / SECONDS_PER_DAY
-    n_distinct_types = len(types)
-    n_developers = len(emails)
     return SubgraphMetrics(
         subgraph_id=subgraph.id,
         n_vertices=subgraph.n_vertices,
@@ -107,10 +93,7 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
         n_commits=len(commits),
         age_days=age_days,
         type_counts=dict(sorted(types.items())),
-        n_distinct_types=n_distinct_types,
-        composition=Composition.HOMOGENEOUS if n_distinct_types == 1 else Composition.HETEROGENEOUS,
-        n_developers=n_developers,
-        authorship=Authorship.SINGLE if n_developers == 1 else Authorship.MULTIPLE,
+        n_developers=len(emails),
     )
 
 
@@ -168,46 +151,32 @@ def quartiles(values: Sequence[float]) -> tuple[float, float]:
     return median(lower), median(upper)
 
 
-
-
 def correlate_corpus(
-    metrics: Sequence[SubgraphMetrics],
-    projects: Sequence[str],
+    groups: Mapping[str, Sequence[SubgraphMetrics]],
     project_ages: Mapping[str, float] | None = None,
 ) -> tuple[dict, dict]:
-    """Run the two corpus-level correlation studies.
+    """Run the two corpus-level correlation studies over each project's metrics.
 
     The first relates developer count to commit count across subgraphs; the
     second relates each project's age to the median age of its subgraphs.
     Each study is one row ``{study, status, n, rho, p_approx}``; degenerate
     inputs yield a status naming the reason and no numbers.
     """
-    if len(metrics) != len(projects):
-        raise ValueError("metrics and projects must be parallel sequences")
-
+    metrics = [m for group in groups.values() for m in group]
     dev_commit = _attempt(
         STUDY_DEVELOPERS_VS_COMMITS,
         [float(m.n_commits) for m in metrics],
         [float(m.n_developers) for m in metrics],
-        minimum=3,
         too_few="fewer than 3 subgraphs",
     )
 
     if project_ages is None:
         project_age = _study(STUDY_PROJECT_AGE, "no project ages provided")
     else:
-        ages_by_project: dict[str, list[float]] = {}
-        for project, metric in zip(projects, metrics):
-            ages_by_project.setdefault(project, []).append(metric.age_days)
-        xs = []
-        ys = []
-        for project, ages in ages_by_project.items():
-            if project in project_ages:
-                xs.append(float(project_ages[project]))
-                ys.append(median(ages))
-        project_age = _attempt(
-            STUDY_PROJECT_AGE, xs, ys, minimum=3, too_few="fewer than 3 projects"
-        )
+        aged = [(project, group) for project, group in groups.items() if group and project in project_ages]
+        xs = [float(project_ages[project]) for project, _ in aged]
+        ys = [median([m.age_days for m in group]) for _, group in aged]
+        project_age = _attempt(STUDY_PROJECT_AGE, xs, ys, too_few="fewer than 3 projects")
     return dev_commit, project_age
 
 
@@ -216,8 +185,8 @@ def _study(study: str, status: str, result: SpearmanResult | None = None) -> dic
     return {"study": study, "status": status, "n": n, "rho": rho, "p_approx": p_approx}
 
 
-def _attempt(study: str, xs: list[float], ys: list[float], minimum: int, too_few: str) -> dict:
-    if len(xs) < minimum:
+def _attempt(study: str, xs: list[float], ys: list[float], too_few: str) -> dict:
+    if len(xs) < 3:
         return _study(study, too_few)
     try:
         return _study(study, "ok", spearman(xs, ys))
@@ -226,25 +195,22 @@ def _attempt(study: str, xs: list[float], ys: list[float], minimum: int, too_few
 
 
 def aggregate(
-    metrics: Sequence[SubgraphMetrics],
-    projects: Sequence[str],
+    groups: Mapping[str, Sequence[SubgraphMetrics]],
     splits: Iterable[tuple[str, int, int]],
     project_ages: Mapping[str, float] | None = None,
 ) -> dict:
     """The summary document: corpus-level tables from per-subgraph metrics.
 
-    ``projects`` is parallel to ``metrics``; ``splits`` holds each project's
-    ``(project, subgraphs, single_commit)`` counts before thresholding.
-    Project ordering in every table follows first appearance in ``projects``;
-    type rows are sorted by descending count, then name.  The document is
-    plain dicts, lists and scalars, in the key order ``summary.json`` keeps.
+    ``groups`` maps each project to its metrics, in table order; a project
+    with none is left out of every table but ``subgraph_summary``, which
+    ``splits`` fills with each ``(project, subgraphs, single_commit)`` count
+    before thresholding.  Type rows are sorted by descending count, then
+    name.  A subgraph is homogeneous with one refactoring type, and
+    single-developer with one developer.  The document is plain dicts,
+    lists and scalars, in the key order ``summary.json`` keeps.
     """
-    if len(metrics) != len(projects):
-        raise ValueError("metrics and projects must be parallel sequences")
-
-    groups: dict[str, list[SubgraphMetrics]] = {}
-    for project, metric in zip(projects, metrics):
-        groups.setdefault(project, []).append(metric)
+    groups = {project: group for project, group in groups.items() if group}
+    metrics = [m for group in groups.values() for m in group]
 
     type_totals: Counter[str] = Counter()
     for metric in metrics:
@@ -258,8 +224,8 @@ def aggregate(
     age_summary = []
     for project, group in [*groups.items(), ("All", metrics)]:
         n = len(group)
-        homogeneous = sum(1 for m in group if m.composition is Composition.HOMOGENEOUS)
-        single = sum(1 for m in group if m.authorship is Authorship.SINGLE)
+        homogeneous = sum(1 for m in group if len(m.type_counts) == 1)
+        single = sum(1 for m in group if m.n_developers == 1)
         composition.append({"project": project, **_shares(n, homogeneous=homogeneous, heterogeneous=n - homogeneous)})
         authorship.append({"project": project, **_shares(n, single=single, multiple=n - single)})
         age_summary.append(_age_row(project, group))
@@ -277,7 +243,7 @@ def aggregate(
         "histograms": {  # keyed in name order
             "commits": _histogram(m.n_commits for m in metrics),
             "distinct_types_heterogeneous": _histogram(
-                m.n_distinct_types for m in metrics if m.composition is Composition.HETEROGENEOUS
+                len(m.type_counts) for m in metrics if len(m.type_counts) > 1
             ),
             "edges": _histogram(m.n_edges for m in metrics),
             "vertices": _histogram(m.n_vertices for m in metrics),
@@ -289,7 +255,7 @@ def aggregate(
         "composition": _with_all_row(composition),
         "authorship": _with_all_row(authorship),
         "age_summary": _with_all_row(age_summary),
-        "correlations": list(correlate_corpus(metrics, projects, project_ages)),
+        "correlations": list(correlate_corpus(groups, project_ages)),
     }
 
 

@@ -20,7 +20,7 @@ from dot_grammar import parse_dot
 from oracles import bfs_components, spearman_rho_oracle
 from refgraph.cli import main
 from refgraph.graph import Subgraph, build, filter_multi_commit, partition
-from refgraph.metrics import Authorship, Composition, measure, spearman
+from refgraph.metrics import measure, spearman
 from refgraph.report import emit_dot
 
 
@@ -49,8 +49,8 @@ def test_criterion_1_fixture_shapes_exact():
 
         chart = measure(corpus.subgraph_of(corpus.CHART_AXIS_RECORDS))
         assert (chart.n_vertices, chart.n_edges, chart.n_commits) == (5, 4, 3)
-        assert chart.n_distinct_types == 3
-        assert chart.authorship is Authorship.SINGLE
+        assert len(chart.type_counts) == 3
+        assert chart.n_developers == 1
         assert chart.age_days == 15.0
 
         selector = measure(corpus.subgraph_of(corpus.SELECTOR_DEDUPE_RECORDS))
@@ -61,10 +61,10 @@ def test_criterion_1_fixture_shapes_exact():
         revert = measure(corpus.subgraph_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         assert (revert.n_vertices, revert.n_edges) == (2, 2)
         assert revert.age_days == 6.0
-        assert revert.composition is Composition.HOMOGENEOUS
+        assert len(revert.type_counts) == 1
 
         extracts = measure(corpus.subgraph_of(corpus.IMAGE_FETCH_EXTRACT_RECORDS))
-        assert extracts.composition is Composition.HOMOGENEOUS
+        assert len(extracts.type_counts) == 1
         assert extracts.type_counts == {"extract": extracts.n_edges}
         assert extracts.n_commits == 3
 

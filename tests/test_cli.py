@@ -263,6 +263,27 @@ class TestStats:
         assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump")
 
+    def test_corrupt_dump_error_names_its_file(self, tmp_path, capsys):
+        golden = TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json"
+        dump = _read_json(golden)
+        dump["edges"][0]["type"] = "bogus"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dump), encoding="utf-8")
+        assert main(["stats", "--graph", str(golden), str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("refgraph: error: corrupt graph dump: unknown refactoring type: 'bogus'")
+        assert str(bad) in err and str(golden) not in err
+
+    def test_projects_with_no_kept_subgraph(self, demo_records_path, tmp_path):
+        out = tmp_path / "stats"
+        assert main(["stats", "--records", str(demo_records_path), "--out", str(out), "--min-commits", "3"]) == 0
+        doc = _read_json(out / "summary.json")
+        assert doc["projects"] == ["mpandroidchart", "okhttp"]
+        for table in ("composition", "authorship", "age_summary"):
+            assert [row["project"] for row in doc[table]["per_project"]] == doc["projects"]
+        summary_projects = [row["project"] for row in doc["subgraph_summary"]["per_project"]]
+        assert summary_projects == ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]
+
     def test_threshold_one_populates_both_split_columns(self, tmp_path):
         records = tmp_path / "all.jsonl"
         records.write_text(
@@ -524,6 +545,47 @@ class TestUnreadableInputs:
         capsys.readouterr()
         assert main(["export", "--graph", str(build_out), "--all", "--out", str(tmp_path / "dot")]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=dump))
+
+    # json.dumps writes a lone surrogate as an escape such as \udc80, valid JSON
+    # that decodes to a string UTF-8 cannot encode.
+    @pytest.mark.parametrize("field, value", [
+        ("project", "p\udc80"),
+        ("source", "com.github.mikephil.charting.charts.Chart#draw\udc80()"),
+    ], ids=["project", "signature"])
+    def test_lone_surrogate_in_a_record(self, tmp_path, capsys, field, value):
+        dicts = corpus.DEMO_CORPUS[:2] + [dict(corpus.DEMO_CORPUS[2], **{field: value})] + corpus.DEMO_CORPUS[3:]
+        records = tmp_path / "records.jsonl"
+        records.write_text(corpus.to_jsonl(dicts), encoding="ascii")
+        assert main(["build", "--records", str(records), "--out", str(tmp_path / "build")]) == 0
+        assert _read_json(tmp_path / "build" / "run_log.json")["inputs"][0]["skipped"] == 1
+        assert main(["stats", "--records", str(records), "--out", str(tmp_path / "stats")]) == 0
+        assert main(["export", "--graph", str(tmp_path / "build"), "--all", "--out", str(tmp_path / "dot")]) == 0
+        capsys.readouterr()
+        assert main(["build", "--records", str(records), "--out", str(tmp_path / "strict"), "--strict"]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: line 3: field {field!r} is not valid UTF-8\n"
+
+    @pytest.mark.parametrize("where, problem", [
+        ("vertex", "invalid UTF-8 in signature"),
+        ("edge", "field 'target' is not valid UTF-8"),
+        ("project", "field 'project' is not valid UTF-8"),
+    ], ids=["vertex", "edge", "project"])
+    def test_lone_surrogate_in_a_dump(self, tmp_path, capsys, where, problem):
+        dump = _read_json(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
+        if where == "vertex":
+            dump["vertices"][0] += "\udc80"
+        elif where == "edge":
+            dump["edges"][0]["target"] += "\udc80"
+        else:
+            dump["project"] += "\udc80"
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(dump), encoding="ascii")
+        for command in (["stats"], ["export", "--all"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"refgraph: error: corrupt graph dump: {problem}")
+            assert str(path) in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("content, problem", [
         (DEEP_JSON.encode("ascii"), "invalid project ages file {path}: nested too deeply"),

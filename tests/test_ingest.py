@@ -132,6 +132,8 @@ class TestParseSignature:
             "a.B#m(int))",
             "a.B#m(List<String)",
             "a.B#m(int,)",
+            "a.B#m(\udc80)",  # a lone surrogate: UTF-8 cannot encode it
+            "a.\ud800B#m()",
         ],
     )
     def test_malformed_signatures(self, bad):

@@ -15,8 +15,6 @@ from oracles import spearman_rho_oracle
 from refgraph.graph import Subgraph, build, partition
 from refgraph.ingest import parse_signature
 from refgraph.metrics import (
-    Authorship,
-    Composition,
     CorrelationError,
     MetricsError,
     SubgraphMetrics,
@@ -48,20 +46,20 @@ class TestMeasure:
         assert metrics.n_edges == edges
         assert metrics.n_commits == commits
         assert metrics.age_days == age
-        assert metrics.n_distinct_types == types
+        assert len(metrics.type_counts) == types
         assert metrics.n_developers == devs
 
     def test_composition_and_authorship_flags(self):
         chart = measure(corpus.subgraph_of(corpus.CHART_AXIS_RECORDS))
-        assert chart.composition is Composition.HETEROGENEOUS
-        assert chart.authorship is Authorship.SINGLE
+        assert len(chart.type_counts) > 1
+        assert chart.n_developers == 1
         revert = measure(corpus.subgraph_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
-        assert revert.composition is Composition.HOMOGENEOUS
-        assert revert.authorship is Authorship.SINGLE
+        assert len(revert.type_counts) == 1
+        assert revert.n_developers == 1
         image = measure(corpus.subgraph_of(corpus.IMAGE_FETCH_EXTRACT_RECORDS))
-        assert image.composition is Composition.HOMOGENEOUS
+        assert len(image.type_counts) == 1
         assert image.n_commits == 3
-        assert image.authorship is Authorship.MULTIPLE
+        assert image.n_developers > 1
 
     def test_type_counts_sum_to_edges(self):
         metrics = measure(corpus.subgraph_of(corpus.TIMEOUT_SETTER_CLEANUP_RECORDS))
@@ -195,24 +193,30 @@ def test_spearman_symmetry_and_rank_invariance(pairs):
     assert -1.0 <= forward.rho <= 1.0
 
 
-def _story_metrics_with_projects():
-    metrics = []
-    projects = []
+def _story_metrics_by_project():
+    groups = {}
     for dicts in (
         corpus.CHART_AXIS_RECORDS,
         corpus.SELECTOR_DEDUPE_RECORDS,
         corpus.BUILDER_RENAME_REVERT_RECORDS,
         corpus.TIMEOUT_SETTER_CLEANUP_RECORDS,
     ):
-        metrics.append(measure(corpus.subgraph_of(dicts)))
-        projects.append(dicts[0]["project"])
-    return metrics, projects
+        groups.setdefault(dicts[0]["project"], []).append(measure(corpus.subgraph_of(dicts)))
+    return groups
+
+
+def _grouped(metrics, projects):
+    """Each project's metrics, projects in first-seen order."""
+    groups = {}
+    for project, metric in zip(projects, metrics):
+        groups.setdefault(project, []).append(metric)
+    return groups
 
 
 class TestAggregate:
     def test_fixture_composition_and_authorship(self):
-        metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects, [])
+        groups = _story_metrics_by_project()
+        stats = aggregate(groups, [])
         assert stats["composition"]["all"]["homogeneous"] == 1
         assert stats["composition"]["all"]["heterogeneous"] == 3
         assert stats["composition"]["all"]["homogeneous_pct"] == 25.0
@@ -221,8 +225,8 @@ class TestAggregate:
         assert stats["authorship"]["all"]["multiple"] == 2
 
     def test_fixture_type_frequency(self):
-        metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects, [])
+        groups = _story_metrics_by_project()
+        stats = aggregate(groups, [])
         by_type = {row["type"]: row["count"] for row in stats["type_frequency"]}
         assert by_type == {"extract": 7, "rename": 6, "move": 3, "extract_and_move": 2}
         assert stats["n_edges"] == 18
@@ -230,22 +234,22 @@ class TestAggregate:
         assert counts == sorted(counts, reverse=True)
 
     def test_fixture_histograms(self):
-        metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects, [])
+        groups = _story_metrics_by_project()
+        stats = aggregate(groups, [])
         assert dict(stats["histograms"]["vertices"]) == {2: 1, 5: 1, 6: 1, 8: 1}
         assert dict(stats["histograms"]["edges"]) == {2: 1, 4: 1, 5: 1, 7: 1}
         assert dict(stats["histograms"]["commits"]) == {2: 2, 3: 2}
         assert dict(stats["histograms"]["distinct_types_heterogeneous"]) == {2: 1, 3: 2}
 
     def test_project_order_is_first_seen(self):
-        metrics, projects = _story_metrics_with_projects()
-        stats = aggregate(metrics, projects, [])
+        groups = _story_metrics_by_project()
+        stats = aggregate(groups, [])
         assert stats["projects"] == ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]
         assert [row["project"] for row in stats["composition"]["per_project"]] == stats["projects"]
 
     def test_single_subgraph_histograms(self):
         metrics = [measure(corpus.subgraph_of(corpus.CHART_AXIS_RECORDS))]
-        stats = aggregate(metrics, ["mpandroidchart"], [])
+        stats = aggregate({"mpandroidchart": metrics}, [])
         for series in stats["histograms"].values():
             assert sum(dict(series).values()) in (0, 1)
         assert sum(dict(stats["histograms"]["vertices"]).values()) == 1
@@ -254,11 +258,11 @@ class TestAggregate:
         rng = random.Random(99)
         metrics = [_random_metrics(rng, i) for i in range(1000)]
         projects = [f"proj{rng.randrange(10)}" for _ in metrics]
-        stats = aggregate(metrics, projects, [])
+        stats = aggregate(_grouped(metrics, projects), [])
         assert stats["n_subgraphs"] == 1000
         for name in ("vertices", "edges", "commits"):
             assert sum(dict(stats["histograms"][name]).values()) == 1000
-        heterogeneous = sum(1 for m in metrics if m.composition is Composition.HETEROGENEOUS)
+        heterogeneous = sum(1 for m in metrics if len(m.type_counts) > 1)
         assert sum(dict(stats["histograms"]["distinct_types_heterogeneous"]).values()) == heterogeneous
         assert stats["composition"]["all"]["homogeneous"] + stats["composition"]["all"]["heterogeneous"] == 1000
         assert stats["authorship"]["all"]["single"] + stats["authorship"]["all"]["multiple"] == 1000
@@ -267,15 +271,24 @@ class TestAggregate:
         rng = random.Random(123)
         metrics = [_random_metrics(rng, i) for i in range(137)]
         projects = [f"proj{rng.randrange(4)}" for _ in metrics]
-        stats = aggregate(metrics, projects, [])
+        stats = aggregate(_grouped(metrics, projects), [])
         for row in stats["composition"]["per_project"] + [stats["composition"]["all"]]:
             assert abs(row["homogeneous_pct"] + row["heterogeneous_pct"] - 100.0) <= 0.1
         for row in stats["authorship"]["per_project"] + [stats["authorship"]["all"]]:
             assert abs(row["single_pct"] + row["multiple_pct"] - 100.0) <= 0.1
         assert abs(sum(r["pct"] for r in stats["type_frequency"]) - 100.0) <= 0.5
 
+    def test_project_without_metrics_is_left_out(self):
+        groups = {"empty": [], **_story_metrics_by_project()}
+        stats = aggregate(groups, [("empty", 3, 3)])
+        assert stats["projects"] == ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]
+        for table in ("composition", "authorship", "age_summary"):
+            assert [row["project"] for row in stats[table]["per_project"]] == stats["projects"]
+        assert [row["project"] for row in stats["subgraph_summary"]["per_project"]] == ["empty"]
+        assert stats["n_subgraphs"] == 4
+
     def test_empty_corpus(self):
-        stats = aggregate([], [], [])
+        stats = aggregate({}, [])
         assert stats["n_subgraphs"] == 0
         assert stats["projects"] == []
         assert stats["composition"]["all"]["homogeneous"] == 0
@@ -299,10 +312,7 @@ def _random_metrics(rng: random.Random, index: int) -> SubgraphMetrics:
         n_commits=rng.randint(1, 9),
         age_days=rng.random() * 900.0,
         type_counts=counts,
-        n_distinct_types=len(types),
-        composition=Composition.HOMOGENEOUS if len(types) == 1 else Composition.HETEROGENEOUS,
         n_developers=n_devs,
-        authorship=Authorship.SINGLE if n_devs == 1 else Authorship.MULTIPLE,
     )
 
 
@@ -310,10 +320,10 @@ class TestCorrelateCorpus:
     def test_identical_developer_counts_is_degenerate(self):
         rng = random.Random(55)
         metrics = [
-            replace(_random_metrics(rng, i), n_developers=2, authorship=Authorship.MULTIPLE)
+            replace(_random_metrics(rng, i), n_developers=2)
             for i in range(10)
         ]
-        dev_commit, _ = correlate_corpus(metrics, ["p"] * 10)
+        dev_commit, _ = correlate_corpus({"p": metrics})
         assert dev_commit["status"] != "ok"
         assert "constant series" in dev_commit["status"]
         assert dev_commit["rho"] is None
@@ -325,7 +335,7 @@ class TestCorrelateCorpus:
             commits = i // 4 + 1
             devs = commits + rng.randint(0, 2)  # noisy increasing function
             metrics.append(replace(_random_metrics(rng, i), n_commits=commits, n_developers=devs))
-        dev_commit, _ = correlate_corpus(metrics, ["p"] * 60)
+        dev_commit, _ = correlate_corpus({"p": metrics})
         assert dev_commit["status"] == "ok"
         assert dev_commit["rho"] > 0
         expected = spearman_rho_oracle(
@@ -344,7 +354,7 @@ class TestCorrelateCorpus:
             for i in range(rng.randint(2, 6)):
                 metrics.append(_random_metrics(rng, p * 100 + i))
                 projects.append(name)
-        _, project_age = correlate_corpus(metrics, projects, ages)
+        _, project_age = correlate_corpus(_grouped(metrics, projects), ages)
         assert project_age["status"] == "ok"
         assert project_age["n"] == 10
         medians = {}
@@ -355,19 +365,19 @@ class TestCorrelateCorpus:
         assert project_age["rho"] == pytest.approx(spearman_rho_oracle(xs, ys), abs=1e-9)
 
     def test_missing_age_map(self):
-        metrics, projects = _story_metrics_with_projects()
-        _, project_age = correlate_corpus(metrics, projects)
+        groups = _story_metrics_by_project()
+        _, project_age = correlate_corpus(groups)
         assert project_age["status"] == "no project ages provided"
         assert project_age["rho"] is None
 
     def test_fewer_than_three_projects(self):
-        metrics, projects = _story_metrics_with_projects()
-        _, project_age = correlate_corpus(metrics, projects, {"mpandroidchart": 6.0, "okhttp": 7.0})
+        groups = _story_metrics_by_project()
+        _, project_age = correlate_corpus(groups, {"mpandroidchart": 6.0, "okhttp": 7.0})
         assert project_age["status"] == "fewer than 3 projects"
 
     def test_demo_corpus_studies(self):
-        metrics, projects = _story_metrics_with_projects()
-        dev_commit, project_age = correlate_corpus(metrics, projects, corpus.DEMO_PROJECT_AGES)
+        groups = _story_metrics_by_project()
+        dev_commit, project_age = correlate_corpus(groups, corpus.DEMO_PROJECT_AGES)
         # commits (3,2,2,3) vs developers (1,2,1,2) have orthogonal ranks.
         assert dev_commit["status"] == "ok"
         assert dev_commit["rho"] == pytest.approx(0.0, abs=1e-12)

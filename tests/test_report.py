@@ -17,8 +17,7 @@ def _read_csv(path):
 
 
 def _demo_summary() -> dict:
-    metrics = []
-    projects = []
+    groups = {}
     splits = []
     for dicts in (
         corpus.CHART_AXIS_RECORDS,
@@ -31,10 +30,8 @@ def _demo_summary() -> dict:
         single = sum(1 for s in subgraphs if s.commit_count() == 1)
         splits.append((project, len(subgraphs), single))
         kept, _ = filter_multi_commit(subgraphs)
-        for subgraph in kept:
-            metrics.append(measure(subgraph))
-            projects.append(project)
-    return aggregate(metrics, projects, splits, corpus.DEMO_PROJECT_AGES)
+        groups[project] = [measure(subgraph) for subgraph in kept]
+    return aggregate(groups, splits, corpus.DEMO_PROJECT_AGES)
 
 
 class TestTables:
@@ -86,7 +83,7 @@ class TestTables:
         assert by_study["project_age_vs_median_subgraph_age"][3] == "-0.400"
 
     def test_empty_corpus_tables(self, tmp_path):
-        emit_tables(aggregate([], [], []), tmp_path)
+        emit_tables(aggregate({}, []), tmp_path)
         summary = _read_csv(tmp_path / "subgraph_summary.csv")
         assert summary == [
             ["project", "total", "single_commit", "single_commit_pct", "multi_commit", "multi_commit_pct"],
@@ -108,7 +105,7 @@ class TestTables:
         subgraphs = partition(build(records))
         split = ("proj", len(subgraphs), sum(1 for s in subgraphs if s.commit_count() == 1))
         kept, _ = filter_multi_commit(subgraphs)
-        emit_tables(aggregate([measure(s) for s in kept], ["proj"] * len(kept), [split]), tmp_path)
+        emit_tables(aggregate({"proj": [measure(s) for s in kept]}, [split]), tmp_path)
         rows = _read_csv(tmp_path / "subgraph_summary.csv")
         assert rows[-1][1] == str(total)
         assert rows[-1][2] == str(singles)
@@ -131,7 +128,7 @@ class TestJsonSummary:
         assert doc["authorship"]["all"]["multiple"] == 2
 
     def test_empty_corpus_document(self):
-        doc = json.loads(emit_json_summary(aggregate([], [], [])))
+        doc = json.loads(emit_json_summary(aggregate({}, [])))
         assert doc["n_subgraphs"] == 0
         assert doc["projects"] == []
         assert doc["type_frequency"] == []
