@@ -438,9 +438,8 @@ def _select_subgraphs(
     matched = []
     for project, subgraphs in by_project.items():
         for subgraph in subgraphs:
-            if select_all or subgraph.id == selector or any(
-                selector in v.canonical for v in subgraph.vertices
-            ):
+            # a subgraph id is a vertex label, so the id selector is a substring match too
+            if select_all or any(selector in v.canonical for v in subgraph.vertices):
                 matched.append((project, subgraph))
     return matched
 
@@ -449,13 +448,21 @@ def cmd_export(args) -> int:
     if bool(args.selector) == bool(args.all):
         raise CliError("pass exactly one of a selector or --all", code=2)
     graphs = _load_graphs(args.graph)
+    if args.selector:
+        # A subgraph id is one of its vertex labels, so only a graph with a
+        # vertex holding the selector can match: the others are not split.
+        graphs = {
+            project: graph for project, graph in graphs.items()
+            if any(args.selector in v.canonical for v in graph.vertices())
+        }
     by_project = {project: partition(graph) for project, graph in graphs.items()}
     matched = _select_subgraphs(by_project, args.selector, args.all)
-    if not matched:
+    if not matched and args.selector:
         raise CliError(f"selector matched no subgraph: {args.selector!r}", code=2)
 
     dirs = _project_dirs(project for project, _ in matched)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # even for --all on an empty build
     for project, subgraph in matched:
         target_dir = out_dir / dirs[project]
         target_dir.mkdir(parents=True, exist_ok=True)

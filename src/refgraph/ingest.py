@@ -197,12 +197,26 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+@functools.cache
 def normalize_commit(value: str) -> str:
-    """Lowercase a commit hash and check it is 7-40 hex characters."""
+    """Lowercase a commit hash and check it is 7-40 hex characters.
+
+    Memoized per string for the life of the process (errors are not), and
+    every spelling of one commit gives one shared string; a hash that is
+    already normalized is that string itself, not a copy.
+    """
     commit = value.strip().lower()
     if not _COMMIT_RE.match(commit):
         raise ValueError(f"invalid commit hash: {value!r}")
-    return commit
+    return _shared(value if commit == value else commit)
+
+
+@functools.cache
+def _shared(value: str) -> str:
+    """The first string seen equal to ``value``: one object per distinct
+    commit, author email, project name or package, however many records
+    name it."""
+    return value
 
 
 def require_strings(fields: dict, keys: Iterable[str]) -> None:
@@ -221,7 +235,7 @@ def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, dateti
     author_email = email.strip()
     if not author_email:
         raise ValueError("empty author_email")
-    return normalize_commit(commit), parse_timestamp(timestamp), author_email
+    return normalize_commit(commit), parse_timestamp(timestamp), _shared(author_email)
 
 
 def parse_edge_fields(fields: dict) -> tuple[MethodRef, MethodRef, RefactoringType, str, datetime, str]:
@@ -252,6 +266,8 @@ def parse_signature(raw: str) -> MethodRef:
 
     Results are memoized per string for the life of the process (errors
     are not): every record naming one signature shares one :class:`MethodRef`.
+    When ``raw`` is already canonical, the ref's ``canonical`` is ``raw``
+    itself, and its ``package`` is shared with every ref in that package.
     """
     if not isinstance(raw, str):
         raise SignatureError(f"signature is not a string: {raw!r}")
@@ -283,7 +299,10 @@ def _parse_signature(raw: str) -> MethodRef:
     package, class_path = _split_class_path(prefix)
     if not class_path:
         raise SignatureError(f"missing class name in signature: {raw!r}")
-    return MethodRef(package, class_path, method, params)
+    ref = MethodRef(_shared(package), class_path, method, params)
+    if ref.canonical == raw:  # keep one string, the memo key, not an equal copy
+        object.__setattr__(ref, "canonical", raw)
+    return ref
 
 
 @functools.cache
@@ -363,7 +382,18 @@ def parse_record_line(line: str) -> RefactoringRecord:
     project = data["project"].strip()
     if not project:
         raise ValueError("empty project name")
-    return RefactoringRecord(*parse_edge_fields(data), project)
+    return RefactoringRecord(*parse_edge_fields(data), _shared(project))
+
+
+# Every memo of this module; a memo holds each distinct value it has seen.
+_MEMOS = (parse_timestamp, format_timestamp, normalize_commit, _shared, _parse_signature, _split_params)
+
+
+def clear_caches() -> None:
+    """Empty every memo of the parsers, for a long-running process that
+    has finished with the values seen so far.  Outputs do not change."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:

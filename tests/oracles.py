@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: components come from
 a plain breadth-first search over an undirected adjacency map, the rank
 correlation oracle uses O(n^2) counting ranks plus a hand-written Pearson,
-and the filter oracle judges each record on its own, as the ingest filters
-once did, with no per-vertex reuse.
+the filter oracle judges each record on its own, as the ingest filters
+once did, with no per-vertex reuse, and the commit rule keeps no memo.
 """
 
 from __future__ import annotations
@@ -57,6 +57,15 @@ def pearson(xs, ys) -> float:
     var_x = math.fsum((x - mean_x) ** 2 for x in xs)
     var_y = math.fsum((y - mean_y) ** 2 for y in ys)
     return cov / math.sqrt(var_x * var_y)
+
+
+def normalize_commit(value: str) -> str:
+    """A commit hash by the ingest rule, with no memo: surrounding whitespace
+    dropped, lowercased, and 7 to 40 hex digits, or ``ValueError``."""
+    commit = value.strip().lower()
+    if not 7 <= len(commit) <= 40 or any(c not in "0123456789abcdef" for c in commit):
+        raise ValueError(f"invalid commit hash: {value!r}")
+    return commit
 
 
 def spearman_rho_oracle(xs, ys) -> float:

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
+from refgraph import cli
 from refgraph.cli import _dump_chunks, main
-from refgraph.ingest import EDGE_KEYS, _parse_signature, _split_params, format_timestamp, parse_timestamp
+from refgraph.graph import partition
+from refgraph.ingest import _MEMOS, EDGE_KEYS, clear_caches
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
 TESTS_DIR = Path(__file__).resolve().parent
@@ -414,6 +416,36 @@ class TestExport:
         code = main(["export", "--graph", str(build_out), "--out", str(tmp_path / "dot"), "nonexistent"])
         assert code == 2
 
+    def test_selector_splits_only_the_graphs_holding_it(self, tmp_path, monkeypatch):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            corpus.to_jsonl(corpus.CHART_AXIS_RECORDS + corpus.TIMEOUT_SETTER_CLEANUP_RECORDS), encoding="utf-8"
+        )
+        build_out = tmp_path / "build"
+        assert main(["build", "--records", str(records), "--out", str(build_out)]) == 0
+        assert sorted(p.name for p in build_out.iterdir() if p.is_dir()) == ["mpandroidchart", "okhttp"]
+        split = []
+        monkeypatch.setattr(cli, "partition", lambda graph: split.append(graph) or partition(graph))
+        out = tmp_path / "dot"
+        assert main(["export", "--graph", str(build_out), "--out", str(out), "drawYLabels"]) == 0
+        assert len(split) == 1
+        alone = tmp_path / "alone"
+        assert main(["export", "--graph", str(build_out / "mpandroidchart"), "--out", str(alone), "--all"]) == 0
+        assert _tree(out) == _tree(alone) and len(_tree(out)) == 1
+
+    def test_all_on_an_empty_build_writes_nothing(self, tmp_path, capsys):
+        records = tmp_path / "empty.jsonl"
+        records.write_text("", encoding="utf-8")
+        build_out = tmp_path / "build"
+        assert main(["build", "--records", str(records), "--out", str(build_out)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "dot"
+        assert main(["export", "--graph", str(build_out), "--out", str(out), "--all"]) == 0
+        assert capsys.readouterr().out.startswith("export: wrote 0 DOT file(s)")
+        assert out.is_dir() and not any(out.iterdir())
+        assert main(["export", "--graph", str(build_out), "--out", str(tmp_path / "sel"), "anything"]) == 2
+        assert "selector matched no subgraph: 'anything'" in capsys.readouterr().err
+
     def test_selector_and_all_are_exclusive(self, build_out, tmp_path):
         out = str(tmp_path / "dot")
         assert main(["export", "--graph", str(build_out), "--out", out, "--all", "x"]) == 2
@@ -473,8 +505,7 @@ def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
 
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
     # The first run starts from empty parser caches, the second reuses them.
-    for cached in (_parse_signature, _split_params, parse_timestamp, format_timestamp):
-        cached.cache_clear()
+    clear_caches()
     monkeypatch.chdir(TESTS_DIR.parent)
     for run in ("cold", "warm"):
         out = tmp_path / run
@@ -484,8 +515,8 @@ def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
         assert main(["stats", "--graph", str(out / "build"),
                      "--project-ages", "demo/project_ages.json", "--out", str(out / "stats")]) == 0
         assert main(["export", "--graph", str(out / "build"), "--all", "--out", str(out / "export")]) == 0
-    for cached in (_parse_signature, _split_params, parse_timestamp, format_timestamp):
-        assert cached.cache_info().hits, cached
+    for memo in _MEMOS:
+        assert memo.cache_info().hits, memo
     assert _tree(tmp_path / "warm") == _tree(tmp_path / "cold")
     assert _tree(tmp_path / "cold") == _tree(TESTS_DIR / "golden")
 

@@ -225,6 +225,18 @@ class TestGraphDump:
         assert project == "mpandroidchart"
         assert reloaded == graph
 
+    def test_loaded_dump_shares_each_distinct_value(self, tmp_path):
+        graph = build(corpus.random_records(random.Random(11), 200, pool_size=60, prefix="shared.pkg"))
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph_to_dict(graph, "proj"), indent=2), encoding="utf-8")
+        _, loaded = load_graph(path)
+        edges = loaded.edges()
+        for name in ("project", "commit", "author_email"):
+            values = [getattr(edge, name) for edge in edges]
+            assert len({id(value) for value in values}) == len(set(values)) < len(values), name
+        packages = [vertex.package for vertex in loaded.vertices()]
+        assert len({id(package) for package in packages}) == len(set(packages)) == 1
+
     def test_dump_edge_fields(self):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "spring-framework")

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
+from refgraph import ingest
 from refgraph.ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
     FilterConfig,
+    MethodRef,
     RecordError,
     RefactoringType,
     SignatureError,
     apply_filters,
+    clear_caches,
     format_timestamp,
     normalize_commit,
     parse_record_line,
@@ -312,6 +315,100 @@ class TestNormalizeCommit:
     def test_invalid(self, bad):
         with pytest.raises(ValueError, match="commit"):
             normalize_commit(bad)
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape("invalid commit hash: 'XYZ1234'")):
+                normalize_commit("XYZ1234")
+
+    def test_a_normalized_hash_is_returned_itself(self):
+        clear_caches()
+        raw = "".join(["abcdef", "1234"])  # built at run time, so not a shared constant
+        assert normalize_commit(raw) is raw
+        assert normalize_commit(" ABCDEF1234 ") is raw
+
+
+@given(st.one_of(st.text(alphabet="0123456789abcdefABCDEFg \t\n", max_size=44), st.text(max_size=44)))
+@example("ABCDEF1")
+@example(" abcdef1\n")
+@example("abcdef")
+def test_memoized_normalize_commit_matches_oracle(value):
+    try:
+        expected = oracles.normalize_commit(value)
+    except ValueError as exc:
+        for _ in range(2):
+            with pytest.raises(ValueError) as excinfo:
+                normalize_commit(value)
+            assert str(excinfo.value) == str(exc)
+        return
+    first = normalize_commit(value)
+    assert first == expected
+    assert normalize_commit(value) is first
+    assert normalize_commit(expected) is first  # every spelling of one hash is one string
+
+
+class TestSharedStrings:
+    """Each distinct commit, email, project and package is one object, and
+    a canonical signature is its own ref's ``canonical``."""
+
+    @staticmethod
+    def _distinct_objects(values) -> int:
+        return len({id(value) for value in values})
+
+    def test_records_share_each_distinct_value(self):
+        lines = [
+            json.dumps(
+                {
+                    "project": project,
+                    "commit": commit,
+                    "timestamp": "2019-01-01T00:00:00Z",
+                    "author_name": "Dev",
+                    "author_email": email,
+                    "type": "move",
+                    "source": f"org.app.util.Foo#m{i}()",
+                    "target": f"org.app.{package}.Bar{i}#m(int)",
+                }
+            )
+            for i, (project, commit, email, package) in enumerate(
+                zip(
+                    ["alpha", " alpha", "beta", "alpha ", "beta", "gamma"],
+                    ["ABCDEF1", "abcdef1", " abcdef1 ", "1234567", "AbCdEf1", "1234567"],
+                    ["a@x.org", "b@x.org", " a@x.org", "a@x.org", "b@x.org ", "c@x.org"],
+                    ["io", "net", "io", "io", "net", "io"],
+                )
+            )
+        ]
+        result = parse_records(lines)
+        assert not result.issues
+        records = result.records
+        for name in ("project", "commit", "author_email"):
+            values = [getattr(record, name) for record in records]
+            assert self._distinct_objects(values) == len(set(values)) < len(values), name
+        packages = [ref.package for record in records for ref in (record.source, record.target)]
+        assert self._distinct_objects(packages) == len(set(packages)) == 3
+
+    @pytest.mark.parametrize("signature", ["util.Foo#m()", "a.b.Foo.Inner#run(int, Map<K, V>[])", "Foo#m(String)"])
+    def test_canonical_string_is_the_parsed_string(self, signature):
+        clear_caches()
+        raw = "".join(signature)  # an object of its own, not the parametrize constant
+        ref = parse_signature(raw)
+        assert ref.canonical is raw
+        assert parse_signature(raw) is ref
+
+    def test_refs_built_directly_still_get_their_canonical(self):
+        ref = MethodRef("util", "Foo", "m", ("int", "String"))
+        assert ref.canonical == "util.Foo#m(int, String)"
+        assert ref == parse_signature("util.Foo#m(int,String)")
+
+
+def test_clear_caches_empties_every_memo():
+    parse_records([VALID_LINE])
+    format_timestamp(parse_timestamp("2019-01-01T00:00:00Z"))
+    memos = {value for value in vars(ingest).values() if hasattr(value, "cache_clear")}
+    assert memos == set(ingest._MEMOS)
+    assert all(memo.cache_info().currsize for memo in memos)
+    clear_caches()
+    assert not any(memo.cache_info().currsize for memo in memos)
 
 
 class TestParseRecords:
