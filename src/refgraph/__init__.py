@@ -28,7 +28,6 @@ from .history import (
 )
 from .ingest import (
     FilterConfig,
-    MethodRef,
     ParseIssue,
     ParseResult,
     RecordError,
@@ -59,7 +58,6 @@ __all__ = [
     "CommitMeta",
     "CorrelationError",
     "FilterConfig",
-    "MethodRef",
     "MetricsError",
     "ParseIssue",
     "ParseResult",

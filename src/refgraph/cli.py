@@ -439,21 +439,26 @@ def _select_subgraphs(
     for project, subgraphs in by_project.items():
         for subgraph in subgraphs:
             # a subgraph id is a vertex label, so the id selector is a substring match too
-            if select_all or any(selector in v.canonical for v in subgraph.vertices):
+            if select_all or any(selector in v for v in subgraph.vertices):
                 matched.append((project, subgraph))
     return matched
 
 
 def cmd_export(args) -> int:
     if bool(args.selector) == bool(args.all):
-        raise CliError("pass exactly one of a selector or --all", code=2)
+        message = "pass exactly one of a selector or --all"
+        if not args.all and len(args.graph) > 1 and not Path(args.graph[-1]).exists():
+            # --graph takes every word up to the next option, so a selector right after it is a path
+            message += (f"; {args.graph[-1]!r} was read as a --graph path:"
+                        " put the selector before --graph or after --out DIR")
+        raise CliError(message, code=2)
     graphs = _load_graphs(args.graph)
     if args.selector:
         # A subgraph id is one of its vertex labels, so only a graph with a
         # vertex holding the selector can match: the others are not split.
         graphs = {
             project: graph for project, graph in graphs.items()
-            if any(args.selector in v.canonical for v in graph.vertices())
+            if any(args.selector in v for v in graph.vertices())
         }
     by_project = {project: partition(graph) for project, graph in graphs.items()}
     matched = _select_subgraphs(by_project, args.selector, args.all)

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .ingest import (
     EdgeKey,
-    MethodRef,
     RefactoringRecord,
     format_timestamp,
     parse_edge_fields,
@@ -40,7 +39,7 @@ class RefactoringGraph:
     """
 
     def __init__(self) -> None:
-        self._vertices: dict[str, MethodRef] = {}
+        self._vertices: set[str] = set()
         self._edges: dict[EdgeKey, RefactoringRecord] = {}
 
     @property
@@ -51,17 +50,17 @@ class RefactoringGraph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    def vertices(self) -> list[MethodRef]:
-        """Vertices sorted by canonical signature."""
-        return [self._vertices[c] for c in sorted(self._vertices)]
+    def vertices(self) -> list[str]:
+        """Vertices (canonical signatures), sorted."""
+        return sorted(self._vertices)
 
     def edges(self) -> list[RefactoringRecord]:
         """Edges sorted by (source, target, type, commit)."""
         return [self._edges[k] for k in sorted(self._edges)]
 
     def add_edge(self, edge: RefactoringRecord) -> None:
-        self._vertices.setdefault(edge.source.canonical, edge.source)
-        self._vertices.setdefault(edge.target.canonical, edge.target)
+        self._vertices.add(edge.source)
+        self._vertices.add(edge.target)
         key = edge.key
         existing = self._edges.get(key)
         if existing is None:
@@ -74,7 +73,7 @@ class RefactoringGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RefactoringGraph):
             return NotImplemented
-        return self._vertices.keys() == other._vertices.keys() and self._edges == other._edges
+        return self._vertices == other._vertices and self._edges == other._edges
 
     def __repr__(self) -> str:
         return f"RefactoringGraph(vertices={self.n_vertices}, edges={self.n_edges})"
@@ -89,7 +88,7 @@ class Subgraph:
     """
 
     id: str
-    vertices: tuple[MethodRef, ...]
+    vertices: tuple[str, ...]
     edges: tuple[RefactoringRecord, ...]
 
     @property
@@ -139,7 +138,7 @@ def partition(graph: RefactoringGraph) -> list[Subgraph]:
     return [
         Subgraph(
             id=root,
-            vertices=tuple(graph._vertices[label] for label in sorted(labels)),
+            vertices=tuple(sorted(labels)),
             edges=tuple(graph._edges[key] for key in sorted(keys)),
         )
         for root, (labels, keys) in sorted(components.items())
@@ -160,11 +159,11 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
     return {
         "format_version": GRAPH_DUMP_VERSION,
         "project": project,
-        "vertices": [v.canonical for v in graph.vertices()],
+        "vertices": graph.vertices(),
         "edges": [
             {
-                "source": e.source.canonical,
-                "target": e.target.canonical,
+                "source": e.source,
+                "target": e.target,
                 "type": e.rtype.value,
                 "commit": e.commit,
                 "timestamp": format_timestamp(e.timestamp),
@@ -195,14 +194,14 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     graph = RefactoringGraph()
     try:
         require_strings(data, ("project",))
-        declared = {parse_signature(v).canonical for v in data["vertices"]}
+        declared = {parse_signature(v) for v in data["vertices"]}
         for entry in data["edges"]:
             if not isinstance(entry, dict):
                 raise ValueError("edge is not an object")
             graph.add_edge(RefactoringRecord(*parse_edge_fields(entry), project))
     except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
-    used = {v.canonical for v in graph.vertices()}
+    used = graph._vertices
     if used - declared:
         raise GraphDumpError("graph dump edges reference undeclared vertices")
     if declared - used:

@@ -33,6 +33,7 @@ FILTER_REASONS = (REASON_PACKAGE_KEYWORD, REASON_CONSTRUCTOR, REASON_SELF_LOOP)
 _COMMIT_RE = re.compile(r"^[0-9a-f]{7,40}$")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 _PARAM_SEPARATOR_RE = re.compile(r"\s*([,<>\[\]])\s*|([()])")
+_NESTING_RE = re.compile(r"[.$]")
 _TIMESTAMP_RE = re.compile(
     r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.\d+)?"
     r"(?:[Zz]|([+-])([01]\d|2[0-3]):([0-5]\d))?",
@@ -67,49 +68,9 @@ class RefactoringType(Enum):
             raise ValueError(f"unknown refactoring type: {value!r}")
         return member
 
-    def __str__(self) -> str:
-        return self.value
-
 
 # A plain dict lookup: ``RefactoringType(value)`` goes through ``Enum.__call__``.
 _TYPE_BY_VALUE = MappingProxyType({member.value: member for member in RefactoringType})
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class MethodRef:
-    """A fully qualified method signature; vertex identity in the graph.
-
-    Identity is the canonical string ``package.ClassPath#method(params)``.
-    Two refs with the same canonical form compare equal even if the raw
-    strings they were parsed from differ in whitespace.
-    """
-
-    package: str
-    class_path: str
-    method: str
-    params: tuple[str, ...]
-    canonical: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        prefix = f"{self.package}.{self.class_path}" if self.package else self.class_path
-        canonical = f"{prefix}#{self.method}({', '.join(self.params)})"
-        object.__setattr__(self, "canonical", canonical)
-
-    @property
-    def class_simple_name(self) -> str:
-        """Innermost class name (nesting may use ``.`` or ``$``)."""
-        return re.split(r"[.$]", self.class_path)[-1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MethodRef):
-            return NotImplemented
-        return self.canonical == other.canonical
-
-    def __hash__(self) -> int:
-        return hash(self.canonical)
-
-    def __str__(self) -> str:
-        return self.canonical
 
 
 EdgeKey = tuple[str, str, str, str]
@@ -118,10 +79,12 @@ EdgeKey = tuple[str, str, str, str]
 @dataclass(frozen=True, slots=True)
 class RefactoringRecord:
     """One detected refactoring operation plus its commit metadata, and an
-    edge of its project's graph.  Equality and hash ignore ``project``."""
+    edge of its project's graph.  ``source`` and ``target`` are canonical
+    signatures, as :func:`parse_signature` returns them.  Equality and hash
+    ignore ``project``."""
 
-    source: MethodRef
-    target: MethodRef
+    source: str
+    target: str
     rtype: RefactoringType
     commit: str
     timestamp: datetime
@@ -130,7 +93,7 @@ class RefactoringRecord:
 
     @property
     def key(self) -> EdgeKey:
-        return (self.source.canonical, self.target.canonical, self.rtype.value, self.commit)
+        return (self.source, self.target, self.rtype.value, self.commit)
 
 
 @dataclass(frozen=True)
@@ -214,8 +177,7 @@ def normalize_commit(value: str) -> str:
 @functools.cache
 def _shared(value: str) -> str:
     """The first string seen equal to ``value``: one object per distinct
-    commit, author email, project name or package, however many records
-    name it."""
+    commit, author email or project name, however many records name it."""
     return value
 
 
@@ -238,7 +200,7 @@ def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, dateti
     return normalize_commit(commit), parse_timestamp(timestamp), _shared(author_email)
 
 
-def parse_edge_fields(fields: dict) -> tuple[MethodRef, MethodRef, RefactoringType, str, datetime, str]:
+def parse_edge_fields(fields: dict) -> tuple[str, str, RefactoringType, str, datetime, str]:
     """Check the :data:`EDGE_KEYS` of a record or dump entry and normalize
     them into the first six fields of :class:`RefactoringRecord`, in order.
 
@@ -253,8 +215,9 @@ def parse_edge_fields(fields: dict) -> tuple[MethodRef, MethodRef, RefactoringTy
     )
 
 
-def parse_signature(raw: str) -> MethodRef:
-    """Parse a signature string like ``util.Foo#m(int, List<String>)``.
+def parse_signature(raw: str) -> str:
+    """Parse a signature string like ``util.Foo#m(int, List<String>)`` into
+    its canonical form ``package.ClassPath#method(params)``.
 
     The class path starts at the first dot-separated segment with an
     uppercase initial; everything before it is the package.  Parameters are
@@ -265,9 +228,8 @@ def parse_signature(raw: str) -> MethodRef:
     is dropped, and nested commas are written ``, ``.
 
     Results are memoized per string for the life of the process (errors
-    are not): every record naming one signature shares one :class:`MethodRef`.
-    When ``raw`` is already canonical, the ref's ``canonical`` is ``raw``
-    itself, and its ``package`` is shared with every ref in that package.
+    are not): every record naming one signature shares one string.  When
+    ``raw`` is already canonical, the result is ``raw`` itself, not a copy.
     """
     if not isinstance(raw, str):
         raise SignatureError(f"signature is not a string: {raw!r}")
@@ -275,7 +237,7 @@ def parse_signature(raw: str) -> MethodRef:
 
 
 @functools.cache
-def _parse_signature(raw: str) -> MethodRef:
+def _parse_signature(raw: str) -> str:
     if not raw.isascii() and _SURROGATE_RE.search(raw):
         raise SignatureError(f"invalid UTF-8 in signature: {raw!r}")
     text = raw.strip()
@@ -299,10 +261,9 @@ def _parse_signature(raw: str) -> MethodRef:
     package, class_path = _split_class_path(prefix)
     if not class_path:
         raise SignatureError(f"missing class name in signature: {raw!r}")
-    ref = MethodRef(_shared(package), class_path, method, params)
-    if ref.canonical == raw:  # keep one string, the memo key, not an equal copy
-        object.__setattr__(ref, "canonical", raw)
-    return ref
+    prefix = f"{package}.{class_path}" if package else class_path
+    canonical = f"{prefix}#{method}({', '.join(params)})"
+    return raw if canonical == raw else canonical  # keep one string, the memo key, not an equal copy
 
 
 @functools.cache
@@ -347,11 +308,20 @@ def _split_params(content: str) -> tuple[str, ...]:
 
 
 def _split_class_path(prefix: str) -> tuple[str, str]:
+    """``(package, class path)``: the class path starts at the first segment
+    with an uppercase initial, or is the last segment if none has one.  On
+    a canonical prefix the split gives back the parts it was joined from."""
     segments = prefix.split(".")
     for i, segment in enumerate(segments):
         if segment and segment[0].isupper():
             return ".".join(segments[:i]), ".".join(segments[i:])
     return ".".join(segments[:-1]), segments[-1]
+
+
+def signature_parts(signature: str) -> tuple[str, str, str]:
+    """``(package, class path, method)`` of a canonical signature."""
+    prefix, _, member = signature.partition("#")
+    return (*_split_class_path(prefix), member[: member.index("(")])
 
 
 def parse_record_line(line: str) -> RefactoringRecord:
@@ -417,23 +387,17 @@ def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
     return ParseResult(tuple(records), tuple(issues))
 
 
-def _matches_keyword(ref: MethodRef, keywords: frozenset[str]) -> bool:
-    return any(seg.lower() in keywords for seg in ref.package.split(".") if seg)
-
-
-def _is_constructor(ref: MethodRef) -> bool:
-    return ref.method == "<init>" or ref.method == ref.class_simple_name
-
-
 # Per-vertex verdicts of apply_filters, ordered like FILTER_REASONS: the
 # smaller verdict of a record's two vertices is the first rule that fires.
 _KEYWORD, _CONSTRUCTOR, _CLEAN = range(3)
 
 
-def _verdict(ref: MethodRef, keywords: frozenset[str], drop_constructors: bool) -> int:
-    if keywords and _matches_keyword(ref, keywords):
+def _verdict(signature: str, keywords: frozenset[str], drop_constructors: bool) -> int:
+    package, class_path, method = signature_parts(signature)
+    if keywords and any(seg.lower() in keywords for seg in package.split(".") if seg):
         return _KEYWORD
-    if drop_constructors and _is_constructor(ref):
+    # a constructor is named <init> or after its innermost class (nested with . or $)
+    if drop_constructors and (method == "<init>" or method == _NESTING_RE.split(class_path)[-1]):
         return _CONSTRUCTOR
     return _CLEAN
 
@@ -451,17 +415,17 @@ def apply_filters(
     """
     keywords = frozenset(k.lower() for k in config.excluded_package_keywords)
     drop_constructors = config.drop_constructors
-    verdicts: dict[str, int] = {}  # by canonical signature
+    verdicts: dict[str, int] = {}  # by vertex
     report = {reason: 0 for reason in FILTER_REASONS}
     kept: list[RefactoringRecord] = []
     for record in records:
-        source, target = record.source.canonical, record.target.canonical
+        source, target = record.source, record.target
         rule = verdicts.get(source)
         if rule is None:
-            rule = verdicts[source] = _verdict(record.source, keywords, drop_constructors)
+            rule = verdicts[source] = _verdict(source, keywords, drop_constructors)
         other = verdicts.get(target)
         if other is None:
-            other = verdicts[target] = _verdict(record.target, keywords, drop_constructors)
+            other = verdicts[target] = _verdict(target, keywords, drop_constructors)
         if other < rule:
             rule = other
         if rule == _CLEAN:

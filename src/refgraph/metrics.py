@@ -79,7 +79,7 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
     for edge in subgraph.edges:
         email = edge.author_email.strip().lower()
         if not email:
-            label = f"{edge.source.canonical} -> {edge.target.canonical} @ {edge.commit}"
+            label = f"{edge.source} -> {edge.target} @ {edge.commit}"
             raise MetricsError(f"edge without author email: {label}")
         commits.add(edge.commit)
         emails.add(email)

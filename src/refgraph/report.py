@@ -120,11 +120,11 @@ def emit_dot(subgraph: Subgraph) -> str:
     Statements are sorted, so output is stable across runs.
     """
     lines = [f"digraph {_dot_quote(subgraph.id)} {{"]
-    for vertex in sorted(v.canonical for v in subgraph.vertices):
+    for vertex in sorted(subgraph.vertices):
         lines.append(f"  {_dot_quote(vertex)};")
     for edge in sorted(subgraph.edges, key=lambda e: e.key):
         date = format_timestamp(edge.timestamp)[:10]
         label = f"{edge.rtype.value}\\n{edge.commit[:7]}\\n{date}"
-        lines.append(f'  {_dot_quote(edge.source.canonical)} -> {_dot_quote(edge.target.canonical)} [label="{label}"];')
+        lines.append(f'  {_dot_quote(edge.source)} -> {_dot_quote(edge.target)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,6 @@ from datetime import datetime, timedelta, timezone
 
 from refgraph.graph import Subgraph, build, partition
 from refgraph.ingest import (
-    MethodRef,
     RefactoringRecord,
     RefactoringType,
     format_timestamp,
@@ -170,7 +169,7 @@ def record_dict(record: RefactoringRecord) -> dict:
     """The record line that parses back to ``record``."""
     return rec(
         record.project, record.commit, format_timestamp(record.timestamp), "Dev", record.author_email,
-        record.rtype.value, record.source.canonical, record.target.canonical,
+        record.rtype.value, record.source, record.target,
     )
 
 
@@ -194,13 +193,13 @@ def subgraph_of(dicts) -> Subgraph:
 _BASE_TS = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
-def method_pool(size: int, prefix: str = "pool") -> list[MethodRef]:
+def method_pool(size: int, prefix: str = "pool") -> list[str]:
     return [parse_signature(f"{prefix}.C{i // 7}#m{i}()") for i in range(size)]
 
 
 def make_record(
-    source: MethodRef,
-    target: MethodRef,
+    source: str,
+    target: str,
     rtype: RefactoringType = RefactoringType.MOVE,
     commit: str = "abcdef1",
     offset_seconds: int = 0,

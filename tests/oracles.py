@@ -4,13 +4,13 @@ These deliberately avoid the library's own code paths: components come from
 a plain breadth-first search over an undirected adjacency map, the rank
 correlation oracle uses O(n^2) counting ranks plus a hand-written Pearson,
 the filter oracle judges each record on its own, as the ingest filters
-once did, with no per-vertex reuse, and the commit rule keeps no memo.
+once did, with no per-vertex reuse and its own split of each signature,
+and the commit rule keeps no memo.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 
 
@@ -78,17 +78,27 @@ def exclusion_reason(record, keywords: frozenset[str], drop_constructors: bool) 
     package keyword on either end, then a constructor on either end, then a
     self-loop; ``None`` keeps it."""
 
-    def keyword(ref) -> bool:
-        return any(seg.lower() in keywords for seg in ref.package.split(".") if seg)
+    def split(signature: str) -> tuple[list[str], list[str], str]:
+        # package segments, class path segments and method name; the class
+        # path starts at the first segment with an uppercase initial, else
+        # it is the last segment
+        prefix, member = signature.split("#")
+        segments = prefix.split(".")
+        first = next((i for i, seg in enumerate(segments) if seg[:1].isupper()), len(segments) - 1)
+        return segments[:first], segments[first:], member[: member.find("(")]
 
-    def constructor(ref) -> bool:
-        return ref.method == "<init>" or ref.method == re.split(r"[.$]", ref.class_path)[-1]
+    def keyword(signature: str) -> bool:
+        return any(seg.lower() in keywords for seg in split(signature)[0] if seg)
+
+    def constructor(signature: str) -> bool:
+        _, class_path, method = split(signature)
+        return method in ("<init>", class_path[-1].rpartition("$")[2])
 
     if keywords and (keyword(record.source) or keyword(record.target)):
         return "package-keyword"
     if drop_constructors and (constructor(record.source) or constructor(record.target)):
         return "constructor"
-    if record.source.canonical == record.target.canonical:
+    if record.source == record.target:
         return "self-loop"
     return None
 

@@ -400,6 +400,26 @@ class TestExport:
         assert files[0].parent.name == "mpandroidchart"
         assert "drawYLabels" in files[0].read_text(encoding="utf-8")
 
+    def test_selector_right_after_graph_is_named_in_the_error(self, build_out, tmp_path, capsys):
+        # --graph takes every word up to the next option, the selector too
+        out = tmp_path / "dot"
+        assert main(["export", "--graph", str(build_out), "drawYLabels", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "pass exactly one of a selector or --all" in err
+        assert "'drawYLabels' was read as a --graph path" in err
+        assert "put the selector before --graph or after --out DIR" in err
+        assert not out.exists()
+        for argv in (
+            ["export", "drawYLabels", "--graph", str(build_out), "--out", str(out)],
+            ["export", "--graph", str(build_out), "--out", str(out), "drawYLabels"],
+        ):
+            assert main(argv) == 0
+            assert len(list(out.rglob("*.dot"))) == 1
+
+    def test_missing_selector_alone_gives_no_hint(self, build_out, tmp_path, capsys):
+        assert main(["export", "--graph", str(build_out), str(build_out), "--out", str(tmp_path / "dot")]) == 2
+        assert capsys.readouterr().err == "refgraph: error: pass exactly one of a selector or --all\n"
+
     def test_subgraph_id_selector(self, build_out, tmp_path):
         dump = _read_json(build_out / "okhttp" / "graph.json")
         subgraph_id = min(dump["vertices"])

@@ -39,7 +39,7 @@ class TestBuild:
         graph = build(corpus.records_of(corpus.EXTRACT_RENAME_CYCLE_RECORDS))
         assert graph.n_vertices == 4
         assert graph.n_edges == 4
-        keys = {(e.source.canonical, e.target.canonical) for e in graph.edges()}
+        keys = {(e.source, e.target) for e in graph.edges()}
         assert ("web.Session#b()", "web.Session#c()") in keys
         assert ("web.Session#c()", "web.Session#b()") in keys
 
@@ -103,14 +103,14 @@ class TestPartition:
     def test_id_is_smallest_vertex_label(self):
         subgraph = corpus.subgraph_of(corpus.EXTRACT_RENAME_CYCLE_RECORDS)
         assert subgraph.id == "web.Session#a()"
-        assert subgraph.id == min(v.canonical for v in subgraph.vertices)
+        assert subgraph.id == min(subgraph.vertices)
 
     def test_components_match_bfs_oracle_on_200_random_records(self):
         rng = random.Random(200)
         records = corpus.random_records(rng, 200, pool_size=40)
         subgraphs = partition(build(records))
-        got = {frozenset(v.canonical for v in s.vertices) for s in subgraphs}
-        oracle = bfs_components([(r.source.canonical, r.target.canonical) for r in records])
+        got = {frozenset(s.vertices) for s in subgraphs}
+        oracle = bfs_components([(r.source, r.target) for r in records])
         assert got == oracle
 
     def test_partition_covers_graph_exactly(self):
@@ -124,8 +124,8 @@ class TestPartition:
         seen_edges = set()
         for subgraph in subgraphs:
             for vertex in subgraph.vertices:
-                assert vertex.canonical not in seen_vertices
-                seen_vertices.add(vertex.canonical)
+                assert vertex not in seen_vertices
+                seen_vertices.add(vertex)
             for edge in subgraph.edges:
                 assert edge.key not in seen_edges
                 seen_edges.add(edge.key)
@@ -136,16 +136,15 @@ class TestPartition:
 def _oracle_partition(graph):
     """The full partition result, with components from the BFS oracle."""
     edges = graph.edges()
-    components = bfs_components([(e.source.canonical, e.target.canonical) for e in edges])
-    vertices = {v.canonical: v for v in graph.vertices()}
+    components = bfs_components([(e.source, e.target) for e in edges])
     root_of = {label: min(component) for component in components for label in component}
     edges_of: dict[str, list] = {}
     for edge in edges:
-        edges_of.setdefault(root_of[edge.source.canonical], []).append(edge)
+        edges_of.setdefault(root_of[edge.source], []).append(edge)
     return [
         Subgraph(
             id=min(component),
-            vertices=tuple(vertices[label] for label in sorted(component)),
+            vertices=tuple(sorted(component)),
             edges=tuple(sorted(edges_of[min(component)], key=lambda e: e.key)),
         )
         for component in sorted(components, key=min)
@@ -234,8 +233,8 @@ class TestGraphDump:
         for name in ("project", "commit", "author_email"):
             values = [getattr(edge, name) for edge in edges]
             assert len({id(value) for value in values}) == len(set(values)) < len(values), name
-        packages = [vertex.package for vertex in loaded.vertices()]
-        assert len({id(package) for package in packages}) == len(set(packages)) == 1
+        ends = [vertex for edge in edges for vertex in (edge.source, edge.target)]
+        assert len({id(vertex) for vertex in ends}) == len(set(ends)) < len(ends)
 
     def test_dump_edge_fields(self):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))

@@ -15,7 +15,6 @@ from refgraph import ingest
 from refgraph.ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
     FilterConfig,
-    MethodRef,
     RecordError,
     RefactoringType,
     SignatureError,
@@ -27,6 +26,7 @@ from refgraph.ingest import (
     parse_records,
     parse_signature,
     parse_timestamp,
+    signature_parts,
 )
 
 VALID_LINE = json.dumps(
@@ -66,41 +66,31 @@ class TestRefactoringType:
 
 class TestParseSignature:
     def test_plain_method(self):
-        ref = parse_signature("util.Foo#m()")
-        assert ref.package == "util"
-        assert ref.class_path == "Foo"
-        assert ref.method == "m"
-        assert ref.params == ()
-        assert ref.canonical == "util.Foo#m()"
+        signature = parse_signature("util.Foo#m()")
+        assert signature == "util.Foo#m()"
+        assert signature_parts(signature) == ("util", "Foo", "m")
 
     def test_generic_params_not_split_on_inner_comma(self):
-        ref = parse_signature("a.b.C#f(int, List<String>)")
-        assert ref.params == ("int", "List<String>")
+        assert parse_signature("a.b.C#f(int,List<String>)") == "a.b.C#f(int, List<String>)"
 
     def test_nested_generics_and_arrays(self):
-        ref = parse_signature("a.C#f(Map<String, List<Integer>>, byte[])")
-        assert ref.params == ("Map<String, List<Integer>>", "byte[]")
-        assert parse_signature(ref.canonical) == ref
+        signature = parse_signature("a.C#f(Map<String,List<Integer>>,byte[])")
+        assert signature == "a.C#f(Map<String, List<Integer>>, byte[])"
+        assert parse_signature(signature) == signature
 
     def test_nested_class_via_dot(self):
-        ref = parse_signature("util.Outer.Inner#m()")
-        assert ref.package == "util"
-        assert ref.class_path == "Outer.Inner"
-        assert ref.class_simple_name == "Inner"
+        assert signature_parts(parse_signature("util.Outer.Inner#m()")) == ("util", "Outer.Inner", "m")
 
     def test_nested_class_via_dollar(self):
-        ref = parse_signature("util.Outer$Inner#m()")
-        assert ref.class_simple_name == "Inner"
+        assert signature_parts(parse_signature("util.Outer$Inner#m()")) == ("util", "Outer$Inner", "m")
 
     def test_no_package(self):
-        ref = parse_signature("Foo#m(int)")
-        assert ref.package == ""
-        assert ref.canonical == "Foo#m(int)"
+        signature = parse_signature("Foo#m(int)")
+        assert signature == "Foo#m(int)"
+        assert signature_parts(signature) == ("", "Foo", "m")
 
     def test_whitespace_stripped(self):
-        ref = parse_signature("  util.Foo#m( int ,  Map<K, V> ) ")
-        assert ref.params == ("int", "Map<K, V>")
-        assert ref.canonical == "util.Foo#m(int, Map<K, V>)"
+        assert parse_signature("  util.Foo#m( int ,  Map<K, V> ) ") == "util.Foo#m(int, Map<K, V>)"
 
     def test_equality_is_canonical(self):
         assert parse_signature("a.B#m(int,long)") == parse_signature("a.B#m( int , long )")
@@ -119,9 +109,7 @@ class TestParseSignature:
         ],
     )
     def test_parameter_spacing_is_canonical(self, raw, params):
-        ref = parse_signature(raw)
-        assert ref.params == params
-        assert ref.canonical == f"{raw.partition('(')[0]}({', '.join(params)})"
+        assert parse_signature(raw) == f"{raw.partition('(')[0]}({', '.join(params)})"
 
     @pytest.mark.parametrize(
         "bad",
@@ -148,7 +136,7 @@ class TestParseSignature:
             parse_signature("NoHash")
 
     def test_one_string_parses_to_one_object(self):
-        # Two equal strings that are distinct objects share one cached ref.
+        # Two equal strings that are distinct objects share one cached result.
         first = parse_signature("".join(["a.B#m(int, ", "List<String>)"]))
         assert parse_signature("".join(["a.B#m(int, List", "<String>)"])) is first
 
@@ -174,12 +162,6 @@ class TestParseSignature:
                 message = str(excinfo.value)
                 assert message.endswith(f"in signature: {raw!r}")
                 assert all(repr(other) not in message for other in signatures if other != raw)
-
-    def test_a_shared_parameter_list_splits_once(self):
-        first = parse_signature("a.B#m(int,  Map<K,V>)")
-        second = parse_signature("c.D#n(int,  Map<K,V>)")
-        assert first.params == ("int", "Map<K, V>")
-        assert second.params is first.params
 
     @pytest.mark.parametrize("raw", [["a.B#m()"], {}, None, 7])
     def test_non_string_is_a_signature_error(self, raw):
@@ -207,9 +189,7 @@ def canonical_signatures(draw) -> str:
 
 @given(canonical_signatures())
 def test_parse_is_identity_on_canonical_forms(signature):
-    ref = parse_signature(signature)
-    assert ref.canonical == signature
-    assert parse_signature(ref.canonical) == ref
+    assert parse_signature(signature) == signature
 
 
 @given(canonical_signatures(), st.randoms(use_true_random=False))
@@ -220,7 +200,7 @@ def test_parse_ignores_spacing_around_brackets_and_commas(signature, rnd):
         lambda m: rnd.choice(["", " ", "\t", "  \n "]) + m.group(1) + rnd.choice(["", " ", "\t", "  \n "]),
         params,
     )
-    assert parse_signature(f"{head}({noisy}").canonical == signature
+    assert parse_signature(f"{head}({noisy}") == signature
 
 
 # The timestamp grammar (RFC 3339 date-time) as plain literals: input -> UTC
@@ -348,8 +328,8 @@ def test_memoized_normalize_commit_matches_oracle(value):
 
 
 class TestSharedStrings:
-    """Each distinct commit, email, project and package is one object, and
-    a canonical signature is its own ref's ``canonical``."""
+    """Each distinct commit, email and project is one object, and a
+    canonical signature parses to itself."""
 
     @staticmethod
     def _distinct_objects(values) -> int:
@@ -366,15 +346,14 @@ class TestSharedStrings:
                     "author_email": email,
                     "type": "move",
                     "source": f"org.app.util.Foo#m{i}()",
-                    "target": f"org.app.{package}.Bar{i}#m(int)",
+                    "target": f"org.app.io.Bar{i}#m(int)",
                 }
             )
-            for i, (project, commit, email, package) in enumerate(
+            for i, (project, commit, email) in enumerate(
                 zip(
                     ["alpha", " alpha", "beta", "alpha ", "beta", "gamma"],
                     ["ABCDEF1", "abcdef1", " abcdef1 ", "1234567", "AbCdEf1", "1234567"],
                     ["a@x.org", "b@x.org", " a@x.org", "a@x.org", "b@x.org ", "c@x.org"],
-                    ["io", "net", "io", "io", "net", "io"],
                 )
             )
         ]
@@ -384,21 +363,13 @@ class TestSharedStrings:
         for name in ("project", "commit", "author_email"):
             values = [getattr(record, name) for record in records]
             assert self._distinct_objects(values) == len(set(values)) < len(values), name
-        packages = [ref.package for record in records for ref in (record.source, record.target)]
-        assert self._distinct_objects(packages) == len(set(packages)) == 3
 
     @pytest.mark.parametrize("signature", ["util.Foo#m()", "a.b.Foo.Inner#run(int, Map<K, V>[])", "Foo#m(String)"])
     def test_canonical_string_is_the_parsed_string(self, signature):
         clear_caches()
         raw = "".join(signature)  # an object of its own, not the parametrize constant
-        ref = parse_signature(raw)
-        assert ref.canonical is raw
-        assert parse_signature(raw) is ref
-
-    def test_refs_built_directly_still_get_their_canonical(self):
-        ref = MethodRef("util", "Foo", "m", ("int", "String"))
-        assert ref.canonical == "util.Foo#m(int, String)"
-        assert ref == parse_signature("util.Foo#m(int,String)")
+        assert parse_signature(raw) is raw
+        assert parse_signature("".join(signature)) is raw  # an equal string hits the memo
 
 
 def test_clear_caches_empties_every_memo():
@@ -417,8 +388,8 @@ class TestParseRecords:
         assert len(result.records) == 1
         assert not result.issues
         record = result.records[0]
-        assert record.source.canonical == "util.Foo#m()"
-        assert record.target.canonical == "util.Bar#m()"
+        assert record.source == "util.Foo#m()"
+        assert record.target == "util.Bar#m()"
         assert record.rtype is RefactoringType.MOVE
         assert record.commit == "c1a2b3c"
         assert record.timestamp == datetime(2019, 1, 1, tzinfo=timezone.utc)
@@ -631,7 +602,27 @@ _FILTER_SIGNATURES = [
     "a.tests.C#m()", "a.TEST.C#go()", "x.sample.Y#z()", "q.Examples.A#b()",
     "a.b.Foo#Foo()", "a.b.Foo#<init>(int)", "a.Outer$Inner#Inner()", "a.Outer.Inner#Inner()",
     "a.tests.Foo#Foo()", "x.sample.Y#<init>()",
+    # shapes where a split of the canonical string could drift from the raw parse
+    "Foo#Foo()", "a.b.c#c()", "a..B#B()", "Foo.bar#bar()", "a.Outer$Mid.Inner#Inner()",
+    " a.tests.C # m ( int ,String ) ",
 ]
+
+
+@pytest.mark.parametrize(
+    "raw, parts",
+    [
+        ("Foo#Foo()", ("", "Foo", "Foo")),
+        ("a.b.c#c()", ("a.b", "c", "c")),
+        ("a..B#B()", ("a.", "B", "B")),
+        (".B#m()", ("", "B", "m")),
+        ("Foo.bar#bar()", ("", "Foo.bar", "bar")),
+        ("a.Outer$Mid.Inner#Inner()", ("a", "Outer$Mid.Inner", "Inner")),
+        (" a.tests.C # m ( int ,String ) ", ("a.tests", "C", "m")),
+        ("x.y.Z#<init>(Map<K,V>)", ("x.y", "Z", "<init>")),
+    ],
+)
+def test_signature_parts_of_the_canonical_string_match_the_raw_parse(raw, parts):
+    assert signature_parts(parse_signature(raw)) == parts
 
 
 @given(

@@ -208,4 +208,4 @@ class TestDot:
         ):
             subgraph = corpus.subgraph_of(dicts)
             parsed = parse_dot(emit_dot(subgraph))
-            assert parsed.node_ids == {v.canonical for v in subgraph.vertices}
+            assert parsed.node_ids == set(subgraph.vertices)
