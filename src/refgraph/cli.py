@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 fatal input error, 2 selector/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -13,9 +14,11 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from . import ingest
 from .graph import (
+    GRAPH_DUMP_VERSION,
     GraphDumpError,
     RefactoringGraph,
     Subgraph,
@@ -200,16 +203,12 @@ def _run_front_pipeline(
     return graphs, analyzed, {"inputs": inputs, "stages": stages}
 
 
-def _split_projects(
-    graphs: dict[str, RefactoringGraph], min_commits: int
-) -> Iterator[tuple[RefactoringGraph, tuple[str, int, int], list[Subgraph]]]:
-    """Per project: its graph, its ``(project, subgraphs, single_commit)``
-    counts, and the subgraphs spanning at least ``min_commits`` commits."""
-    for project, graph in graphs.items():
-        subgraphs = partition(graph)
-        kept, _ = filter_multi_commit(subgraphs, min_commits)
-        single = sum(1 for s in subgraphs if s.commit_count() == 1)
-        yield graph, (project, len(subgraphs), single), kept
+def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Subgraph]]:
+    """A graph's subgraph and single-commit subgraph counts, and the
+    subgraphs spanning at least ``min_commits`` commits."""
+    subgraphs = partition(graph)
+    kept, _ = filter_multi_commit(subgraphs, min_commits)
+    return len(subgraphs), sum(1 for s in subgraphs if s.commit_count() == 1), kept
 
 
 def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
@@ -230,18 +229,61 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
     return expanded
 
 
-def _load_graphs(paths: Sequence[str]) -> dict[str, RefactoringGraph]:
-    graphs: dict[str, RefactoringGraph] = {}
-    for path in _expand_graph_paths(paths):
-        project, graph = load_graph(path)
+# How every dump that build writes begins; the project's JSON string follows.
+_DUMP_HEAD = f'{{\n  "format_version": {_encode(GRAPH_DUMP_VERSION)},\n  "project": '.encode("ascii")
+
+
+def _dump_project(path: Path) -> str:
+    """The project a dump names, read from its head when the dump begins as
+    ``build`` writes it, else by loading it in full (a dump written another
+    way may put its keys in any order)."""
+    with open(path, "rb") as handle:
+        if handle.read(len(_DUMP_HEAD)) == _DUMP_HEAD:
+            try:
+                project, _ = json.JSONDecoder().raw_decode(handle.readline().decode("utf-8"))
+            except ValueError:  # undecodable or cut off: the full load names the defect
+                project = None
+            if isinstance(project, str):
+                return project
+    return load_graph(path)[0]
+
+
+def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph | None:
+    """One graph from the dumps of ``project``; None when they are all the
+    placeholder an empty build writes."""
+    merged = None
+    for path in paths:
+        named, graph = load_graph(path)
+        if named != project:  # only a key given twice can make the head and the body differ
+            raise GraphDumpError(f"corrupt graph dump: names projects {project!r} and {named!r} in {path}")
         if not project and graph.n_edges == 0:
             continue  # placeholder dump from an empty build
-        if project in graphs:
-            for edge in graph.edges():
-                graphs[project].add_edge(edge)
+        if merged is None:
+            merged = graph
         else:
-            graphs[project] = graph
-    return graphs
+            for edge in graph.edges():
+                merged.add_edge(edge)
+    return merged
+
+
+def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGraph]]:
+    """``(project, graph)`` per project named by the dumps under ``paths``,
+    in first-dump order, merging two dumps of one project.
+
+    One project is held at a time: its dumps load only after the caller has
+    dropped the previous graph, and the parser memos are emptied before each
+    project but the first, which frees the strings only the previous graph held.
+    """
+    groups: dict[str, list[Path]] = {}
+    for path in _expand_graph_paths(paths):
+        groups.setdefault(_dump_project(path), []).append(path)
+    for i, (project, group) in enumerate(groups.items()):
+        if i:
+            ingest.clear_caches()
+        graph = _merge_dumps(project, group)
+        if graph is not None:
+            yield project, graph
+            del graph  # not held while the next graph loads
 
 
 def _safe_name(identifier: str, fallback: str) -> str:
@@ -250,16 +292,15 @@ def _safe_name(identifier: str, fallback: str) -> str:
     return f"{safe[:80] or fallback}-{digest}"
 
 
-def _project_dirs(projects: Iterable[str]) -> dict[str, str]:
-    """Map each project to its directory under ``--out``; two projects
-    sharing one directory are an error, raised before anything is written."""
+def _project_dir(project: str, owners: dict[str, str]) -> str:
+    """The directory of ``project`` under ``--out``. ``owners`` maps each
+    directory handed out so far to its project; two projects sharing one
+    directory are an error."""
     # A name of dots alone ("." or "..") would point at --out or above it.
-    dirs = {p: re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", p) or "project" for p in projects}
-    owners: dict[str, str] = {}
-    for project, name in dirs.items():
-        if owners.setdefault(name, project) != project:
-            raise CliError(f"projects {owners[name]!r} and {project!r} would share the output directory {name!r}")
-    return dirs
+    name = re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project) or "project"
+    if owners.setdefault(name, project) != project:
+        raise CliError(f"projects {owners[name]!r} and {project!r} would share the output directory {name!r}")
+    return name
 
 
 def _write_json(path: Path, chunks: Iterator[str]) -> Path:
@@ -334,13 +375,15 @@ def cmd_build(args) -> int:
     min_commits = _min_commits(args)
     config = _filter_config(args)
     graphs, analyzed, front_log = _run_front_pipeline(args, config)
-    dirs = _project_dirs(graphs)
+    owners: dict[str, str] = {}
+    dirs = {project: _project_dir(project, owners) for project in graphs}  # checked before any write
 
     out_dir = Path(args.out)
     project_rows = []
     written: list[Path] = []
     try:
-        for graph, (project, total, single), kept in _split_projects(graphs, min_commits):
+        for project, graph in graphs.items():
+            total, single, kept = _split(graph, min_commits)
             project_rows.append(
                 {
                     "project": project,
@@ -410,17 +453,19 @@ def cmd_stats(args) -> int:
     if args.records and args.graph:
         raise CliError("pass either --records or --graph, not both", code=2)
     if args.records:
-        graphs = _run_front_pipeline(args, _filter_config(args))[0]
+        graphs = _run_front_pipeline(args, _filter_config(args))[0].items()
     elif args.graph:
-        graphs = _load_graphs(args.graph)
+        graphs = _project_graphs(args.graph)
     else:
         raise CliError("stats requires --records or --graph", code=2)
 
     splits = []
     groups = {}
-    for _, split, kept in _split_projects(graphs, min_commits):
-        splits.append(split)
-        groups[split[0]] = [measure(subgraph) for subgraph in kept]
+    for project, graph in graphs:
+        total, single, kept = _split(graph, min_commits)
+        splits.append((project, total, single))
+        groups[project] = [measure(subgraph) for subgraph in kept]
+        del graph, kept  # not held while the next graph loads
 
     summary = aggregate(groups, splits, _project_ages(args))
 
@@ -432,16 +477,34 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _select_subgraphs(
-    by_project: dict[str, list[Subgraph]], selector: str | None, select_all: bool
-) -> list[tuple[str, Subgraph]]:
-    matched = []
-    for project, subgraphs in by_project.items():
-        for subgraph in subgraphs:
-            # a subgraph id is a vertex label, so the id selector is a substring match too
-            if select_all or any(selector in v for v in subgraph.vertices):
-                matched.append((project, subgraph))
-    return matched
+def _select_subgraphs(graph: RefactoringGraph, selector: str | None) -> list[Subgraph]:
+    """The subgraphs of ``graph`` holding a vertex that contains ``selector``,
+    or all of them when it is None."""
+    if selector is None:
+        return partition(graph)
+    # A subgraph id is one of its vertex labels, so the id selector is a
+    # substring match too, and a graph with no vertex holding the selector
+    # cannot match: it is not split.
+    if not any(selector in v for v in graph.vertices()):
+        return []
+    return [s for s in partition(graph) if any(selector in v for v in s.vertices)]
+
+
+def _make_dirs(path: Path, created: list[Path]) -> Path:
+    """``path.mkdir(parents=True, exist_ok=True)`` that appends each
+    directory it makes to ``created``, outermost first."""
+    for directory in reversed((path, *path.parents)):
+        if not directory.is_dir():
+            directory.mkdir()
+            created.append(directory)
+    return path
+
+
+def _write_dots(target_dir: Path, subgraphs: list[Subgraph], written: list[Path]) -> None:
+    for subgraph in subgraphs:
+        path = target_dir / f"{_safe_name(subgraph.id, fallback='subgraph')}.dot"
+        path.write_text(emit_dot(subgraph), encoding="utf-8")
+        written.append(path)
 
 
 def cmd_export(args) -> int:
@@ -452,28 +515,33 @@ def cmd_export(args) -> int:
             message += (f"; {args.graph[-1]!r} was read as a --graph path:"
                         " put the selector before --graph or after --out DIR")
         raise CliError(message, code=2)
-    graphs = _load_graphs(args.graph)
-    if args.selector:
-        # A subgraph id is one of its vertex labels, so only a graph with a
-        # vertex holding the selector can match: the others are not split.
-        graphs = {
-            project: graph for project, graph in graphs.items()
-            if any(args.selector in v for v in graph.vertices())
-        }
-    by_project = {project: partition(graph) for project, graph in graphs.items()}
-    matched = _select_subgraphs(by_project, args.selector, args.all)
-    if not matched and args.selector:
-        raise CliError(f"selector matched no subgraph: {args.selector!r}", code=2)
-
-    dirs = _project_dirs(project for project, _ in matched)
+    if args.all and len(args.graph) > 1 and not Path(args.graph[-1]).exists():
+        raise CliError(f"{args.graph[-1]!r} was read as a --graph path and does not exist;"
+                       " a selector cannot be combined with --all", code=2)
+    selector = None if args.all else args.selector
     out_dir = Path(args.out)
+    owners: dict[str, str] = {}
+    written: list[Path] = []
+    created: list[Path] = []
+    try:
+        for project, graph in _project_graphs(args.graph):
+            matched = _select_subgraphs(graph, selector)
+            del graph  # not held while the next graph loads
+            if matched:
+                _write_dots(_make_dirs(out_dir / _project_dir(project, owners), created), matched, written)
+            del matched
+    except BaseException:
+        # Leave --out as it was: no DOT file and no directory from this run.
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in reversed(created):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    if selector and not written:
+        raise CliError(f"selector matched no subgraph: {selector!r}", code=2)
     out_dir.mkdir(parents=True, exist_ok=True)  # even for --all on an empty build
-    for project, subgraph in matched:
-        target_dir = out_dir / dirs[project]
-        target_dir.mkdir(parents=True, exist_ok=True)
-        name = _safe_name(subgraph.id, fallback="subgraph")
-        (target_dir / f"{name}.dot").write_text(emit_dot(subgraph), encoding="utf-8")
-    print(f"export: wrote {len(matched)} DOT file(s) -> {out_dir}")
+    print(f"export: wrote {len(written)} DOT file(s) -> {out_dir}")
     return 0
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import random
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import corpus
 from refgraph import cli
 from refgraph.cli import _dump_chunks, main
-from refgraph.graph import partition
+from refgraph.graph import load_graph, partition
 from refgraph.ingest import _MEMOS, EDGE_KEYS, clear_caches
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
@@ -319,20 +321,24 @@ class TestStats:
         assert _read_csv(out / "subgraph_summary.csv")[1:] == [["All", "0", "0", "0.0", "0", "0.0"]]
 
     def test_two_dumps_of_one_project_merge(self, tmp_path):
-        records = corpus.random_records(random.Random(5), 300, pool_size=150, n_commits=12)
-        parts = {"part0": records[:200], "part1": records[100:]}  # records 100-199 are in both
-        for name, part in parts.items():
-            (tmp_path / f"{name}.jsonl").write_text(
-                corpus.to_jsonl(corpus.record_dict(r) for r in part), encoding="utf-8"
-            )
-            assert main(["build", "--records", str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / name)]) == 0
-        union = [str(tmp_path / f"{name}.jsonl") for name in parts]
-        assert main(["stats", "--records", *union, "--out", str(tmp_path / "from_records")]) == 0
-        dumps = [str(tmp_path / name / "proj" / "graph.json") for name in parts]
-        assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "from_dumps")]) == 0
+        union, dumps = _two_project_dumps(tmp_path)
+        assert main(["stats", "--records", *union[::2], "--out", str(tmp_path / "from_records")]) == 0
+        assert main(["stats", "--graph", *dumps[::2], "--out", str(tmp_path / "from_dumps")]) == 0
         assert main(["stats", "--graph", dumps[0], "--out", str(tmp_path / "first_only")]) == 0
         assert _tree(tmp_path / "from_dumps") == _tree(tmp_path / "from_records")
         assert _tree(tmp_path / "first_only") != _tree(tmp_path / "from_records")
+
+        # Interleaved with another project's dump, "proj" still merges, and
+        # tables and DOT trees follow first-dump order, not name order.
+        assert main(["stats", "--records", *union, "--out", str(tmp_path / "records3")]) == 0
+        assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "dumps3")]) == 0
+        assert _tree(tmp_path / "dumps3") == _tree(tmp_path / "records3")
+        assert _read_json(tmp_path / "dumps3" / "summary.json")["projects"] == ["proj", "other"]
+        assert main(["build", "--records", *union, "--out", str(tmp_path / "union")]) == 0
+        assert main(["export", "--graph", str(tmp_path / "union"), "--all", "--out", str(tmp_path / "dot_union")]) == 0
+        assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "dot_dumps")]) == 0
+        assert _tree(tmp_path / "dot_dumps") == _tree(tmp_path / "dot_union")
+        assert {Path(name).parent.name for name in _tree(tmp_path / "dot_union")} == {"proj", "other"}
 
     @pytest.mark.parametrize("project", [None, 7, ["mpandroidchart"]], ids=["null", "number", "list"])
     def test_non_string_dump_project_is_a_clean_error(self, tmp_path, capsys, project):
@@ -416,6 +422,14 @@ class TestExport:
             assert main(argv) == 0
             assert len(list(out.rglob("*.dot"))) == 1
 
+    def test_selector_right_after_graph_with_all_is_named_in_the_error(self, build_out, tmp_path, capsys):
+        out = tmp_path / "dot"
+        assert main(["export", "--graph", str(build_out), "drawYLabels", "--all", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'drawYLabels' was read as a --graph path" in err
+        assert "a selector cannot be combined with --all" in err
+        assert not out.exists()
+
     def test_missing_selector_alone_gives_no_hint(self, build_out, tmp_path, capsys):
         assert main(["export", "--graph", str(build_out), str(build_out), "--out", str(tmp_path / "dot")]) == 2
         assert capsys.readouterr().err == "refgraph: error: pass exactly one of a selector or --all\n"
@@ -465,6 +479,31 @@ class TestExport:
         assert out.is_dir() and not any(out.iterdir())
         assert main(["export", "--graph", str(build_out), "--out", str(tmp_path / "sel"), "anything"]) == 2
         assert "selector matched no subgraph: 'anything'" in capsys.readouterr().err
+
+    def test_a_corrupt_later_dump_leaves_no_dot_file(self, tmp_path, capsys):
+        good = TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json"
+        dump = _read_json(TESTS_DIR / "golden" / "build" / "okhttp" / "graph.json")
+        dump["edges"][0]["type"] = "bogus"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dump, indent=2), encoding="utf-8")  # build's layout: grouped from its head
+        out = tmp_path / "dot"
+        assert main(["export", "--graph", str(good), str(bad), "--all", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump: unknown refactoring type")
+        assert not out.exists()
+        # In an --out that was there before, only what this run made goes.
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["export", "--graph", str(good), str(bad), "--all", "--out", str(out)]) == 1
+        assert _tree(out) == {"notes.txt": b"kept"}
+
+    def test_a_write_error_leaves_no_dot_file(self, build_out, tmp_path, capsys):
+        out = tmp_path / "dot"
+        out.mkdir()
+        (out / "okhttp").write_text("", encoding="utf-8")  # the third project's directory is a file
+        assert main(["export", "--graph", str(build_out), "--all", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error:")
+        assert _tree(out) == {"okhttp": b""}
+        assert sorted(p.name for p in out.iterdir()) == ["okhttp"]
 
     def test_selector_and_all_are_exclusive(self, build_out, tmp_path):
         out = str(tmp_path / "dot")
@@ -523,20 +562,108 @@ def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
     assert not dot_out.exists()
 
 
+def _two_project_dumps(tmp_path):
+    """Record files and build dumps of two parts of project "proj" with
+    project "other" between them: part 0, other, part 1."""
+    rng = random.Random(5)
+    records = corpus.random_records(rng, 300, pool_size=150, n_commits=12)
+    other = corpus.random_records(rng, 120, pool_size=60, n_commits=6, prefix="other", project="other")
+    # records 100-199 are in both parts of "proj"
+    parts = {"part0": ("proj", records[:200]), "other": ("other", other), "part1": ("proj", records[100:])}
+    paths, dumps = [], []
+    for name, (project, part) in parts.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(corpus.to_jsonl(corpus.record_dict(r) for r in part), encoding="utf-8")
+        assert main(["build", "--records", str(path), "--out", str(tmp_path / name)]) == 0
+        paths.append(str(path))
+        dumps.append(str(tmp_path / name / project / "graph.json"))
+    return paths, dumps
+
+
+@pytest.mark.parametrize("layout", ["compact", "project-last"])
+def test_dumps_written_another_way_group_like_build_dumps(tmp_path, layout):
+    _, dumps = _two_project_dumps(tmp_path)
+    assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "as_built")]) == 0
+    assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "dot_as_built")]) == 0
+    dump = _read_json(Path(dumps[2]))
+    if layout == "compact":
+        text = json.dumps(dump)
+    else:
+        text = json.dumps({key: dump[key] for key in ("format_version", "vertices", "edges", "project")}, indent=2)
+    rewritten = tmp_path / "rewritten.json"
+    rewritten.write_text(text, encoding="utf-8")
+    dumps[2] = str(rewritten)
+    assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "rewritten_stats")]) == 0
+    assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "rewritten_dot")]) == 0
+    assert _tree(tmp_path / "rewritten_stats") == _tree(tmp_path / "as_built")
+    assert _tree(tmp_path / "rewritten_dot") == _tree(tmp_path / "dot_as_built")
+
+
+@pytest.mark.parametrize("content, problem", [
+    # build's layout, but the project is not a string: the full load names the defect
+    (json.dumps({"format_version": "1", "project": 7, "vertices": [], "edges": []}, indent=2),
+     "corrupt graph dump: field 'project' is not a string"),
+    # only a key given twice makes the head and the full load disagree
+    ('{\n  "format_version": "1",\n  "project": "a",\n  "vertices": [],\n  "edges": [],\n  "project": "b"\n}',
+     "corrupt graph dump: names projects 'a' and 'b' in {path}"),
+], ids=["not-a-string", "two-projects"])
+def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, content, problem):
+    path = tmp_path / "graph.json"
+    path.write_text(content, encoding="utf-8")
+    for command in (["stats"], ["export", "--all"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=path))
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command):
+    # RefactoringGraph defines __eq__ and so is unhashable: weak references
+    # are kept in a list, not a WeakSet.
+    loaded: list[tuple[str, weakref.ref]] = []
+
+    def tracked_load_graph(path):
+        project, graph = load_graph(path)
+        gc.collect()
+        alive = {name for name, ref in loaded if ref() is not None}
+        assert alive <= {project}, f"{sorted(alive - {project})} still held when {project!r} loads"
+        loaded.append((project, weakref.ref(graph)))
+        return project, graph
+
+    build_out = tmp_path / "build"
+    assert main(["build", "--records", str(TESTS_DIR.parent / "demo" / "refactorings.jsonl"),
+                 "--out", str(build_out)]) == 0
+    monkeypatch.setattr(cli, "load_graph", tracked_load_graph)
+    # okhttp's dump twice: its second load merges into the first one's graph
+    graphs = [str(build_out), str(build_out / "okhttp" / "graph.json")]
+    assert main([*command, "--graph", *graphs, "--out", str(tmp_path / "out")]) == 0
+    # The dumps build wrote are grouped from their heads, so each loads once.
+    assert [name for name, _ in loaded] == ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]
+
+
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
     # The first run starts from empty parser caches, the second reuses them.
     clear_caches()
     monkeypatch.chdir(TESTS_DIR.parent)
     for run in ("cold", "warm"):
         out = tmp_path / run
+        if run == "warm":
+            # stats --graph and export empty the caches between projects, not
+            # after the last, so the warm run starts from that project's entries
+            for memo in _MEMOS:
+                assert memo.cache_info().currsize, memo
         assert main(["build", "--records", "demo/refactorings.jsonl",
                      "--commit-log", "mpandroidchart=demo/commit_log_mpandroidchart.tsv",
                      "--out", str(out / "build")]) == 0
+        if run == "warm":
+            # Emptying a cache resets its counters too; build reads every
+            # project in one pass, so each cache has been hit by now.
+            for memo in _MEMOS:
+                assert memo.cache_info().hits, memo
         assert main(["stats", "--graph", str(out / "build"),
                      "--project-ages", "demo/project_ages.json", "--out", str(out / "stats")]) == 0
         assert main(["export", "--graph", str(out / "build"), "--all", "--out", str(out / "export")]) == 0
-    for memo in _MEMOS:
-        assert memo.cache_info().hits, memo
     assert _tree(tmp_path / "warm") == _tree(tmp_path / "cold")
     assert _tree(tmp_path / "cold") == _tree(TESTS_DIR / "golden")
 
@@ -655,9 +782,10 @@ class TestUnreadableInputs:
         ("export", b'{"format_version": "1", "project": "p", "n": ' + b"9" * 5000 + b"}",
          "invalid JSON in graph dump {path}: Exceeds the limit"),
         ("export", b'{"format_version": "1", "project": ', "invalid JSON in graph dump {path}: Expecting value"),
+        ("export", b'{\n  "format_version": "1",\n  "project": ', "invalid JSON in graph dump {path}: Expecting value"),
         ("stats", b'{"okhttp": 7' + b"0" * 5000 + b"}", "invalid project ages file {path}: Exceeds the limit"),
         ("stats", b'{"okhttp": 7.0', "invalid project ages file {path}: Expecting"),
-    ], ids=["dump-long-int", "dump-truncated", "ages-long-int", "ages-truncated"])
+    ], ids=["dump-long-int", "dump-truncated", "dump-head-truncated", "ages-long-int", "ages-truncated"])
     def test_json_that_does_not_decode(self, corpus_file, tmp_path, capsys, command, content, problem):
         # An integer of more than 4300 digits is a ValueError from int(), not a JSONDecodeError.
         path = tmp_path / "input.json"
