@@ -12,17 +12,17 @@ import itertools
 import json
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import ingest
 from .graph import (
-    GRAPH_DUMP_VERSION,
     GraphDumpError,
     RefactoringGraph,
     Subgraph,
     build,
+    dump_chunks,
+    dump_project,
     filter_multi_commit,
     graph_to_dict,
     load_graph,
@@ -38,7 +38,7 @@ from .ingest import (
     parse_records,
 )
 from .metrics import aggregate, measure
-from .report import emit_dot, emit_tables, write_json_summary
+from .report import TABLE_FILES, emit_dot, emit_tables, write_json_summary
 
 RUN_LOG_VERSION = "1"
 
@@ -229,25 +229,6 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
     return expanded
 
 
-# How every dump that build writes begins; the project's JSON string follows.
-_DUMP_HEAD = f'{{\n  "format_version": {_encode(GRAPH_DUMP_VERSION)},\n  "project": '.encode("ascii")
-
-
-def _dump_project(path: Path) -> str:
-    """The project a dump names, read from its head when the dump begins as
-    ``build`` writes it, else by loading it in full (a dump written another
-    way may put its keys in any order)."""
-    with open(path, "rb") as handle:
-        if handle.read(len(_DUMP_HEAD)) == _DUMP_HEAD:
-            try:
-                project, _ = json.JSONDecoder().raw_decode(handle.readline().decode("utf-8"))
-            except ValueError:  # undecodable or cut off: the full load names the defect
-                project = None
-            if isinstance(project, str):
-                return project
-    return load_graph(path)[0]
-
-
 def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph | None:
     """One graph from the dumps of ``project``; None when they are all the
     placeholder an empty build writes."""
@@ -276,7 +257,7 @@ def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGrap
     """
     groups: dict[str, list[Path]] = {}
     for path in _expand_graph_paths(paths):
-        groups.setdefault(_dump_project(path), []).append(path)
+        groups.setdefault(dump_project(path), []).append(path)
     for i, (project, group) in enumerate(groups.items()):
         if i:
             ingest.clear_caches()
@@ -303,68 +284,60 @@ def _project_dir(project: str, owners: dict[str, str]) -> str:
     return name
 
 
-def _write_json(path: Path, chunks: Iterator[str]) -> Path:
+class _Output:
+    """The files and directories one command writes under ``--out``.
+
+    Each file's path is recorded before the file is opened. If the ``with``
+    block raises anything, the recorded files and every directory this run
+    made are removed before the exception goes on, so a failed run leaves
+    no file it wrote and no directory it made.
+    """
+
+    def __init__(self, root: str) -> None:
+        self.root = Path(root)
+        self.files: list[Path] = []
+        self._made: list[Path] = []
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
+        for path in self.files:
+            with contextlib.suppress(OSError):  # e.g. the path is a directory
+                path.unlink(missing_ok=True)
+        for directory in reversed(self._made):
+            with contextlib.suppress(OSError):  # not empty: something else is in it
+                directory.rmdir()
+
+    def dir(self, *parts: str) -> Path:
+        """``--out``/``parts``, made with any missing parent."""
+        path = self.root.joinpath(*parts)
+        missing = []
+        up = path
+        while not up.is_dir() and up != up.parent:  # "." or "/" ends the walk even if unreadable
+            missing.append(up)
+            up = up.parent
+        for directory in reversed(missing):
+            directory.mkdir()
+            self._made.append(directory)
+        return path
+
+    def file(self, *parts: str) -> Path:
+        """``--out``/``parts``, recorded as this run's; its directory is made."""
+        path = self.dir(*parts[:-1]) / parts[-1]
+        self.files.append(path)
+        return path
+
+
+def _write_json(path: Path, chunks: Iterator[str]) -> None:
     # Chunks are written 1024 at a time: one write per chunk is slow, and
     # joining them all would hold a large dump in memory at once.
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         while batch := "".join(itertools.islice(chunks, 1024)):
             handle.write(batch)
         handle.write("\n")
-    return path
-
-
-_EDGE_TEMPLATE = (
-    "{\n"
-    '      "source": %s,\n'
-    '      "target": %s,\n'
-    '      "type": %s,\n'
-    '      "commit": %s,\n'
-    '      "timestamp": %s,\n'
-    '      "author_email": %s\n'
-    "    }"
-)
-
-
-def _dump_chunks(dump: dict) -> Iterator[str]:
-    """The text of ``json.dumps(dump, indent=2)`` for a dump made by
-    :func:`~refgraph.graph.graph_to_dict`, in chunks of one vertex or edge.
-
-    With ``indent`` set, ``json`` falls back to its pure-Python encoder; this
-    template fills in strings escaped by the same C function it uses.
-    """
-    yield (
-        "{\n"
-        f'  "format_version": {_encode(dump["format_version"])},\n'
-        f'  "project": {_encode(dump["project"])},\n'
-        '  "vertices": '
-    )
-    yield from _list_chunks(_encode(vertex) for vertex in dump["vertices"])
-    yield ',\n  "edges": '
-    yield from _list_chunks(
-        _EDGE_TEMPLATE % (
-            _encode(edge["source"]),
-            _encode(edge["target"]),
-            _encode(edge["type"]),
-            _encode(edge["commit"]),
-            _encode(edge["timestamp"]),
-            _encode(edge["author_email"]),
-        )
-        for edge in dump["edges"]
-    )
-    yield "\n}"
-
-
-def _list_chunks(items: Iterator[str]) -> Iterator[str]:
-    """A list one level below the top of an ``indent=2`` document."""
-    first = next(items, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[\n    " + first
-    for item in items:
-        yield ",\n    " + item
-    yield "\n  ]"
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +351,8 @@ def cmd_build(args) -> int:
     owners: dict[str, str] = {}
     dirs = {project: _project_dir(project, owners) for project in graphs}  # checked before any write
 
-    out_dir = Path(args.out)
     project_rows = []
-    written: list[Path] = []
-    try:
+    with _Output(args.out) as out:
         for project, graph in graphs.items():
             total, single, kept = _split(graph, min_commits)
             project_rows.append(
@@ -398,31 +369,25 @@ def cmd_build(args) -> int:
                 }
             )
             # An exhausted generator drops its frame, so no dump outlives its write.
-            chunks = _dump_chunks(graph_to_dict(graph, project))
-            written.append(_write_json(out_dir / dirs[project] / "graph.json", chunks))
-        if not written:  # an empty build still leaves a dump for stats and export to read
-            chunks = _dump_chunks(graph_to_dict(RefactoringGraph(), ""))
-            written.append(_write_json(out_dir / "graph.json", chunks))
+            _write_json(out.file(dirs[project], "graph.json"), dump_chunks(graph_to_dict(graph, project)))
+        if not graphs:  # an empty build still leaves a dump for stats and export to read
+            _write_json(out.file("graph.json"), dump_chunks(graph_to_dict(RefactoringGraph(), "")))
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
-        run_log = {
-            "format_version": RUN_LOG_VERSION,
-            "command": "build",
-            "config": {
+        run_log = dict(
+            format_version=RUN_LOG_VERSION,
+            command="build",
+            config={
                 "min_commits": min_commits,
                 "strict": bool(args.strict),
                 "exclude_keywords": list(config.excluded_package_keywords),
                 "drop_constructors": config.drop_constructors,
             },
             **front_log,
-            "projects": project_rows,
-            "totals": totals,
-        }
-        written.append(_write_json(out_dir / "run_log.json", json.JSONEncoder(indent=2).iterencode(run_log)))
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+            projects=project_rows,
+            totals=totals,
+        )
+        _write_json(out.file("run_log.json"), json.JSONEncoder(indent=2).iterencode(run_log))
     print(f"build: {totals['subgraphs']} subgraphs, {totals['kept']} kept (min-commits={min_commits})")
     return 0
 
@@ -469,11 +434,12 @@ def cmd_stats(args) -> int:
 
     summary = aggregate(groups, splits, _project_ages(args))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_tables(summary, out_dir)
-    write_json_summary(summary, out_dir / "summary.json")
-    print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {out_dir}")
+    with _Output(args.out) as out:
+        for name in TABLE_FILES:  # opened inside emit_tables
+            out.file(name)
+        emit_tables(summary, out.root)
+        write_json_summary(summary, out.file("summary.json"))
+    print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {out.root}")
     return 0
 
 
@@ -490,23 +456,6 @@ def _select_subgraphs(graph: RefactoringGraph, selector: str | None) -> list[Sub
     return [s for s in partition(graph) if any(selector in v for v in s.vertices)]
 
 
-def _make_dirs(path: Path, created: list[Path]) -> Path:
-    """``path.mkdir(parents=True, exist_ok=True)`` that appends each
-    directory it makes to ``created``, outermost first."""
-    for directory in reversed((path, *path.parents)):
-        if not directory.is_dir():
-            directory.mkdir()
-            created.append(directory)
-    return path
-
-
-def _write_dots(target_dir: Path, subgraphs: list[Subgraph], written: list[Path]) -> None:
-    for subgraph in subgraphs:
-        path = target_dir / f"{_safe_name(subgraph.id, fallback='subgraph')}.dot"
-        path.write_text(emit_dot(subgraph), encoding="utf-8")
-        written.append(path)
-
-
 def cmd_export(args) -> int:
     if bool(args.selector) == bool(args.all):
         message = "pass exactly one of a selector or --all"
@@ -519,29 +468,21 @@ def cmd_export(args) -> int:
         raise CliError(f"{args.graph[-1]!r} was read as a --graph path and does not exist;"
                        " a selector cannot be combined with --all", code=2)
     selector = None if args.all else args.selector
-    out_dir = Path(args.out)
     owners: dict[str, str] = {}
-    written: list[Path] = []
-    created: list[Path] = []
-    try:
+    with _Output(args.out) as out:
         for project, graph in _project_graphs(args.graph):
             matched = _select_subgraphs(graph, selector)
             del graph  # not held while the next graph loads
             if matched:
-                _write_dots(_make_dirs(out_dir / _project_dir(project, owners), created), matched, written)
+                name = _project_dir(project, owners)
+                for subgraph in matched:
+                    path = out.file(name, f"{_safe_name(subgraph.id, fallback='subgraph')}.dot")
+                    path.write_text(emit_dot(subgraph), encoding="utf-8")
             del matched
-    except BaseException:
-        # Leave --out as it was: no DOT file and no directory from this run.
-        for path in written:
-            path.unlink(missing_ok=True)
-        for directory in reversed(created):
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
-    if selector and not written:
-        raise CliError(f"selector matched no subgraph: {selector!r}", code=2)
-    out_dir.mkdir(parents=True, exist_ok=True)  # even for --all on an empty build
-    print(f"export: wrote {len(written)} DOT file(s) -> {out_dir}")
+        if selector and not out.files:
+            raise CliError(f"selector matched no subgraph: {selector!r}", code=2)
+        out.dir()  # even for --all on an empty build
+    print(f"export: wrote {len(out.files)} DOT file(s) -> {out.root}")
     return 0
 
 

@@ -11,10 +11,13 @@ operation applied in two different commits yields two edges.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Iterable, Iterator, Sequence
 
 from .ingest import (
+    EDGE_KEYS,
     EdgeKey,
     RefactoringRecord,
     format_timestamp,
@@ -172,6 +175,55 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
             for e in graph.edges()
         ],
     }
+
+
+# How a dump begins, up to its project's JSON string: dump_chunks writes it,
+# and dump_project matches these bytes to read the project without a full load.
+_HEAD = '{\n  "format_version": %s,\n  "project": '
+_HEAD_BYTES = (_HEAD % _encode(GRAPH_DUMP_VERSION)).encode("ascii")
+_EDGE_TEMPLATE = "{\n" + ",\n".join(f'      "{key}": %s' for key in EDGE_KEYS) + "\n    }"
+_edge_fields = operator.itemgetter(*EDGE_KEYS)
+
+
+def dump_chunks(dump: dict) -> Iterator[str]:
+    """The text of ``json.dumps(dump, indent=2)`` for a dump made by
+    :func:`graph_to_dict`, in chunks of one vertex or edge.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder; this
+    template fills in strings escaped by the same C function it uses.
+    """
+    yield _HEAD % _encode(dump["format_version"]) + _encode(dump["project"]) + ',\n  "vertices": '
+    yield from _list_chunks(map(_encode, dump["vertices"]))
+    yield ',\n  "edges": '
+    yield from _list_chunks(_EDGE_TEMPLATE % tuple(map(_encode, _edge_fields(edge))) for edge in dump["edges"])
+    yield "\n}"
+
+
+def _list_chunks(items: Iterator[str]) -> Iterator[str]:
+    """A list one level below the top of an ``indent=2`` document."""
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n    " + first
+    for item in items:
+        yield ",\n    " + item
+    yield "\n  ]"
+
+
+def dump_project(path) -> str:
+    """The project a dump names, read from its head when the dump begins as
+    :func:`dump_chunks` writes it, else by loading it in full (a dump written
+    another way may put its keys in any order)."""
+    with open(path, "rb") as handle:
+        if handle.read(len(_HEAD_BYTES)) == _HEAD_BYTES:
+            try:
+                project, _ = json.JSONDecoder().raw_decode(handle.readline().decode("utf-8"))
+            except ValueError:  # undecodable or cut off: the full load names the defect
+                project = None
+            if isinstance(project, str):
+                return project
+    return load_graph(path)[0]
 
 
 def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import corpus
 from refgraph import cli
-from refgraph.cli import _dump_chunks, main
-from refgraph.graph import load_graph, partition
-from refgraph.ingest import _MEMOS, EDGE_KEYS, clear_caches
+from refgraph.cli import main
+from refgraph.graph import graph_to_dict, load_graph, partition
+from refgraph.ingest import _MEMOS, clear_caches
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
 TESTS_DIR = Path(__file__).resolve().parent
@@ -180,10 +180,42 @@ class TestBuild:
         assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error:")
         assert [p.name for p in out.rglob("*") if p.is_file()] == ["okhttp"]
-        assert (out / "mpandroidchart").is_dir()  # made before the failure; only files are removed
+        assert sorted(p.name for p in out.iterdir()) == ["okhttp"]  # no directory this run made stays
+
+    def test_a_failed_run_log_write_leaves_no_project_directory(self, demo_records_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "run_log.json").mkdir(parents=True)  # written last, after every dump
+        assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error:")
+        assert [p.name for p in out.rglob("*")] == ["run_log.json"]
+
+    def test_an_interrupt_mid_run_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch):
+        calls = []
+
+        def interrupted(graph, project):
+            calls.append(project)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return graph_to_dict(graph, project)
+
+        monkeypatch.setattr(cli, "graph_to_dict", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["build", "--records", str(demo_records_path), "--out", str(out)])
+        assert len(calls) == 3
+        assert not out.exists()
 
 
 class TestStats:
+    def test_a_write_error_removes_what_the_run_wrote(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "stats"
+        (out / "histograms.csv").mkdir(parents=True)  # the sixth of the seven tables
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["stats", "--records", str(corpus_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("refgraph: error:")
+        assert _tree(out) == {"notes.txt": b"kept"}
+        assert sorted(p.name for p in out.iterdir()) == ["histograms.csv", "notes.txt"]
+
     def test_from_records(self, corpus_file, tmp_path, demo_ages_path):
         out = tmp_path / "stats"
         code = main(
@@ -797,25 +829,3 @@ class TestUnreadableInputs:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=path))
         assert not (tmp_path / "o").exists()
-
-
-# Text that stresses the writer's escaping: quotes, backslashes, control
-# characters, non-ASCII letters and characters outside the BMP.
-_dump_text = st.text(st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]))
-
-@given(
-    version=_dump_text,
-    project=_dump_text,
-    vertices=st.lists(_dump_text, max_size=5),
-    edges=st.lists(st.tuples(*[_dump_text] * len(EDGE_KEYS)), max_size=5),
-)
-@example(version="1", project="", vertices=[], edges=[])
-def test_dump_chunks_are_the_stdlib_encoding(version, project, vertices, edges):
-    # Keys in graph_to_dict's order (EDGE_KEYS is in that order too), which json.dumps keeps.
-    dump = {
-        "format_version": version,
-        "project": project,
-        "vertices": vertices,
-        "edges": [dict(zip(EDGE_KEYS, values)) for values in edges],
-    }
-    assert "".join(_dump_chunks(dump)) == json.dumps(dump, indent=2)

@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import replace
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,15 +14,18 @@ import corpus
 from oracles import bfs_components
 from refgraph.graph import (
     GraphDumpError,
+    RefactoringGraph,
     Subgraph,
     build,
+    dump_chunks,
+    dump_project,
     filter_multi_commit,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     partition,
 )
-from refgraph.ingest import RefactoringType, parse_signature
+from refgraph.ingest import EDGE_KEYS, RefactoringType, parse_signature
 
 
 class TestBuild:
@@ -301,6 +305,38 @@ class TestGraphDump:
         assert {edge.project for edge in graph.edges()} == {
             "mpandroidchart", "elasticsearch", "spring-framework", "okhttp"
         }
+
+
+# Text that stresses the writer's escaping: quotes, backslashes, control
+# characters, non-ASCII letters and characters outside the BMP.
+_dump_text = st.text(st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]))
+
+@given(
+    version=_dump_text,
+    project=_dump_text,
+    vertices=st.lists(_dump_text, max_size=5),
+    edges=st.lists(st.tuples(*[_dump_text] * len(EDGE_KEYS)), max_size=5),
+)
+@example(version="1", project="", vertices=[], edges=[])
+def test_dump_chunks_are_the_stdlib_encoding(version, project, vertices, edges):
+    # Keys in graph_to_dict's order (EDGE_KEYS is in that order too), which json.dumps keeps.
+    dump = {
+        "format_version": version,
+        "project": project,
+        "vertices": vertices,
+        "edges": [dict(zip(EDGE_KEYS, values)) for values in edges],
+    }
+    assert "".join(dump_chunks(dump)) == json.dumps(dump, indent=2)
+
+
+@given(project=_dump_text)
+@example(project="")
+def test_dump_project_reads_the_head_the_writer_emits(tmp_path_factory, project):
+    path = tmp_path_factory.mktemp("dump") / "graph.json"
+    path.write_text("".join(dump_chunks(graph_to_dict(RefactoringGraph(), project))) + "\n", encoding="utf-8")
+    # The project comes from the head alone: the full-load fallback never runs.
+    with mock.patch("refgraph.graph.load_graph", side_effect=AssertionError("full load")):
+        assert dump_project(path) == project
 
 
 class TestRecordAsEdge:
