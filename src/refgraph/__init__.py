@@ -18,9 +18,7 @@ from .graph import (
     partition,
 )
 from .history import (
-    CommitLog,
     CommitLogError,
-    CommitMeta,
     RestrictResult,
     load_commit_log,
     parse_commit_log,
@@ -53,9 +51,7 @@ from .report import emit_dot, emit_json_summary, emit_tables
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommitLog",
     "CommitLogError",
-    "CommitMeta",
     "CorrelationError",
     "FilterConfig",
     "MetricsError",

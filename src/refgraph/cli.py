@@ -28,7 +28,7 @@ from .graph import (
     load_graph,
     partition,
 )
-from .history import CommitLog, CommitLogError, load_commit_log, restrict_to_log
+from .history import CommitLogError, load_commit_log, restrict_to_log
 from .ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
     FilterConfig,
@@ -142,7 +142,7 @@ def _min_commits(args) -> int:
     return args.min_commits
 
 
-def _commit_logs(args) -> dict[str, CommitLog]:
+def _commit_logs(args) -> dict[str, dict]:
     paths: dict[str, str] = {}
     for item in args.commit_log:
         project, sep, path = item.partition("=")
@@ -154,11 +154,10 @@ def _commit_logs(args) -> dict[str, CommitLog]:
     return {project: load_commit_log(path) for project, path in paths.items()}
 
 
-def _run_front_pipeline(
-    args, config: FilterConfig
-) -> tuple[dict[str, RefactoringGraph], dict[str, int], dict]:
-    """One graph per project, the records analyzed per project, and the run
-    log's ``inputs`` and ``stages`` blocks."""
+def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[RefactoringRecord]], dict]:
+    """The records analyzed per project, in first-record order, and the run
+    log's ``inputs`` and ``stages`` blocks. Each caller builds one project's
+    graph at a time from them."""
     logs = _commit_logs(args)
 
     records: list[RefactoringRecord] = []
@@ -197,10 +196,8 @@ def _run_front_pipeline(
         stages["off_branch_dropped"] += outcome.dropped
         stages["ambiguous_commit"] += len(outcome.issues)
 
-    analyzed = {project: len(group) for project, group in by_project.items()}
-    stages["analyzed"] = sum(analyzed.values())
-    graphs = {project: build(group) for project, group in by_project.items()}
-    return graphs, analyzed, {"inputs": inputs, "stages": stages}
+    stages["analyzed"] = sum(len(group) for group in by_project.values())
+    return by_project, {"inputs": inputs, "stages": stages}
 
 
 def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Subgraph]]:
@@ -325,9 +322,13 @@ class _Output:
         return path
 
     def file(self, *parts: str) -> Path:
-        """``--out``/``parts``, recorded as this run's; its directory is made."""
+        """``--out``/``parts``, recorded as this run's and removed if it
+        exists; its directory is made."""
         path = self.dir(*parts[:-1]) / parts[-1]
         self.files.append(path)
+        # A new file, not a truncated one: ext4 flushes a file truncated and
+        # rewritten in place when it is closed, which makes a re-run slow.
+        path.unlink(missing_ok=True)
         return path
 
 
@@ -347,18 +348,19 @@ def _write_json(path: Path, chunks: Iterator[str]) -> None:
 def cmd_build(args) -> int:
     min_commits = _min_commits(args)
     config = _filter_config(args)
-    graphs, analyzed, front_log = _run_front_pipeline(args, config)
+    groups, front_log = _run_front_pipeline(args, config)
     owners: dict[str, str] = {}
-    dirs = {project: _project_dir(project, owners) for project in graphs}  # checked before any write
+    dirs = {project: _project_dir(project, owners) for project in groups}  # checked before any write
 
     project_rows = []
     with _Output(args.out) as out:
-        for project, graph in graphs.items():
+        for project, group in groups.items():
+            graph = build(group)
             total, single, kept = _split(graph, min_commits)
             project_rows.append(
                 {
                     "project": project,
-                    "records": analyzed[project],
+                    "records": len(group),
                     "vertices": graph.n_vertices,
                     "edges": graph.n_edges,
                     "subgraphs": total,
@@ -370,7 +372,8 @@ def cmd_build(args) -> int:
             )
             # An exhausted generator drops its frame, so no dump outlives its write.
             _write_json(out.file(dirs[project], "graph.json"), dump_chunks(graph_to_dict(graph, project)))
-        if not graphs:  # an empty build still leaves a dump for stats and export to read
+            del graph, kept  # not held while the next graph is built
+        if not groups:  # an empty build still leaves a dump for stats and export to read
             _write_json(out.file("graph.json"), dump_chunks(graph_to_dict(RefactoringGraph(), "")))
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
@@ -418,8 +421,12 @@ def cmd_stats(args) -> int:
     if args.records and args.graph:
         raise CliError("pass either --records or --graph, not both", code=2)
     if args.records:
-        graphs = _run_front_pipeline(args, _filter_config(args))[0].items()
+        groups = _run_front_pipeline(args, _filter_config(args))[0]
+        graphs = ((project, build(group)) for project, group in groups.items())
     elif args.graph:
+        for dest in ("commit_log", "exclude_keywords", "keep_constructors", "strict"):
+            if getattr(args, dest) not in (None, False, []):  # given, not left at its default
+                raise CliError(f"--{dest.replace('_', '-')} applies only with --records", code=2)
         graphs = _project_graphs(args.graph)
     else:
         raise CliError("stats requires --records or --graph", code=2)

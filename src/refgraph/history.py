@@ -6,7 +6,8 @@ A commit log file is tab-separated, one commit per line, newest first:
 
 Such a file is what ``git log --first-parent --format='%H%x09%aI%x09%an%x09%ae'``
 emits for the linear main-branch history.  The author name is required but
-not kept: developers are told apart by email.
+not kept: developers are told apart by email.  A parsed log is a dict from
+full hash to ``(hash, timestamp, author_email)``.
 """
 
 from __future__ import annotations
@@ -23,60 +24,9 @@ class CommitLogError(ValueError):
     """A commit log file is malformed; logs are machine-generated, so this is fatal."""
 
 
-class UnknownCommitError(LookupError):
-    """No log entry matches the given hash or prefix."""
-
-
-class AmbiguousCommitError(LookupError):
-    """A hash prefix matches more than one log entry."""
-
-
-@dataclass(frozen=True)
-class CommitMeta:
-    hash: str
-    timestamp: datetime
-    author_email: str
-
-
-class CommitLog:
-    """Immutable set of commits, looked up by full hash or unambiguous prefix."""
-
-    def __init__(self, entries: Iterable[CommitMeta]):
-        self._by_hash: dict[str, CommitMeta] = {}
-        for entry in entries:
-            if entry.hash in self._by_hash:
-                raise CommitLogError(f"duplicate commit hash: {entry.hash}")
-            self._by_hash[entry.hash] = entry
-        self._sorted_hashes = sorted(self._by_hash)
-
-    def __contains__(self, commit: str) -> bool:
-        try:
-            self.resolve(commit)
-        except LookupError:
-            return False
-        return True
-
-    def resolve(self, commit: str) -> CommitMeta:
-        """Resolve a full hash or unambiguous prefix to its log entry."""
-        exact = self._by_hash.get(commit)
-        if exact is not None:
-            return exact
-        # Hashes sharing a prefix are contiguous in the sorted list.
-        start = bisect.bisect_left(self._sorted_hashes, commit)
-        matches = []
-        for full in self._sorted_hashes[start : start + 2]:
-            if full.startswith(commit):
-                matches.append(full)
-        if not matches:
-            raise UnknownCommitError(commit)
-        if len(matches) > 1:
-            raise AmbiguousCommitError(f"commit prefix {commit!r} is ambiguous")
-        return self._by_hash[matches[0]]
-
-
-def parse_commit_log(lines: Iterable[str]) -> CommitLog:
+def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, datetime, str]]:
     """Parse tab-separated commit log lines; any malformed line is fatal."""
-    entries: list[CommitMeta] = []
+    log: dict[str, tuple[str, datetime, str]] = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -85,14 +35,16 @@ def parse_commit_log(lines: Iterable[str]) -> CommitLog:
             raise CommitLogError(f"line {line_no}: expected 4 tab-separated fields, got {len(parts)}")
         raw_hash, raw_ts, _name, email = parts
         try:
-            meta = parse_metadata(raw_hash, raw_ts, email)
+            entry = parse_metadata(raw_hash, raw_ts, email)
         except ValueError as exc:
             raise CommitLogError(f"line {line_no}: {exc}") from None
-        entries.append(CommitMeta(*meta))
-    return CommitLog(entries)
+        if entry[0] in log:
+            raise CommitLogError(f"line {line_no}: duplicate commit hash: {entry[0]}")
+        log[entry[0]] = entry
+    return log
 
 
-def load_commit_log(path) -> CommitLog:
+def load_commit_log(path) -> dict[str, tuple[str, datetime, str]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_commit_log(handle)
@@ -117,24 +69,27 @@ class RestrictResult:
     issues: tuple[str, ...]
 
 
-def restrict_to_log(records: Iterable[RefactoringRecord], log: CommitLog) -> RestrictResult:
-    """Keep only records whose commit resolves to a log entry."""
+def restrict_to_log(
+    records: Iterable[RefactoringRecord], log: dict[str, tuple[str, datetime, str]]
+) -> RestrictResult:
+    """Keep only records whose commit is a full hash in ``log`` or the
+    prefix of exactly one."""
+    hashes = sorted(log)
     kept: list[RefactoringRecord] = []
     dropped = 0
     issues: list[str] = []
     for record in records:
-        try:
-            meta = log.resolve(record.commit)
-        except UnknownCommitError:
-            dropped += 1
-            continue
-        except AmbiguousCommitError as exc:
-            issues.append(str(exc))
-            continue
-        kept.append(
-            RefactoringRecord(
-                record.source, record.target, record.rtype,
-                meta.hash, meta.timestamp, meta.author_email, record.project,
-            )
-        )
+        entry = log.get(record.commit)
+        if entry is None:
+            # Hashes sharing a prefix are contiguous in sorted order.
+            start = bisect.bisect_left(hashes, record.commit)
+            matches = [full for full in hashes[start : start + 2] if full.startswith(record.commit)]
+            if not matches:
+                dropped += 1
+                continue
+            if len(matches) > 1:
+                issues.append(f"commit prefix {record.commit!r} is ambiguous")
+                continue
+            entry = log[matches[0]]
+        kept.append(RefactoringRecord(record.source, record.target, record.rtype, *entry, record.project))
     return RestrictResult(tuple(kept), dropped, tuple(issues))

@@ -380,7 +380,7 @@ def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
             continue
         try:
             records.append(parse_record_line(line))
-        except (ValueError, SignatureError) as exc:
+        except ValueError as exc:  # SignatureError is a ValueError
             if strict:
                 raise RecordError(f"line {line_no}: {exc}") from None
             issues.append(ParseIssue(line_no, str(exc)))

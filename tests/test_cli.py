@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import os
 import random
 import tempfile
 import weakref
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import corpus
 from refgraph import cli
 from refgraph.cli import main
-from refgraph.graph import graph_to_dict, load_graph, partition
+from refgraph.graph import build, graph_to_dict, load_graph, partition
 from refgraph.ingest import _MEMOS, clear_caches
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
@@ -206,6 +207,25 @@ class TestBuild:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "stats"])
+def test_a_re_run_writes_new_files(demo_records_path, tmp_path, command):
+    # A re-run replaces each output with a new file rather than rewriting the
+    # earlier run's in place, so a hard link to an earlier file keeps its bytes.
+    out = tmp_path / "out"
+    links = tmp_path / "links"
+    links.mkdir()
+    assert main([command, "--records", str(demo_records_path), "--out", str(out)]) == 0
+    before = _tree(out)
+    for i, name in enumerate(before):
+        os.link(out / name, links / str(i))
+    assert main([command, "--records", str(demo_records_path), "--min-commits", "3", "--out", str(out)]) == 0
+    after = _tree(out)
+    assert after.keys() == before.keys() and after != before
+    for i, name in enumerate(before):
+        assert (links / str(i)).read_bytes() == before[name]
+        assert not (links / str(i)).samefile(out / name)
+
+
 class TestStats:
     def test_a_write_error_removes_what_the_run_wrote(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "stats"
@@ -394,6 +414,18 @@ class TestStats:
             ["stats", "--records", str(corpus_file), "--graph", str(build_out), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("option", [
+        ["--commit-log", "nosuch=missing.tsv"], ["--exclude-keywords", ""], ["--keep-constructors"], ["--strict"],
+    ], ids=["commit-log", "exclude-keywords", "keep-constructors", "strict"])
+    def test_record_options_are_refused_with_graph(self, corpus_file, tmp_path, capsys, option):
+        build_out = tmp_path / "build"
+        assert main(["build", "--records", str(corpus_file), "--out", str(build_out)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "stats"
+        assert main(["stats", "--graph", str(build_out), *option, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"refgraph: error: {option[0]} applies only with --records\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "age", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
@@ -649,29 +681,43 @@ def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, conte
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
-def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command, source, order", [
+    # --graph: okhttp's dump twice, so its second load merges into the first
+    # one's graph; the dumps build wrote are grouped from their heads, so each
+    # loads once. --records: one graph per project, in first-record order.
+    (["stats"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]),
+    (["export", "--all"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]),
+    (["build"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
+    (["stats"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
+], ids=["stats", "export", "build", "stats-records"])
+def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, order):
     # RefactoringGraph defines __eq__ and so is unhashable: weak references
     # are kept in a list, not a WeakSet.
-    loaded: list[tuple[str, weakref.ref]] = []
+    held: list[tuple[str, weakref.ref]] = []
 
-    def tracked_load_graph(path):
-        project, graph = load_graph(path)
-        gc.collect()
-        alive = {name for name, ref in loaded if ref() is not None}
-        assert alive <= {project}, f"{sorted(alive - {project})} still held when {project!r} loads"
-        loaded.append((project, weakref.ref(graph)))
-        return project, graph
+    def tracked(make, project_and_graph):
+        def wrapper(arg):
+            result = make(arg)
+            project, graph = project_and_graph(arg, result)
+            gc.collect()
+            alive = {name for name, ref in held if ref() is not None}
+            assert alive <= {project}, f"{sorted(alive - {project})} still held when {project!r} is made"
+            held.append((project, weakref.ref(graph)))
+            return result
+        return wrapper
 
+    records = str(TESTS_DIR.parent / "demo" / "refactorings.jsonl")
+    commit_log = str(TESTS_DIR.parent / "demo" / "commit_log_mpandroidchart.tsv")
     build_out = tmp_path / "build"
-    assert main(["build", "--records", str(TESTS_DIR.parent / "demo" / "refactorings.jsonl"),
-                 "--out", str(build_out)]) == 0
-    monkeypatch.setattr(cli, "load_graph", tracked_load_graph)
-    # okhttp's dump twice: its second load merges into the first one's graph
-    graphs = [str(build_out), str(build_out / "okhttp" / "graph.json")]
-    assert main([*command, "--graph", *graphs, "--out", str(tmp_path / "out")]) == 0
-    # The dumps build wrote are grouped from their heads, so each loads once.
-    assert [name for name, _ in loaded] == ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]
+    if source == "graph":
+        assert main(["build", "--records", records, "--out", str(build_out)]) == 0
+        inputs = ["--graph", str(build_out), str(build_out / "okhttp" / "graph.json")]
+    else:
+        inputs = ["--records", records, "--commit-log", f"mpandroidchart={commit_log}"]
+    monkeypatch.setattr(cli, "load_graph", tracked(load_graph, lambda path, result: result))
+    monkeypatch.setattr(cli, "build", tracked(build, lambda group, graph: (group[0].project, graph)))
+    assert main([*command, *inputs, "--out", str(tmp_path / "out")]) == 0
+    assert [name for name, _ in held] == order
 
 
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):

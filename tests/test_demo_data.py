@@ -12,7 +12,7 @@ import pytest
 
 import corpus
 from refgraph.cli import main
-from refgraph.history import load_commit_log
+from refgraph.history import load_commit_log, restrict_to_log
 from refgraph.ingest import parse_records
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,9 +36,9 @@ def test_demo_ages_cover_every_project(demo_ages_path):
 
 
 def test_demo_commit_log_covers_the_chart_commits(demo_commit_log_path):
-    log = load_commit_log(demo_commit_log_path)
-    for record in corpus.CHART_AXIS_RECORDS:
-        assert record["commit"] in log
+    records = corpus.records_of(corpus.CHART_AXIS_RECORDS)
+    outcome = restrict_to_log(records, load_commit_log(demo_commit_log_path))
+    assert (len(outcome.kept), outcome.dropped, outcome.issues) == (len(records), 0, ())
 
 
 def test_readme_library_example_runs_and_matches_stats(tmp_path):

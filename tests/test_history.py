@@ -7,13 +7,7 @@ from datetime import datetime, timezone
 import pytest
 
 import corpus
-from refgraph.history import (
-    AmbiguousCommitError,
-    CommitLogError,
-    UnknownCommitError,
-    parse_commit_log,
-    restrict_to_log,
-)
+from refgraph.history import CommitLogError, parse_commit_log, restrict_to_log
 from refgraph.ingest import parse_signature, parse_timestamp
 
 LOG_LINES = [
@@ -33,16 +27,17 @@ def _synthetic_log_lines(n: int) -> list[str]:
 class TestParseCommitLog:
     def test_three_lines(self):
         log = parse_commit_log(LOG_LINES)
+        assert len(log) == len(LOG_LINES)
         for line in LOG_LINES:
             full, timestamp, _, email = line.split("\t")
-            meta = log.resolve(full)
-            assert meta.hash == full
-            assert meta.timestamp == parse_timestamp(timestamp)
-            assert meta.author_email == email
+            assert log[full] == (full, parse_timestamp(timestamp), email)
 
     def test_duplicate_hash_is_fatal(self):
-        with pytest.raises(CommitLogError, match="duplicate"):
-            parse_commit_log([LOG_LINES[0], LOG_LINES[0]])
+        with pytest.raises(CommitLogError, match="^line 3: duplicate commit hash: " + LOG_LINES[0][:40]):
+            parse_commit_log([LOG_LINES[0], LOG_LINES[1], LOG_LINES[0]])
+        # hashes are compared after normalization
+        with pytest.raises(CommitLogError, match="^line 2: duplicate"):
+            parse_commit_log([LOG_LINES[0], LOG_LINES[0].upper()])
 
     def test_malformed_line_is_fatal_with_line_number(self):
         with pytest.raises(CommitLogError, match="line 2"):
@@ -60,29 +55,38 @@ class TestParseCommitLog:
 
     def test_blank_lines_ignored(self):
         log = parse_commit_log(["", LOG_LINES[0], "   "])
-        assert log.resolve(LOG_LINES[0][:40]).hash == LOG_LINES[0][:40]
-        assert LOG_LINES[1][:40] not in log
+        assert list(log) == [LOG_LINES[0][:40]]
 
     def test_exported_log_size_matches_line_count(self):
         lines = _synthetic_log_lines(137)
         log = parse_commit_log(lines)
-        for line in lines:
-            assert log.resolve(line[:40]).hash == line[:40]
+        assert list(log) == [line[:40] for line in lines]
+
+
+def _restrict_one(log, commit: str):
+    """``restrict_to_log`` of one record made in ``commit``."""
+    record = corpus.make_record(parse_signature("a.B#m()"), parse_signature("a.B#n()"), commit=commit)
+    return restrict_to_log([record], log)
 
 
 class TestResolve:
+    """A record's commit resolves to the log entry it equals or is the only
+    prefix of."""
+
     def test_exact_and_prefix(self):
         log = parse_commit_log(LOG_LINES)
         full = "13104b26a9f4ec41dbb4dce0ffa86c2626431337"
-        assert log.resolve(full).hash == full
-        assert log.resolve("13104b26").hash == full
-        assert "13104b26" in log
-        assert "ffffffff" not in log
+        for commit in (full, "13104b26"):
+            outcome = _restrict_one(log, commit)
+            assert [r.commit for r in outcome.kept] == [full]
+            assert (outcome.dropped, outcome.issues) == (0, ())
 
     def test_unknown(self):
         log = parse_commit_log(LOG_LINES)
-        with pytest.raises(UnknownCommitError):
-            log.resolve("abcdef0")
+        # before, between and after the log's sorted hashes
+        for commit in ("0000000", "abcdef0", "ffffffff"):
+            outcome = _restrict_one(log, commit)
+            assert (outcome.kept, outcome.dropped, outcome.issues) == ((), 1, ())
 
     def test_ambiguous_prefix(self):
         log = parse_commit_log(
@@ -91,9 +95,10 @@ class TestResolve:
                 "aaaa0000ffff2222333344445555666677778888\t2020-01-02T00:00:00Z\tb\tb@x",
             ]
         )
-        with pytest.raises(AmbiguousCommitError, match="ambiguous"):
-            log.resolve("aaaa0000")
-        assert log.resolve("aaaa0000f").hash.startswith("aaaa0000ffff")
+        outcome = _restrict_one(log, "aaaa0000")
+        assert (outcome.kept, outcome.dropped) == ((), 0)
+        assert outcome.issues == ("commit prefix 'aaaa0000' is ambiguous",)
+        assert [r.commit for r in _restrict_one(log, "aaaa0000f").kept] == ["aaaa0000ffff2222333344445555666677778888"]
 
 
 def _chart_records():
@@ -146,9 +151,7 @@ class TestRestrictToLog:
         outcome = restrict_to_log(records, log)
         assert len(outcome.kept) == len(records)
         for record in outcome.kept:
-            meta = log.resolve(record.commit)
-            assert record.timestamp == meta.timestamp
-            assert record.author_email == meta.author_email
+            assert (record.commit, record.timestamp, record.author_email) == log[record.commit]
 
     def test_idempotent(self):
         records = _chart_records()
@@ -165,10 +168,7 @@ class TestRestrictToLog:
                 "c1a2b3c0ffff2222333344445555666677778888\t2020-01-02T00:00:00Z\tb\tb@x",
             ]
         )
-        record = corpus.make_record(
-            parse_signature("a.B#m()"), parse_signature("a.B#n()"), commit="c1a2b3c"
-        )
-        outcome = restrict_to_log([record], log)
+        outcome = _restrict_one(log, "c1a2b3c")
         assert not outcome.kept
         assert outcome.dropped == 0
         assert len(outcome.issues) == 1
