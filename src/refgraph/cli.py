@@ -10,8 +10,11 @@ import contextlib
 import hashlib
 import itertools
 import json
+import os
 import re
+import shutil
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -109,12 +112,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError, RecordError, CommitLogError, GraphDumpError) as exc:
         print(f"refgraph: error: {exc}", file=sys.stderr)
-        return exc.code
-    except (OSError, RecordError, CommitLogError, GraphDumpError) as exc:
-        print(f"refgraph: error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code if isinstance(exc, CliError) else 1
 
 
 def run() -> None:
@@ -126,14 +126,10 @@ def run() -> None:
 
 
 def _filter_config(args) -> FilterConfig:
-    if args.exclude_keywords is None:
-        keywords = DEFAULT_EXCLUDED_KEYWORDS
-    else:
+    keywords = DEFAULT_EXCLUDED_KEYWORDS
+    if args.exclude_keywords is not None:
         keywords = tuple(k.strip() for k in args.exclude_keywords.split(",") if k.strip())
-    return FilterConfig(
-        excluded_package_keywords=keywords,
-        drop_constructors=not args.keep_constructors,
-    )
+    return FilterConfig(keywords, drop_constructors=not args.keep_constructors)
 
 
 def _min_commits(args) -> int:
@@ -223,7 +219,7 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
             expanded.append(path)
         else:
             raise CliError(f"graph dump not found: {path}")
-    return expanded
+    return list(dict.fromkeys(expanded))  # so B and B/p/graph.json load p once
 
 
 def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph | None:
@@ -270,66 +266,79 @@ def _safe_name(identifier: str, fallback: str) -> str:
     return f"{safe[:80] or fallback}-{digest}"
 
 
-def _project_dir(project: str, owners: dict[str, str]) -> str:
-    """The directory of ``project`` under ``--out``. ``owners`` maps each
-    directory handed out so far to its project; two projects sharing one
-    directory are an error."""
+def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
+    """The directory of ``project`` under ``out``, made. ``owners`` maps each
+    directory made so far to its project; two projects sharing one directory
+    are an error."""
     # A name of dots alone ("." or "..") would point at --out or above it.
     name = re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project) or "project"
     if owners.setdefault(name, project) != project:
         raise CliError(f"projects {owners[name]!r} and {project!r} would share the output directory {name!r}")
-    return name
+    (out / name).mkdir()
+    return out / name
 
 
-class _Output:
-    """The files and directories one command writes under ``--out``.
+# Each command's outputs, as paths under --out. An existing --out is replaced
+# only if it holds nothing else, so no other file is deleted.
+_WRITES = {"build": ("run_log.json", "graph.json", "*/graph.json"),
+           "stats": (*TABLE_FILES, "summary.json"), "export": ("*/*.dot",)}
 
-    Each file's path is recorded before the file is opened. If the ``with``
-    block raises anything, the recorded files and every directory this run
-    made are removed before the exception goes on, so a failed run leaves
-    no file it wrote and no directory it made.
-    """
 
-    def __init__(self, root: str) -> None:
-        self.root = Path(root)
-        self.files: list[Path] = []
-        self._made: list[Path] = []
+def _refuse_foreign(root: str, command: str) -> None:
+    """Exit 2 unless ``--out`` is missing or a directory holding only paths
+    ``command`` writes, each at its depth, and none a symbolic link."""
+    out, cwd = Path(os.path.abspath(root)), Path.cwd()
+    if out.resolve() in (cwd, *cwd.parents):  # "/" is always among them
+        raise CliError(f"--out {root} is or contains the working directory", code=2)
+    if out.is_symlink() or out.exists() and not out.is_dir():
+        raise CliError(f"--out {root} is a symbolic link or not a directory", code=2)
+    for path in out.rglob("*"):  # nothing when --out is missing
+        rel = path.relative_to(out).as_posix()
+        # a directory a command writes is a "*" component of one of its paths
+        if path.is_symlink() or not any(
+            rel.count("/") < shape.count("/") if path.is_dir()
+            else rel.count("/") == shape.count("/") and fnmatchcase(rel, shape) and path.is_file()
+            for shape in _WRITES[command]
+        ):
+            raise CliError(f"--out {root} holds {Path(root, rel)}, which {command} does not write;"
+                           " give a new or empty directory", code=2)
 
-    def __enter__(self) -> _Output:
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
+@contextlib.contextmanager
+def _output_tree(root: str, command: str) -> Iterator[Path]:
+    """A new dot-named directory beside ``--out``, made once ``--out`` passes
+    :func:`_refuse_foreign`. If the ``with`` block ends normally, it replaces
+    ``--out``: the old tree is renamed aside, the new one in, and the old one
+    removed. If the block raises anything, the new directory and the parents
+    of ``--out`` this run made are removed, and ``--out`` is left as it was."""
+    _refuse_foreign(root, command)
+    out = Path(os.path.abspath(root))
+    made = [p for p in (out.parent, *out.parent.parents) if not p.is_dir()]  # deepest first
+    new = None  # set once made, so a name found taken is never removed
+    try:
+        name = out.with_name(f".{out.name}.{os.urandom(4).hex()}")
+        name.mkdir(parents=True)  # mkdir, unlike tempfile.mkdtemp, gives the mode the umask allows
+        new = name
+        yield new
+        _refuse_foreign(root, command)  # --out may have changed while the run read its inputs
+        if not os.path.lexists(out):
+            new.rename(out)
             return
-        for path in self.files:
-            with contextlib.suppress(OSError):  # e.g. the path is a directory
-                path.unlink(missing_ok=True)
-        for directory in reversed(self._made):
+        aside = new.with_name(new.name + ".old")
+        out.rename(aside)
+        try:
+            new.rename(out)
+        except BaseException:
+            aside.rename(out)
+            raise
+        shutil.rmtree(aside)
+    except BaseException:
+        if new is not None:
+            shutil.rmtree(new, ignore_errors=True)
+        for directory in made:
             with contextlib.suppress(OSError):  # not empty: something else is in it
                 directory.rmdir()
-
-    def dir(self, *parts: str) -> Path:
-        """``--out``/``parts``, made with any missing parent."""
-        path = self.root.joinpath(*parts)
-        missing = []
-        up = path
-        while not up.is_dir() and up != up.parent:  # "." or "/" ends the walk even if unreadable
-            missing.append(up)
-            up = up.parent
-        for directory in reversed(missing):
-            directory.mkdir()
-            self._made.append(directory)
-        return path
-
-    def file(self, *parts: str) -> Path:
-        """``--out``/``parts``, recorded as this run's and removed if it
-        exists; its directory is made."""
-        path = self.dir(*parts[:-1]) / parts[-1]
-        self.files.append(path)
-        # A new file, not a truncated one: ext4 flushes a file truncated and
-        # rewritten in place when it is closed, which makes a re-run slow.
-        path.unlink(missing_ok=True)
-        return path
+        raise
 
 
 def _write_json(path: Path, chunks: Iterator[str]) -> None:
@@ -348,33 +357,23 @@ def _write_json(path: Path, chunks: Iterator[str]) -> None:
 def cmd_build(args) -> int:
     min_commits = _min_commits(args)
     config = _filter_config(args)
-    groups, front_log = _run_front_pipeline(args, config)
-    owners: dict[str, str] = {}
-    dirs = {project: _project_dir(project, owners) for project in groups}  # checked before any write
-
-    project_rows = []
-    with _Output(args.out) as out:
+    with _output_tree(args.out, "build") as out:
+        groups, front_log = _run_front_pipeline(args, config)
+        owners: dict[str, str] = {}
+        project_rows = []
         for project, group in groups.items():
             graph = build(group)
             total, single, kept = _split(graph, min_commits)
-            project_rows.append(
-                {
-                    "project": project,
-                    "records": len(group),
-                    "vertices": graph.n_vertices,
-                    "edges": graph.n_edges,
-                    "subgraphs": total,
-                    "single_commit": single,
-                    "multi_commit": total - single,
-                    "below_threshold": total - len(kept),
-                    "kept": len(kept),
-                }
-            )
+            project_rows.append(dict(
+                project=project, records=len(group), vertices=graph.n_vertices, edges=graph.n_edges,
+                subgraphs=total, single_commit=single, multi_commit=total - single,
+                below_threshold=total - len(kept), kept=len(kept),
+            ))
             # An exhausted generator drops its frame, so no dump outlives its write.
-            _write_json(out.file(dirs[project], "graph.json"), dump_chunks(graph_to_dict(graph, project)))
+            _write_json(_project_dir(out, project, owners) / "graph.json", dump_chunks(graph_to_dict(graph, project)))
             del graph, kept  # not held while the next graph is built
         if not groups:  # an empty build still leaves a dump for stats and export to read
-            _write_json(out.file("graph.json"), dump_chunks(graph_to_dict(RefactoringGraph(), "")))
+            _write_json(out / "graph.json", dump_chunks(graph_to_dict(RefactoringGraph(), "")))
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
         run_log = dict(
@@ -390,7 +389,7 @@ def cmd_build(args) -> int:
             projects=project_rows,
             totals=totals,
         )
-        _write_json(out.file("run_log.json"), json.JSONEncoder(indent=2).iterencode(run_log))
+        _write_json(out / "run_log.json", json.JSONEncoder(indent=2).iterencode(run_log))
     print(f"build: {totals['subgraphs']} subgraphs, {totals['kept']} kept (min-commits={min_commits})")
     return 0
 
@@ -418,35 +417,30 @@ def _project_ages(args) -> dict[str, float] | None:
 
 def cmd_stats(args) -> int:
     min_commits = _min_commits(args)
-    if args.records and args.graph:
-        raise CliError("pass either --records or --graph, not both", code=2)
-    if args.records:
-        groups = _run_front_pipeline(args, _filter_config(args))[0]
-        graphs = ((project, build(group)) for project, group in groups.items())
-    elif args.graph:
-        for dest in ("commit_log", "exclude_keywords", "keep_constructors", "strict"):
-            if getattr(args, dest) not in (None, False, []):  # given, not left at its default
-                raise CliError(f"--{dest.replace('_', '-')} applies only with --records", code=2)
-        graphs = _project_graphs(args.graph)
-    else:
-        raise CliError("stats requires --records or --graph", code=2)
-
-    splits = []
-    groups = {}
-    for project, graph in graphs:
-        total, single, kept = _split(graph, min_commits)
-        splits.append((project, total, single))
-        groups[project] = [measure(subgraph) for subgraph in kept]
-        del graph, kept  # not held while the next graph loads
-
-    summary = aggregate(groups, splits, _project_ages(args))
-
-    with _Output(args.out) as out:
-        for name in TABLE_FILES:  # opened inside emit_tables
-            out.file(name)
-        emit_tables(summary, out.root)
-        write_json_summary(summary, out.file("summary.json"))
-    print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {out.root}")
+    if bool(args.records) == bool(args.graph):
+        raise CliError("pass either --records or --graph, not both" if args.records
+                       else "stats requires --records or --graph", code=2)
+    for dest in ("commit_log", "exclude_keywords", "keep_constructors", "strict") if args.graph else ():
+        if getattr(args, dest) not in (None, False, []):  # given, not left at its default
+            raise CliError(f"--{dest.replace('_', '-')} applies only with --records", code=2)
+    with _output_tree(args.out, "stats") as out:
+        ages = _project_ages(args)
+        if args.records:
+            groups = _run_front_pipeline(args, _filter_config(args))[0]
+            graphs = ((project, build(group)) for project, group in groups.items())
+        else:
+            graphs = _project_graphs(args.graph)
+        splits = []
+        groups = {}
+        for project, graph in graphs:
+            total, single, kept = _split(graph, min_commits)
+            splits.append((project, total, single))
+            groups[project] = [measure(subgraph) for subgraph in kept]
+            del graph, kept  # not held while the next graph loads
+        summary = aggregate(groups, splits, ages)
+        emit_tables(summary, out)
+        write_json_summary(summary, out / "summary.json")
+    print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {Path(args.out)}")
     return 0
 
 
@@ -476,20 +470,21 @@ def cmd_export(args) -> int:
                        " a selector cannot be combined with --all", code=2)
     selector = None if args.all else args.selector
     owners: dict[str, str] = {}
-    with _Output(args.out) as out:
+    written = 0
+    with _output_tree(args.out, "export") as out:
         for project, graph in _project_graphs(args.graph):
             matched = _select_subgraphs(graph, selector)
             del graph  # not held while the next graph loads
             if matched:
-                name = _project_dir(project, owners)
+                directory = _project_dir(out, project, owners)
                 for subgraph in matched:
-                    path = out.file(name, f"{_safe_name(subgraph.id, fallback='subgraph')}.dot")
+                    path = directory / f"{_safe_name(subgraph.id, fallback='subgraph')}.dot"
                     path.write_text(emit_dot(subgraph), encoding="utf-8")
+                written += len(matched)
             del matched
-        if selector and not out.files:
+        if selector and not written:
             raise CliError(f"selector matched no subgraph: {selector!r}", code=2)
-        out.dir()  # even for --all on an empty build
-    print(f"export: wrote {len(out.files)} DOT file(s) -> {out.root}")
+    print(f"export: wrote {written} DOT file(s) -> {Path(args.out)}")
     return 0
 
 

@@ -18,6 +18,7 @@ from refgraph import cli
 from refgraph.cli import main
 from refgraph.graph import build, graph_to_dict, load_graph, partition
 from refgraph.ingest import _MEMOS, clear_caches
+from refgraph.report import emit_dot, emit_tables
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
 TESTS_DIR = Path(__file__).resolve().parent
@@ -29,6 +30,29 @@ def _read_json(path):
 
 def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _snapshot(root):
+    """Every entry under ``root``: a file's bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def _temporaries(out):
+    """The dot-named entries beside ``out``: trees a run left behind."""
+    return sorted(p.name for p in out.parent.iterdir() if p.name.startswith("."))
+
+
+def _fail_on_call(n, func):
+    """``func``, except that its ``n``-th call raises OSError."""
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == n:
+            raise OSError("injected write error")
+        return func(*args)
+
+    return failing
 
 
 def _read_csv(path):
@@ -173,22 +197,37 @@ class TestBuild:
         assert err == f"refgraph: error: commit log {log}: line 1: expected 4 tab-separated fields, got 1\n"
         assert not (tmp_path / "out").exists()
 
-    def test_write_error_removes_what_the_run_wrote(self, demo_records_path, tmp_path, capsys):
-        # okhttp's directory is taken by a file, so its dump fails after earlier projects' dumps are written.
+    def test_write_error_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch, capsys):
+        # The third project's dump fails after two dumps are written; the earlier run's tree stays as it was.
         out = tmp_path / "out"
-        out.mkdir()
-        (out / "okhttp").write_text("not a directory", encoding="utf-8")
+        assert main(["build", "--records", str(demo_records_path), "--min-commits", "3", "--out", str(out)]) == 0
+        before = _snapshot(out)
+        monkeypatch.setattr(cli, "graph_to_dict", _fail_on_call(3, graph_to_dict))
+        capsys.readouterr()
         assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error:")
-        assert [p.name for p in out.rglob("*") if p.is_file()] == ["okhttp"]
-        assert sorted(p.name for p in out.iterdir()) == ["okhttp"]  # no directory this run made stays
+        assert capsys.readouterr().err == "refgraph: error: injected write error\n"
+        assert _snapshot(out) == before
+        assert _temporaries(out) == []
 
-    def test_a_failed_run_log_write_leaves_no_project_directory(self, demo_records_path, tmp_path, capsys):
+    def test_a_failed_run_log_write_leaves_no_project_directory(self, demo_records_path, tmp_path, monkeypatch,
+                                                                capsys):
+        # The run log is written last, after every dump.
         out = tmp_path / "out"
-        (out / "run_log.json").mkdir(parents=True)  # written last, after every dump
+        assert main(["build", "--records", _without_elasticsearch(tmp_path), "--out", str(out)]) == 0
+        before = _snapshot(out)
+        write_json = cli._write_json
+
+        def failing(path, chunks):
+            if path.name == "run_log.json":
+                raise OSError("injected write error")
+            return write_json(path, chunks)
+
+        monkeypatch.setattr(cli, "_write_json", failing)
+        capsys.readouterr()
         assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error:")
-        assert [p.name for p in out.rglob("*")] == ["run_log.json"]
+        assert capsys.readouterr().err == "refgraph: error: injected write error\n"
+        assert _snapshot(out) == before and "elasticsearch" not in before
+        assert _temporaries(out) == []
 
     def test_an_interrupt_mid_run_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch):
         calls = []
@@ -205,6 +244,7 @@ class TestBuild:
             main(["build", "--records", str(demo_records_path), "--out", str(out)])
         assert len(calls) == 3
         assert not out.exists()
+        assert _temporaries(out) == []
 
 
 @pytest.mark.parametrize("command", ["build", "stats"])
@@ -226,15 +266,177 @@ def test_a_re_run_writes_new_files(demo_records_path, tmp_path, command):
         assert not (links / str(i)).samefile(out / name)
 
 
+DEMO_RECORDS = TESTS_DIR.parent / "demo" / "refactorings.jsonl"
+
+
+def _argv(command):
+    """``command`` run on the demo corpus, without ``--out``."""
+    if command == "export":
+        return ["export", "--graph", str(TESTS_DIR / "golden" / "build"), "--all"]
+    return [command, "--records", str(DEMO_RECORDS)]
+
+
+def _forbid_reading(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("parse_records", "load_graph", "dump_project"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+
+
+def _without_elasticsearch(tmp_path):
+    records = tmp_path / "three.jsonl"
+    lines = DEMO_RECORDS.read_text(encoding="utf-8").splitlines(keepends=True)
+    records.write_text("".join(line for line in lines if '"project": "elasticsearch"' not in line), encoding="utf-8")
+    return str(records)
+
+
+class TestOutputTree:
+    """Each command writes a new tree beside --out and renames it into place."""
+
+    def test_a_rebuild_without_a_project_drops_its_dump(self, tmp_path):
+        out = tmp_path / "build"
+        assert main(["build", "--records", str(DEMO_RECORDS), "--out", str(out)]) == 0
+        assert main(["build", "--records", _without_elasticsearch(tmp_path), "--out", str(out)]) == 0
+        projects = ["mpandroidchart", "okhttp", "spring-framework"]
+        assert sorted(p["project"] for p in _read_json(out / "run_log.json")["projects"]) == projects
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == projects
+        assert main(["stats", "--graph", str(out), "--out", str(tmp_path / "stats")]) == 0
+        assert _read_json(tmp_path / "stats" / "summary.json")["projects"] == projects
+        assert main(["export", "--graph", str(out), "--all", "--out", str(tmp_path / "dot")]) == 0
+        assert sorted(p.name for p in (tmp_path / "dot").iterdir()) == projects
+
+    def test_a_selector_export_over_an_all_export_leaves_only_its_files(self, tmp_path):
+        out = tmp_path / "dot"
+        assert main([*_argv("export"), "--out", str(out)]) == 0
+        assert len(_tree(out)) == 4
+        argv = ["export", "drawYLabels", "--graph", str(TESTS_DIR / "golden" / "build")]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        assert _snapshot(out) == _snapshot(tmp_path / "fresh") and len(_tree(out)) == 1
+        assert _temporaries(out) == []
+
+    @pytest.mark.parametrize("command, foreign", [
+        ("build", "notes.txt"), ("build", "p/q/graph.json"), ("build", "p/run_log.json"),
+        ("stats", "notes.txt"), ("stats", "p/summary.json"), ("stats", "graph.json"),
+        ("export", "notes.txt"), ("export", "p.dot"), ("export", "p/q/r.dot"), ("export", "p/graph.json"),
+    ])
+    def test_an_out_holding_other_files_is_refused_before_any_input_is_read(
+            self, tmp_path, monkeypatch, capsys, command, foreign):
+        out = tmp_path / "out"
+        assert main([*_argv(command), "--out", str(out)]) == 0
+        (out / foreign).parent.mkdir(parents=True, exist_ok=True)
+        (out / foreign).write_text("kept", encoding="utf-8")
+        before = _snapshot(out)
+        _forbid_reading(monkeypatch)
+        capsys.readouterr()
+        assert main([*_argv(command), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"refgraph: error: --out {out} holds {out}/")
+        assert err.endswith(f", which {command} does not write; give a new or empty directory\n")
+        assert _snapshot(out) == before
+        assert _temporaries(out) == []
+
+    @pytest.mark.parametrize("command", ["build", "stats", "export"])
+    def test_a_symbolic_link_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        target = tmp_path / "target"
+        assert main([*_argv(command), "--out", str(target)]) == 0
+        before = _snapshot(target)
+        link = tmp_path / "link"
+        link.symlink_to(target, target_is_directory=True)
+        inner = tmp_path / "inner"
+        inner.mkdir()
+        (inner / "p").symlink_to(target, target_is_directory=True)  # a link inside --out
+        _forbid_reading(monkeypatch)
+        capsys.readouterr()
+        assert main([*_argv(command), "--out", str(link)]) == 2
+        assert capsys.readouterr().err == f"refgraph: error: --out {link} is a symbolic link or not a directory\n"
+        assert main([*_argv(command), "--out", str(inner)]) == 2
+        assert f"--out {inner} holds {inner / 'p'}, which {command} does not write" in capsys.readouterr().err
+        assert link.is_symlink() and _snapshot(target) == before
+        assert _temporaries(target) == []
+
+    @pytest.mark.parametrize("where", ["file", "cwd", "dot", "cwd-parent", "root"])
+    def test_an_out_that_is_not_a_tree_of_its_own_is_refused(self, tmp_path, monkeypatch, capsys, where):
+        work = tmp_path / "work"
+        work.mkdir()
+        (tmp_path / "file").write_text("kept", encoding="utf-8")
+        monkeypatch.chdir(work)
+        out = {"file": str(tmp_path / "file"), "cwd": str(work), "dot": ".", "cwd-parent": str(tmp_path),
+               "root": "/"}[where]
+        _forbid_reading(monkeypatch)
+        assert main([*_argv("build"), "--out", out]) == 2
+        problem = "a symbolic link or not a directory" if where == "file" else "or contains the working directory"
+        assert capsys.readouterr().err.startswith(f"refgraph: error: --out {out} is {problem}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "work"]
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["build", "stats", "export"])
+    def test_out_gets_the_mode_mkdir_gives(self, tmp_path, command):
+        umask = os.umask(0o027)  # neither the usual 022 nor the 077 that leaves mkdtemp's 0700
+        try:
+            (tmp_path / "plain").mkdir()
+            assert main([*_argv(command), "--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_a_failed_run_removes_the_parents_it_made(self, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b" / "out"
+        monkeypatch.setattr(cli, "emit_dot", _fail_on_call(2, emit_dot))
+        assert main([*_argv("export"), "--out", str(out)]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_rename_puts_the_old_tree_back(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main([*_argv("build"), "--min-commits", "3", "--out", str(out)]) == 0
+        before = _snapshot(out)
+        rename = Path.rename
+
+        def failing(self, target):
+            if Path(target) == out and not self.name.endswith(".old"):  # the new tree renamed in
+                raise OSError("injected rename error")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing)
+        assert main([*_argv("build"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "refgraph: error: injected rename error\n"
+        assert _snapshot(out) == before
+        assert _temporaries(out) == []
+
+    def test_a_file_put_in_out_during_the_run_is_kept(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main([*_argv("export"), "--out", str(out)]) == 0
+
+        def intruding(subgraph):
+            (out / "notes.txt").write_text("kept", encoding="utf-8")
+            return emit_dot(subgraph)
+
+        monkeypatch.setattr(cli, "emit_dot", intruding)
+        before = _snapshot(out)
+        assert main([*_argv("export"), "--out", str(out)]) == 2
+        assert f"--out {out} holds {out / 'notes.txt'}" in capsys.readouterr().err
+        assert _snapshot(out) == dict(before, **{"notes.txt": b"kept"})
+        assert _temporaries(out) == []
+
+
 class TestStats:
-    def test_a_write_error_removes_what_the_run_wrote(self, corpus_file, tmp_path, capsys):
+    def test_a_write_error_removes_what_the_run_wrote(self, corpus_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "stats"
-        (out / "histograms.csv").mkdir(parents=True)  # the sixth of the seven tables
-        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["stats", "--records", str(corpus_file), "--min-commits", "3", "--out", str(out)]) == 0
+        before = _snapshot(out)
+
+        def failing(summary, out_dir):
+            emit_tables(summary, out_dir)  # all seven tables are written, then the run fails
+            raise OSError("injected write error")
+
+        monkeypatch.setattr(cli, "emit_tables", failing)
+        capsys.readouterr()
         assert main(["stats", "--records", str(corpus_file), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error:")
-        assert _tree(out) == {"notes.txt": b"kept"}
-        assert sorted(p.name for p in out.iterdir()) == ["histograms.csv", "notes.txt"]
+        assert capsys.readouterr().err == "refgraph: error: injected write error\n"
+        assert _snapshot(out) == before
+        assert _temporaries(out) == []
 
     def test_from_records(self, corpus_file, tmp_path, demo_ages_path):
         out = tmp_path / "stats"
@@ -454,6 +656,32 @@ class TestStats:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["graph", "records"])
+    @pytest.mark.parametrize("ages", ["missing", "invalid"])
+    def test_the_ages_file_is_read_before_any_record_or_dump(self, tmp_path, monkeypatch, capsys, source, ages):
+        path = tmp_path / "ages.json"
+        if ages == "invalid":
+            path.write_text('["not", "a", "map"]', encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "load_graph", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "parse_records", lambda *args, **kwargs: calls.append(args))
+        inputs = ["--graph", str(TESTS_DIR / "golden" / "build")] if source == "graph" else ["--records", str(DEMO_RECORDS)]
+        out = tmp_path / "out"
+        assert main(["stats", *inputs, "--project-ages", str(path), "--out", str(out)]) == 1
+        assert calls == []
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists() and _temporaries(out) == []
+
+    def test_a_dump_named_twice_loads_once(self, tmp_path, monkeypatch):
+        build_out = TESTS_DIR / "golden" / "build"
+        assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "once")]) == 0
+        loads = []
+        monkeypatch.setattr(cli, "load_graph", lambda path: loads.append(path) or load_graph(path))
+        again = [str(build_out / "okhttp" / "graph.json"), str(build_out)]
+        assert main(["stats", "--graph", str(build_out), *again, "--out", str(tmp_path / "twice")]) == 0
+        assert len(loads) == len(set(loads)) == 4
+        assert _tree(tmp_path / "twice") == _tree(tmp_path / "once")
+
 
 class TestExport:
     @pytest.fixture
@@ -554,20 +782,24 @@ class TestExport:
         assert main(["export", "--graph", str(good), str(bad), "--all", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump: unknown refactoring type")
         assert not out.exists()
-        # In an --out that was there before, only what this run made goes.
-        out.mkdir()
-        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert _temporaries(out) == []
+        # An --out an earlier run wrote is kept as it was.
+        assert main(["export", "--graph", str(good), "--all", "--out", str(out)]) == 0
+        before = _snapshot(out)
         assert main(["export", "--graph", str(good), str(bad), "--all", "--out", str(out)]) == 1
-        assert _tree(out) == {"notes.txt": b"kept"}
+        assert _snapshot(out) == before
+        assert _temporaries(out) == []
 
-    def test_a_write_error_leaves_no_dot_file(self, build_out, tmp_path, capsys):
+    def test_a_write_error_leaves_no_dot_file(self, build_out, tmp_path, monkeypatch, capsys):
         out = tmp_path / "dot"
-        out.mkdir()
-        (out / "okhttp").write_text("", encoding="utf-8")  # the third project's directory is a file
+        assert main(["export", "--graph", str(build_out), "--out", str(out), "drawYLabels"]) == 0
+        before = _snapshot(out)
+        monkeypatch.setattr(cli, "emit_dot", _fail_on_call(3, emit_dot))  # after two DOT files are written
+        capsys.readouterr()
         assert main(["export", "--graph", str(build_out), "--all", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error:")
-        assert _tree(out) == {"okhttp": b""}
-        assert sorted(p.name for p in out.iterdir()) == ["okhttp"]
+        assert capsys.readouterr().err == "refgraph: error: injected write error\n"
+        assert _snapshot(out) == before
+        assert _temporaries(out) == []
 
     def test_selector_and_all_are_exclusive(self, build_out, tmp_path):
         out = str(tmp_path / "dot")
@@ -682,9 +914,9 @@ def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, conte
 
 
 @pytest.mark.parametrize("command, source, order", [
-    # --graph: okhttp's dump twice, so its second load merges into the first
-    # one's graph; the dumps build wrote are grouped from their heads, so each
-    # loads once. --records: one graph per project, in first-record order.
+    # --graph: okhttp's dump and a copy of it, so the copy's load merges into
+    # the first one's graph; the dumps build wrote are grouped from their heads,
+    # so each loads once. --records: one graph per project, in first-record order.
     (["stats"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]),
     (["export", "--all"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]),
     (["build"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
@@ -711,7 +943,9 @@ def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, o
     build_out = tmp_path / "build"
     if source == "graph":
         assert main(["build", "--records", records, "--out", str(build_out)]) == 0
-        inputs = ["--graph", str(build_out), str(build_out / "okhttp" / "graph.json")]
+        copy = tmp_path / "okhttp-copy.json"  # a second path: one path named twice loads once
+        copy.write_bytes((build_out / "okhttp" / "graph.json").read_bytes())
+        inputs = ["--graph", str(build_out), str(copy)]
     else:
         inputs = ["--records", records, "--commit-log", f"mpandroidchart={commit_log}"]
     monkeypatch.setattr(cli, "load_graph", tracked(load_graph, lambda path, result: result))
