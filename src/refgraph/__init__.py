@@ -25,12 +25,12 @@ from .history import (
     restrict_to_log,
 )
 from .ingest import (
+    REFACTORING_TYPES,
     FilterConfig,
     ParseIssue,
     ParseResult,
     RecordError,
     RefactoringRecord,
-    RefactoringType,
     SignatureError,
     apply_filters,
     parse_records,
@@ -57,10 +57,10 @@ __all__ = [
     "MetricsError",
     "ParseIssue",
     "ParseResult",
+    "REFACTORING_TYPES",
     "RecordError",
     "RefactoringGraph",
     "RefactoringRecord",
-    "RefactoringType",
     "RestrictResult",
     "SignatureError",
     "SpearmanResult",

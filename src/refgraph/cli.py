@@ -73,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="emit corpus tables and the JSON summary")
     _add_ingest_args(p_stats, records_required=False)
-    p_stats.add_argument("--graph", nargs="+", metavar="PATH", help="graph dump file(s) or a build output directory")
+    p_stats.add_argument("--graph", nargs="+", action="extend", metavar="PATH", help="graph dump file(s) or a build output directory")
     p_stats.add_argument("--project-ages", metavar="PATH", help="JSON file mapping project name to age")
     p_stats.add_argument("--out", required=True, help="output directory")
     p_stats.set_defaults(func=cmd_stats)
 
     p_export = sub.add_parser("export", help="export subgraphs as Graphviz DOT files")
-    p_export.add_argument("--graph", nargs="+", required=True, metavar="PATH", help="graph dump file(s) or a build output directory")
+    p_export.add_argument("--graph", nargs="+", action="extend", required=True, metavar="PATH", help="graph dump file(s) or a build output directory")
     p_export.add_argument("--all", action="store_true", help="export every subgraph")
     p_export.add_argument("selector", nargs="?", help="subgraph id or vertex substring")
     p_export.add_argument("--out", required=True, help="output directory")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_ingest_args(parser: argparse.ArgumentParser, records_required: bool = True) -> None:
     parser.add_argument(
-        "--records", nargs="+", required=records_required, metavar="PATH",
+        "--records", nargs="+", action="extend", required=records_required, metavar="PATH",
         help="JSON-lines refactoring record file(s)",
     )
     parser.add_argument(
@@ -219,25 +219,25 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
             expanded.append(path)
         else:
             raise CliError(f"graph dump not found: {path}")
-    return list(dict.fromkeys(expanded))  # so B and B/p/graph.json load p once
+    first: dict[Path, Path] = {}  # so B and B/p/graph.json load p once, under its first spelling
+    for path in expanded:
+        first.setdefault(path.resolve(), path)
+    return list(first.values())
 
 
 def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph | None:
     """One graph from the dumps of ``project``; None when they are all the
     placeholder an empty build writes."""
-    merged = None
+    graphs = []
     for path in paths:
         named, graph = load_graph(path)
         if named != project:  # only a key given twice can make the head and the body differ
             raise GraphDumpError(f"corrupt graph dump: names projects {project!r} and {named!r} in {path}")
-        if not project and graph.n_edges == 0:
-            continue  # placeholder dump from an empty build
-        if merged is None:
-            merged = graph
-        else:
-            for edge in graph.edges():
-                merged.add_edge(edge)
-    return merged
+        if project or graph.n_edges:  # else the placeholder dump of an empty build
+            graphs.append(graph)
+    if len(graphs) > 1:  # concatenate, then keep each edge once
+        return build([edge for graph in graphs for edge in graph.edges()])
+    return graphs[0] if graphs else None
 
 
 def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGraph]]:

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .ingest import (
     EDGE_KEYS,
-    EdgeKey,
     RefactoringRecord,
     format_timestamp,
     parse_edge_fields,
@@ -34,20 +33,20 @@ class GraphDumpError(ValueError):
 
 
 class RefactoringGraph:
-    """Vertex and edge sets accumulated from refactoring records, each
-    record being one edge.
+    """A project's edges, as :func:`build` returns them: records sorted in
+    field order, one per (source, target, type, commit).  Its vertices are
+    the edges' ends.
 
     Callers are expected to have run the ingest filters first; in
     particular self-loop records are assumed to be gone already.
     """
 
-    def __init__(self) -> None:
-        self._vertices: set[str] = set()
-        self._edges: dict[EdgeKey, RefactoringRecord] = {}
+    def __init__(self, edges: Sequence[RefactoringRecord] = ()) -> None:
+        self._edges = tuple(edges)
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self._vertex_set())
 
     @property
     def n_edges(self) -> int:
@@ -55,28 +54,19 @@ class RefactoringGraph:
 
     def vertices(self) -> list[str]:
         """Vertices (canonical signatures), sorted."""
-        return sorted(self._vertices)
+        return sorted(self._vertex_set())
 
     def edges(self) -> list[RefactoringRecord]:
         """Edges sorted by (source, target, type, commit)."""
-        return [self._edges[k] for k in sorted(self._edges)]
+        return list(self._edges)
 
-    def add_edge(self, edge: RefactoringRecord) -> None:
-        self._vertices.add(edge.source)
-        self._vertices.add(edge.target)
-        key = edge.key
-        existing = self._edges.get(key)
-        if existing is None:
-            self._edges[key] = edge
-        elif (edge.timestamp, edge.author_email) < (existing.timestamp, existing.author_email):
-            # Same edge key with conflicting metadata: keep the smaller
-            # tuple so the result is independent of insertion order.
-            self._edges[key] = edge
+    def _vertex_set(self) -> set[str]:
+        return {vertex for edge in self._edges for vertex in (edge.source, edge.target)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RefactoringGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._edges == other._edges
 
     def __repr__(self) -> str:
         return f"RefactoringGraph(vertices={self.n_vertices}, edges={self.n_edges})"
@@ -107,11 +97,20 @@ class Subgraph:
 
 
 def build(records: Iterable[RefactoringRecord]) -> RefactoringGraph:
-    """Accumulate all records into one graph (set semantics)."""
-    graph = RefactoringGraph()
-    for record in records:
-        graph.add_edge(record)
-    return graph
+    """One graph of all records (set semantics).
+
+    Of several records naming one edge, the one with the smallest
+    ``(timestamp, author_email)`` is kept, so the graph does not depend on
+    record order: sorted, that record comes first in its run.
+    """
+    edges: list[RefactoringRecord] = []
+    last = None
+    for record in sorted(records):
+        if (last is None or record.source != last.source or record.target != last.target
+                or record.commit != last.commit or record.type != last.type):
+            edges.append(record)
+            last = record
+    return RefactoringGraph(edges)
 
 
 def partition(graph: RefactoringGraph) -> list[Subgraph]:
@@ -129,22 +128,18 @@ def partition(graph: RefactoringGraph) -> list[Subgraph]:
             label = parent[label]
         return label
 
-    components: dict[str, tuple[list[str], list[EdgeKey]]] = {}
-    for source, target, _, _ in graph._edges:
-        a, b = find(source), find(target)
+    components: dict[str, tuple[list[str], list[RefactoringRecord]]] = {}
+    for edge in graph._edges:
+        a, b = find(edge.source), find(edge.target)
         if a != b:
             parent[max(a, b)] = min(a, b)
     for label in parent:
         components.setdefault(find(label), ([], []))[0].append(label)
-    for key in graph._edges:
-        components[find(key[0])][1].append(key)
+    for edge in graph._edges:  # in graph order, so each component's edges are sorted too
+        components[find(edge.source)][1].append(edge)
     return [
-        Subgraph(
-            id=root,
-            vertices=tuple(sorted(labels)),
-            edges=tuple(graph._edges[key] for key in sorted(keys)),
-        )
-        for root, (labels, keys) in sorted(components.items())
+        Subgraph(id=root, vertices=tuple(sorted(labels)), edges=tuple(edges))
+        for root, (labels, edges) in sorted(components.items())
     ]
 
 
@@ -167,12 +162,12 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
             {
                 "source": e.source,
                 "target": e.target,
-                "type": e.rtype.value,
+                "type": e.type,
                 "commit": e.commit,
                 "timestamp": format_timestamp(e.timestamp),
                 "author_email": e.author_email,
             }
-            for e in graph.edges()
+            for e in graph._edges
         ],
     }
 
@@ -243,17 +238,21 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
         if key not in data:
             raise GraphDumpError(f"graph dump missing key: {key!r}")
     project = data["project"]
-    graph = RefactoringGraph()
+    records = []
     try:
         require_strings(data, ("project",))
         declared = {parse_signature(v) for v in data["vertices"]}
         for entry in data["edges"]:
             if not isinstance(entry, dict):
                 raise ValueError("edge is not an object")
-            graph.add_edge(RefactoringRecord(*parse_edge_fields(entry), project))
+            record = RefactoringRecord(*parse_edge_fields(entry), project)
+            if record.source == record.target:
+                raise ValueError(f"self-loop edge {record.source!r}")
+            records.append(record)
     except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
-    used = graph._vertices
+    graph = build(records)  # a dump is written sorted, so this sort is linear
+    used = graph._vertex_set()
     if used - declared:
         raise GraphDumpError("graph dump edges reference undeclared vertices")
     if declared - used:

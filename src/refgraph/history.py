@@ -91,5 +91,5 @@ def restrict_to_log(
                 issues.append(f"commit prefix {record.commit!r} is ambiguous")
                 continue
             entry = log[matches[0]]
-        kept.append(RefactoringRecord(record.source, record.target, record.rtype, *entry, record.project))
+        kept.append(RefactoringRecord(record.source, record.target, record.type, *entry, record.project))
     return RestrictResult(tuple(kept), dropped, tuple(issues))

@@ -13,11 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from enum import Enum
-from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 EDGE_KEYS = ("source", "target", "type", "commit", "timestamp", "author_email")
 RECORD_KEYS = frozenset({"project", "author_name", *EDGE_KEYS})
@@ -49,51 +47,31 @@ class RecordError(ValueError):
     """A record line is malformed (raised only in strict mode)."""
 
 
-class RefactoringType(Enum):
-    """The eight method-level refactoring operations."""
-
-    RENAME = "rename"
-    MOVE = "move"
-    MOVE_AND_RENAME = "move_and_rename"
-    EXTRACT = "extract"
-    EXTRACT_AND_MOVE = "extract_and_move"
-    INLINE = "inline"
-    PULL_UP = "pull_up"
-    PUSH_DOWN = "push_down"
-
-    @classmethod
-    def from_string(cls, value: str) -> "RefactoringType":
-        member = _TYPE_BY_VALUE.get(value)
-        if member is None:
-            raise ValueError(f"unknown refactoring type: {value!r}")
-        return member
+#: The eight method-level refactoring operations: a record's ``type`` is one
+#: of these strings, the same object on every record.
+REFACTORING_TYPES = (
+    "rename", "move", "move_and_rename", "extract", "extract_and_move", "inline", "pull_up", "push_down",
+)
+_SHARED_TYPES = dict(zip(REFACTORING_TYPES, REFACTORING_TYPES))
 
 
-# A plain dict lookup: ``RefactoringType(value)`` goes through ``Enum.__call__``.
-_TYPE_BY_VALUE = MappingProxyType({member.value: member for member in RefactoringType})
-
-
-EdgeKey = tuple[str, str, str, str]
-
-
-@dataclass(frozen=True, slots=True)
-class RefactoringRecord:
+class RefactoringRecord(NamedTuple):
     """One detected refactoring operation plus its commit metadata, and an
     edge of its project's graph.  ``source`` and ``target`` are canonical
-    signatures, as :func:`parse_signature` returns them.  Equality and hash
-    ignore ``project``."""
+    signatures, as :func:`parse_signature` returns them.
+
+    The field order is the edge order: records sort by ``(source, target,
+    type, commit)`` and then by ``(timestamp, author_email)``, so the first
+    of several records naming one edge holds its smallest metadata.
+    Equality and hash cover every field, ``project`` included."""
 
     source: str
     target: str
-    rtype: RefactoringType
+    type: str
     commit: str
     timestamp: datetime
     author_email: str
-    project: str = field(compare=False)
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.source, self.target, self.rtype.value, self.commit)
+    project: str
 
 
 @dataclass(frozen=True)
@@ -200,17 +178,20 @@ def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, dateti
     return normalize_commit(commit), parse_timestamp(timestamp), _shared(author_email)
 
 
-def parse_edge_fields(fields: dict) -> tuple[str, str, RefactoringType, str, datetime, str]:
+def parse_edge_fields(fields: dict) -> tuple[str, str, str, str, datetime, str]:
     """Check the :data:`EDGE_KEYS` of a record or dump entry and normalize
     them into the first six fields of :class:`RefactoringRecord`, in order.
 
     Raises ValueError naming the first bad field; other keys are ignored.
     """
     require_strings(fields, EDGE_KEYS)
+    kind = _SHARED_TYPES.get(fields["type"])
+    if kind is None:
+        raise ValueError(f"unknown refactoring type: {fields['type']!r}")
     return (
         parse_signature(fields["source"]),
         parse_signature(fields["target"]),
-        RefactoringType.from_string(fields["type"]),
+        kind,
         *parse_metadata(fields["commit"], fields["timestamp"], fields["author_email"]),
     )
 

@@ -83,7 +83,7 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
             raise MetricsError(f"edge without author email: {label}")
         commits.add(edge.commit)
         emails.add(email)
-        types[edge.rtype.value] += 1
+        types[edge.type] += 1
         timestamps.append(edge.timestamp)
     age_days = (max(timestamps) - min(timestamps)).total_seconds() / SECONDS_PER_DAY
     return SubgraphMetrics(

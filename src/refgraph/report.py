@@ -122,9 +122,9 @@ def emit_dot(subgraph: Subgraph) -> str:
     lines = [f"digraph {_dot_quote(subgraph.id)} {{"]
     for vertex in sorted(subgraph.vertices):
         lines.append(f"  {_dot_quote(vertex)};")
-    for edge in sorted(subgraph.edges, key=lambda e: e.key):
+    for edge in sorted(subgraph.edges):
         date = format_timestamp(edge.timestamp)[:10]
-        label = f"{edge.rtype.value}\\n{edge.commit[:7]}\\n{date}"
+        label = f"{edge.type}\\n{edge.commit[:7]}\\n{date}"
         lines.append(f'  {_dot_quote(edge.source)} -> {_dot_quote(edge.target)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,8 +14,8 @@ from datetime import datetime, timedelta, timezone
 
 from refgraph.graph import Subgraph, build, partition
 from refgraph.ingest import (
+    REFACTORING_TYPES,
     RefactoringRecord,
-    RefactoringType,
     format_timestamp,
     parse_records,
     parse_signature,
@@ -169,7 +169,7 @@ def record_dict(record: RefactoringRecord) -> dict:
     """The record line that parses back to ``record``."""
     return rec(
         record.project, record.commit, format_timestamp(record.timestamp), "Dev", record.author_email,
-        record.rtype.value, record.source, record.target,
+        record.type, record.source, record.target,
     )
 
 
@@ -200,7 +200,7 @@ def method_pool(size: int, prefix: str = "pool") -> list[str]:
 def make_record(
     source: str,
     target: str,
-    rtype: RefactoringType = RefactoringType.MOVE,
+    type: str = "move",
     commit: str = "abcdef1",
     offset_seconds: int = 0,
     author_email: str = "dev@example.org",
@@ -209,7 +209,7 @@ def make_record(
     return RefactoringRecord(
         source=source,
         target=target,
-        rtype=rtype,
+        type=type,
         commit=commit,
         timestamp=_BASE_TS + timedelta(seconds=offset_seconds),
         author_email=author_email,
@@ -232,7 +232,6 @@ def random_records(
     output never depend on record order.
     """
     pool = method_pool(pool_size, prefix)
-    types = list(RefactoringType)
     commits = [f"{i:07x}" for i in rng.sample(range(16**6, 16**7 - 1), n_commits)]
     commit_meta = {
         c: (rng.randrange(0, 10**7), f"dev{rng.randrange(n_authors)}@example.org") for c in commits
@@ -246,7 +245,7 @@ def random_records(
             make_record(
                 source,
                 target,
-                rtype=rng.choice(types),
+                type=rng.choice(REFACTORING_TYPES),
                 commit=commit,
                 offset_seconds=offset,
                 author_email=email,
@@ -275,7 +274,7 @@ def chain_records(
             make_record(
                 pool[i],
                 pool[i + 1],
-                rtype=rng.choice(list(RefactoringType)),
+                type=rng.choice(REFACTORING_TYPES),
                 commit=commit,
                 offset_seconds=int(commit[-4:], 16),
                 author_email=f"dev{rng.randrange(3)}@example.org",

@@ -5,7 +5,8 @@ a plain breadth-first search over an undirected adjacency map, the rank
 correlation oracle uses O(n^2) counting ranks plus a hand-written Pearson,
 the filter oracle judges each record on its own, as the ingest filters
 once did, with no per-vertex reuse and its own split of each signature,
-and the commit rule keeps no memo.
+the commit rule keeps no memo, and edge dedup keys a dict by edge instead
+of sorting records.
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ def bfs_components(edges: list[tuple[str, str]]) -> set[frozenset[str]]:
                     queue.append(neighbor)
         components.add(frozenset(component))
     return components
+
+
+def dedup_edges(records) -> list:
+    """One record per edge ``(source, target, type, commit)``: of several,
+    the one with the smaller ``(timestamp, author_email)``, the first seen
+    on a tie.  Returned in edge order."""
+    kept: dict[tuple, object] = {}
+    for record in records:
+        key = (record.source, record.target, record.type, record.commit)
+        current = kept.get(key)
+        if current is None or (record.timestamp, record.author_email) < (current.timestamp, current.author_email):
+            kept[key] = record
+    return [kept[key] for key in sorted(kept)]
 
 
 def counting_ranks(values) -> list[float]:

@@ -10,7 +10,6 @@ import filecmp
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -150,7 +149,7 @@ def test_criterion_5_metric_invariance():
             translated = Subgraph(
                 id=subgraph.id,
                 vertices=subgraph.vertices,
-                edges=tuple(replace(e, timestamp=e.timestamp + shift) for e in subgraph.edges),
+                edges=tuple(e._replace(timestamp=e.timestamp + shift) for e in subgraph.edges),
             )
             assert measure(translated) == baseline
 

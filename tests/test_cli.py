@@ -114,6 +114,17 @@ class TestBuild:
     def test_unreadable_input(self, tmp_path):
         assert main(["build", "--records", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 1
 
+    def test_repeated_records_flags_add_up(self, demo_records_path, tmp_path):
+        lines = demo_records_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text("".join(line for line in lines if '"mpandroidchart"' in line), encoding="utf-8")
+        b.write_text("".join(line for line in lines if '"mpandroidchart"' not in line), encoding="utf-8")
+        assert main(["build", "--records", str(a), str(b), "--out", str(tmp_path / "one")]) == 0
+        assert main(["build", "--records", str(a), "--records", str(b), "--out", str(tmp_path / "two")]) == 0
+        assert [entry["path"] for entry in _read_json(tmp_path / "two" / "run_log.json")["inputs"]] == [str(a), str(b)]
+        assert _tree(tmp_path / "two") == _tree(tmp_path / "one")
+        assert (tmp_path / "two" / "mpandroidchart" / "graph.json").is_file()
+
     def test_bad_min_commits(self, corpus_file, tmp_path):
         code = main(["build", "--records", str(corpus_file), "--out", str(tmp_path / "o"), "--min-commits", "0"])
         assert code == 2
@@ -677,10 +688,25 @@ class TestStats:
         assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "once")]) == 0
         loads = []
         monkeypatch.setattr(cli, "load_graph", lambda path: loads.append(path) or load_graph(path))
-        again = [str(build_out / "okhttp" / "graph.json"), str(build_out)]
+        monkeypatch.chdir(TESTS_DIR)
+        again = [
+            str(build_out / "okhttp" / "graph.json"),
+            str(build_out),
+            "golden/build/okhttp/graph.json",  # relative to the working directory
+            str(build_out / "okhttp" / ".." / "okhttp" / "graph.json"),
+        ]
         assert main(["stats", "--graph", str(build_out), *again, "--out", str(tmp_path / "twice")]) == 0
         assert len(loads) == len(set(loads)) == 4
+        assert build_out / "okhttp" / "graph.json" in loads  # the first spelling
         assert _tree(tmp_path / "twice") == _tree(tmp_path / "once")
+
+    def test_repeated_graph_flags_add_up(self, tmp_path):
+        build_out = TESTS_DIR / "golden" / "build"
+        okhttp, elasticsearch = str(build_out / "okhttp"), str(build_out / "elasticsearch")
+        assert main(["stats", "--graph", okhttp, elasticsearch, "--out", str(tmp_path / "one")]) == 0
+        assert main(["stats", "--graph", okhttp, "--graph", elasticsearch, "--out", str(tmp_path / "two")]) == 0
+        assert _tree(tmp_path / "two") == _tree(tmp_path / "one")
+        assert _read_json(tmp_path / "two" / "summary.json")["projects"] == ["okhttp", "elasticsearch"]
 
 
 class TestExport:
@@ -914,11 +940,11 @@ def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, conte
 
 
 @pytest.mark.parametrize("command, source, order", [
-    # --graph: okhttp's dump and a copy of it, so the copy's load merges into
-    # the first one's graph; the dumps build wrote are grouped from their heads,
+    # --graph: okhttp's dump and a copy of it, so both load and build merges
+    # them into a third graph; the dumps build wrote are grouped from their heads,
     # so each loads once. --records: one graph per project, in first-record order.
-    (["stats"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]),
-    (["export", "--all"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]),
+    (["stats"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "okhttp", "spring-framework"]),
+    (["export", "--all"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "okhttp", "spring-framework"]),
     (["build"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
     (["stats"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
 ], ids=["stats", "export", "build", "stats-records"])

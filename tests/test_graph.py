@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from datetime import timedelta
 from unittest import mock
 
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from oracles import bfs_components
+from oracles import bfs_components, dedup_edges
 from refgraph.graph import (
     GraphDumpError,
     RefactoringGraph,
@@ -25,7 +24,7 @@ from refgraph.graph import (
     load_graph,
     partition,
 )
-from refgraph.ingest import EDGE_KEYS, RefactoringType, parse_signature
+from refgraph.ingest import EDGE_KEYS, parse_signature
 
 
 class TestBuild:
@@ -57,8 +56,8 @@ class TestBuild:
         a = parse_signature("p.A#m()")
         b = parse_signature("p.A#n()")
         records = [
-            corpus.make_record(a, b, rtype=RefactoringType.RENAME, commit="aaaaaaa"),
-            corpus.make_record(a, b, rtype=RefactoringType.RENAME, commit="bbbbbbb"),
+            corpus.make_record(a, b, type="rename", commit="aaaaaaa"),
+            corpus.make_record(a, b, type="rename", commit="bbbbbbb"),
         ]
         graph = build(records)
         assert graph.n_edges == 2
@@ -131,8 +130,8 @@ class TestPartition:
                 assert vertex not in seen_vertices
                 seen_vertices.add(vertex)
             for edge in subgraph.edges:
-                assert edge.key not in seen_edges
-                seen_edges.add(edge.key)
+                assert edge[:4] not in seen_edges
+                seen_edges.add(edge[:4])
                 assert edge.source in subgraph.vertices
                 assert edge.target in subgraph.vertices
 
@@ -149,7 +148,7 @@ def _oracle_partition(graph):
         Subgraph(
             id=min(component),
             vertices=tuple(sorted(component)),
-            edges=tuple(sorted(edges_of[min(component)], key=lambda e: e.key)),
+            edges=tuple(sorted(edges_of[min(component)], key=lambda e: (e.source, e.target, e.type, e.commit))),
         )
         for component in sorted(components, key=min)
     ]
@@ -171,10 +170,42 @@ def test_partition_matches_bfs_oracle_and_ignores_order_and_duplicates(n_edges, 
 
     # Exact duplicates, plus copies whose later timestamp must lose the metadata tie-break.
     duplicates = rng.choices(records, k=len(records) // 2)
-    later = [replace(r, timestamp=r.timestamp + timedelta(seconds=1)) for r in duplicates[::2]]
+    later = [r._replace(timestamp=r.timestamp + timedelta(seconds=1)) for r in duplicates[::2]]
     noisy = records + duplicates + later
     rng.shuffle(noisy)
     assert partition(build(noisy)) == subgraphs
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_edges=st.integers(1, 2000),
+    pool_size=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_edges=1, pool_size=2, seed=0)
+def test_build_keeps_the_edge_the_dedup_oracle_keeps(n_edges, pool_size, seed):
+    rng = random.Random(seed)
+    records = corpus.random_records(rng, n_edges, pool_size=pool_size)
+    # Exact duplicates, later-timestamp copies that must lose, and copies
+    # with a smaller email at the same timestamp that must win.
+    copies = rng.choices(records, k=len(records))
+    noisy = (
+        records
+        + copies[::3]
+        + [r._replace(timestamp=r.timestamp + timedelta(seconds=1), author_email="a" + r.author_email) for r in copies[1::3]]
+        + [r._replace(author_email="a" + r.author_email) for r in copies[2::3]]
+    )
+    rng.shuffle(noisy)
+    graph = build(noisy)
+    assert graph.edges() == dedup_edges(noisy)
+
+    # A hand-made dump need not be sorted: reversed, and with a conflicting
+    # copy of one edge that must lose, it loads as the same graph.
+    data = graph_to_dict(graph, "proj")
+    loser = dict(data["edges"][0], timestamp="2099-01-01T00:00:00Z")
+    data["edges"].reverse()
+    data["edges"].insert(rng.randint(0, len(data["edges"])), loser)
+    assert graph_from_dict(data) == ("proj", graph)
 
 
 class TestFilterMultiCommit:
@@ -215,7 +246,8 @@ class TestFilterMultiCommit:
 
 class TestGraphDump:
     def test_round_trip_through_dict(self):
-        graph = build(corpus.records_of(corpus.DEMO_CORPUS))
+        # four projects' records, renamed into the project the dump names
+        graph = build([record._replace(project="demo") for record in corpus.records_of(corpus.DEMO_CORPUS)])
         project, reloaded = graph_from_dict(graph_to_dict(graph, "demo"))
         assert project == "demo"
         assert reloaded == graph
@@ -290,7 +322,8 @@ class TestGraphDump:
         lambda d: d["vertices"].__setitem__(0, 5),
         lambda d: d["edges"].__setitem__(0, ["p.A#m()"]),
         lambda d: d["edges"][0].pop("timestamp"),
-    ], ids=["vertex not a string", "edge not an object", "edge field missing"])
+        lambda d: d["edges"][0].__setitem__("target", d["edges"][0]["source"]),
+    ], ids=["vertex not a string", "edge not an object", "edge field missing", "self-loop edge"])
     def test_corrupt_dump_structure_rejected(self, corrupt):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "p")
@@ -345,8 +378,13 @@ class TestRecordAsEdge:
         edges = build(records).edges()
         assert all(any(edge is record for record in records) for edge in edges)
 
-    def test_equality_and_hash_ignore_project(self):
+    def test_equality_and_hash_include_project(self):
         record = corpus.records_of(corpus.CHART_AXIS_RECORDS)[0]
-        moved = replace(record, project="elsewhere")
-        assert moved == record and hash(moved) == hash(record)
-        assert replace(record, commit="abcdef0") != record
+        assert record._replace(project="elsewhere") != record
+        assert record._replace(commit="abcdef0") != record
+        copy = record._replace()
+        assert copy == record and hash(copy) == hash(record)
+        # the project is the last field, so it only orders records that agree on the rest
+        other = record._replace(project="a")  # record.project is "mpandroidchart"
+        later = other._replace(timestamp=record.timestamp + timedelta(seconds=1))
+        assert sorted([later, record, other]) == [other, record, later]

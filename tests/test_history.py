@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -130,7 +129,7 @@ class TestRestrictToLog:
         rng = random.Random(3)
         records = corpus.random_records(rng, 20, pool_size=30, n_commits=6)
         for index in (3, 7, 11, 15):
-            records[index] = replace(records[index], commit="ffff" + records[index].commit)
+            records[index] = records[index]._replace(commit="ffff" + records[index].commit)
         lines = [
             f"{c:0<40}\t2020-01-01T00:00:00Z\tDev\tdev@example.org"
             for c in sorted({r.commit for r in records})

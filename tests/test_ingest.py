@@ -14,9 +14,9 @@ import oracles
 from refgraph import ingest
 from refgraph.ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
+    REFACTORING_TYPES,
     FilterConfig,
     RecordError,
-    RefactoringType,
     SignatureError,
     apply_filters,
     clear_caches,
@@ -55,13 +55,15 @@ class TestRefactoringType:
             "pull_up",
             "push_down",
         ]
-        assert len(RefactoringType) == 8
-        for name in names:
-            assert RefactoringType.from_string(name).value == name
+        assert REFACTORING_TYPES == tuple(names)
+        for shared in REFACTORING_TYPES:
+            # the line's own copy of the name parses to the one shared string
+            record = parse_record_line(VALID_LINE.replace('"move"', json.dumps(shared)))
+            assert record.type is shared
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="renamed"):
-            RefactoringType.from_string("renamed")
+        with pytest.raises(ValueError, match="unknown refactoring type: 'renamed'"):
+            parse_record_line(VALID_LINE.replace('"move"', '"renamed"'))
 
 
 class TestParseSignature:
@@ -390,7 +392,7 @@ class TestParseRecords:
         record = result.records[0]
         assert record.source == "util.Foo#m()"
         assert record.target == "util.Bar#m()"
-        assert record.rtype is RefactoringType.MOVE
+        assert record.type == "move"
         assert record.commit == "c1a2b3c"
         assert record.timestamp == datetime(2019, 1, 1, tzinfo=timezone.utc)
         assert record.author_email == "a@x.org"

@@ -76,7 +76,7 @@ class TestMeasure:
             id=subgraph.id,
             vertices=subgraph.vertices,
             edges=tuple(
-                replace(e, author_email=e.author_email.upper() + "  ") for e in subgraph.edges
+                e._replace(author_email=e.author_email.upper() + "  ") for e in subgraph.edges
             ),
         )
         assert measure(shouting).n_developers == 1
@@ -86,7 +86,7 @@ class TestMeasure:
         broken = Subgraph(
             id=subgraph.id,
             vertices=subgraph.vertices,
-            edges=(subgraph.edges[0], replace(subgraph.edges[1], author_email=" ")),
+            edges=(subgraph.edges[0], subgraph.edges[1]._replace(author_email=" ")),
         )
         with pytest.raises(MetricsError, match="filterBefore"):
             measure(broken)
@@ -102,7 +102,7 @@ class TestMeasure:
 
     def test_timestamp_translation_invariance(self):
         records = corpus.records_of(corpus.SELECTOR_DEDUPE_RECORDS)
-        shifted = [replace(r, timestamp=r.timestamp + timedelta(days=400, seconds=17)) for r in records]
+        shifted = [r._replace(timestamp=r.timestamp + timedelta(days=400, seconds=17)) for r in records]
         original = measure(partition(build(records))[0])
         translated = measure(partition(build(shifted))[0])
         assert translated == original
