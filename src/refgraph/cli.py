@@ -272,6 +272,8 @@ def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
     are an error."""
     # A name of dots alone ("." or "..") would point at --out or above it.
     name = re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project) or "project"
+    if len(name) > 255:  # the usual file name limit; the name is ASCII, one byte a character
+        name = _safe_name(project, fallback="project")
     if owners.setdefault(name, project) != project:
         raise CliError(f"projects {owners[name]!r} and {project!r} would share the output directory {name!r}")
     (out / name).mkdir()
@@ -360,8 +362,11 @@ def cmd_build(args) -> int:
     with _output_tree(args.out, "build") as out:
         groups, front_log = _run_front_pipeline(args, config)
         owners: dict[str, str] = {}
+        directories = [_project_dir(out, project, owners) for project in groups]  # a collision fails before any dump
+        if "run_log.json" in owners:
+            raise CliError(f"project {owners['run_log.json']!r} would take the path of the run log, run_log.json")
         project_rows = []
-        for project, group in groups.items():
+        for (project, group), directory in zip(groups.items(), directories):
             graph = build(group)
             total, single, kept = _split(graph, min_commits)
             project_rows.append(dict(
@@ -370,7 +375,7 @@ def cmd_build(args) -> int:
                 below_threshold=total - len(kept), kept=len(kept),
             ))
             # An exhausted generator drops its frame, so no dump outlives its write.
-            _write_json(_project_dir(out, project, owners) / "graph.json", dump_chunks(graph_to_dict(graph, project)))
+            _write_json(directory / "graph.json", dump_chunks(graph_to_dict(graph, project)))
             del graph, kept  # not held while the next graph is built
         if not groups:  # an empty build still leaves a dump for stats and export to read
             _write_json(out / "graph.json", dump_chunks(graph_to_dict(RefactoringGraph(), "")))

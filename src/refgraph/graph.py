@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 from .ingest import (
     EDGE_KEYS,
     RefactoringRecord,
-    format_timestamp,
     parse_edge_fields,
     parse_signature,
     require_strings,
@@ -164,7 +163,7 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
                 "target": e.target,
                 "type": e.type,
                 "commit": e.commit,
-                "timestamp": format_timestamp(e.timestamp),
+                "timestamp": e.timestamp,
                 "author_email": e.author_email,
             }
             for e in graph._edges

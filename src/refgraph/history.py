@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Iterable
 
 from .ingest import RefactoringRecord, parse_metadata
@@ -24,9 +23,9 @@ class CommitLogError(ValueError):
     """A commit log file is malformed; logs are machine-generated, so this is fatal."""
 
 
-def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, datetime, str]]:
+def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, str, str]]:
     """Parse tab-separated commit log lines; any malformed line is fatal."""
-    log: dict[str, tuple[str, datetime, str]] = {}
+    log: dict[str, tuple[str, str, str]] = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -44,7 +43,7 @@ def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, datetime, str
     return log
 
 
-def load_commit_log(path) -> dict[str, tuple[str, datetime, str]]:
+def load_commit_log(path) -> dict[str, tuple[str, str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_commit_log(handle)
@@ -70,7 +69,7 @@ class RestrictResult:
 
 
 def restrict_to_log(
-    records: Iterable[RefactoringRecord], log: dict[str, tuple[str, datetime, str]]
+    records: Iterable[RefactoringRecord], log: dict[str, tuple[str, str, str]]
 ) -> RestrictResult:
     """Keep only records whose commit is a full hash in ``log`` or the
     prefix of exactly one."""

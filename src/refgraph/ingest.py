@@ -14,7 +14,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from typing import Iterable, NamedTuple
 
 EDGE_KEYS = ("source", "target", "type", "commit", "timestamp", "author_email")
@@ -69,7 +69,7 @@ class RefactoringRecord(NamedTuple):
     target: str
     type: str
     commit: str
-    timestamp: datetime
+    timestamp: str
     author_email: str
     project: str
 
@@ -103,8 +103,10 @@ class ParseResult:
 
 
 @functools.cache
-def parse_timestamp(value: str) -> datetime:
-    """Parse an RFC 3339 date-time into a UTC datetime at seconds precision.
+def parse_timestamp(value: str) -> str:
+    """Parse an RFC 3339 date-time into its canonical UTC string
+    ``YYYY-MM-DDTHH:MM:SSZ`` at seconds precision, the year always four
+    digits, so canonical strings sort in time order.
 
     Date and time are separated by ``T``, ``t`` or a space; a fractional
     second of any length is dropped; the offset is ``Z``, ``z`` or
@@ -112,30 +114,22 @@ def parse_timestamp(value: str) -> datetime:
     the same on every Python version, unlike ``datetime.fromisoformat``.
 
     Results are memoized per string for the life of the process (errors
-    are not), so a timestamp shared by many lines is parsed once.
+    are not), so a timestamp shared by many lines is parsed once.  When
+    ``value`` is already canonical, the result is ``value`` itself, not a copy.
     """
     match = _TIMESTAMP_RE.fullmatch(value.strip())
     if match is None:
         raise ValueError(f"invalid ISO-8601 timestamp: {value!r}")
     *parts, sign, hours, minutes = match.groups()
     try:
-        parsed = datetime(*map(int, parts), tzinfo=timezone.utc)
+        parsed = datetime(*map(int, parts))
         if sign:
             offset = timedelta(hours=int(hours), minutes=int(minutes))
             parsed -= offset if sign == "+" else -offset
     except (OverflowError, ValueError):  # no such date, or out of datetime's range in UTC
         raise ValueError(f"invalid ISO-8601 timestamp: {value!r}") from None
-    return parsed
-
-
-@functools.cache
-def format_timestamp(value: datetime) -> str:
-    """Format an aware datetime as ``YYYY-MM-DDTHH:MM:SSZ`` in UTC.
-
-    Memoized per value for the life of the process: parsed timestamps are
-    shared objects, so each distinct one is formatted once.
-    """
-    return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    canonical = parsed.isoformat() + "Z"
+    return value if canonical == value else canonical
 
 
 @functools.cache
@@ -169,7 +163,7 @@ def require_strings(fields: dict, keys: Iterable[str]) -> None:
             raise ValueError(f"field {key!r} is not valid UTF-8")
 
 
-def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, datetime, str]:
+def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, str, str]:
     """Normalize an edge's commit metadata into ``(commit, timestamp,
     author_email)``, fields four to six of :class:`RefactoringRecord`."""
     author_email = email.strip()
@@ -178,7 +172,7 @@ def parse_metadata(commit: str, timestamp: str, email: str) -> tuple[str, dateti
     return normalize_commit(commit), parse_timestamp(timestamp), _shared(author_email)
 
 
-def parse_edge_fields(fields: dict) -> tuple[str, str, str, str, datetime, str]:
+def parse_edge_fields(fields: dict) -> tuple[str, str, str, str, str, str]:
     """Check the :data:`EDGE_KEYS` of a record or dump entry and normalize
     them into the first six fields of :class:`RefactoringRecord`, in order.
 
@@ -337,7 +331,7 @@ def parse_record_line(line: str) -> RefactoringRecord:
 
 
 # Every memo of this module; a memo holds each distinct value it has seen.
-_MEMOS = (parse_timestamp, format_timestamp, normalize_commit, _shared, _parse_signature, _split_params)
+_MEMOS = (parse_timestamp, normalize_commit, _shared, _parse_signature, _split_params)
 
 
 def clear_caches() -> None:

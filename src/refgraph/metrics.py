@@ -13,6 +13,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
@@ -67,8 +68,9 @@ def pct(count: int, total: int) -> float:
 def measure(subgraph: Subgraph) -> SubgraphMetrics:
     """Compute all per-subgraph measurements.
 
-    Age is (newest - oldest edge timestamp) in fractional days.  Developers
-    are distinct author emails after trimming and lowercasing.
+    Age is (newest - oldest edge timestamp) in fractional days: canonical
+    timestamps sort in time order, so only those two are read as datetimes.
+    Developers are distinct author emails after trimming and lowercasing.
     """
     if not subgraph.edges:
         raise MetricsError(f"subgraph {subgraph.id!r} has no edges")
@@ -85,7 +87,8 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
         emails.add(email)
         types[edge.type] += 1
         timestamps.append(edge.timestamp)
-    age_days = (max(timestamps) - min(timestamps)).total_seconds() / SECONDS_PER_DAY
+    oldest, newest = (datetime.fromisoformat(ts[:-1]) for ts in (min(timestamps), max(timestamps)))
+    age_days = (newest - oldest).total_seconds() / SECONDS_PER_DAY
     return SubgraphMetrics(
         subgraph_id=subgraph.id,
         n_vertices=subgraph.n_vertices,

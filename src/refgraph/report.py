@@ -12,7 +12,6 @@ import json
 from pathlib import Path
 
 from .graph import Subgraph
-from .ingest import format_timestamp
 from .metrics import pct, round_half_up
 
 REPORT_FORMAT_VERSION = "1"
@@ -123,8 +122,7 @@ def emit_dot(subgraph: Subgraph) -> str:
     for vertex in sorted(subgraph.vertices):
         lines.append(f"  {_dot_quote(vertex)};")
     for edge in sorted(subgraph.edges):
-        date = format_timestamp(edge.timestamp)[:10]
-        label = f"{edge.type}\\n{edge.commit[:7]}\\n{date}"
+        label = f"{edge.type}\\n{edge.commit[:7]}\\n{edge.timestamp[:10]}"
         lines.append(f'  {_dot_quote(edge.source)} -> {_dot_quote(edge.target)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import random
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 from refgraph.graph import Subgraph, build, partition
 from refgraph.ingest import (
     REFACTORING_TYPES,
     RefactoringRecord,
-    format_timestamp,
     parse_records,
     parse_signature,
+    parse_timestamp,
 )
 
 
@@ -168,7 +168,7 @@ def to_jsonl(dicts) -> str:
 def record_dict(record: RefactoringRecord) -> dict:
     """The record line that parses back to ``record``."""
     return rec(
-        record.project, record.commit, format_timestamp(record.timestamp), "Dev", record.author_email,
+        record.project, record.commit, record.timestamp, "Dev", record.author_email,
         record.type, record.source, record.target,
     )
 
@@ -190,7 +190,12 @@ def subgraph_of(dicts) -> Subgraph:
 # ---------------------------------------------------------------------------
 # random generators (all deterministic via a caller-provided random.Random)
 
-_BASE_TS = datetime(2020, 1, 1, tzinfo=timezone.utc)
+_BASE_TS = "2020-01-01T00:00:00Z"
+
+
+def shift_timestamp(timestamp: str, **delta) -> str:
+    """A canonical timestamp moved by ``timedelta(**delta)``, canonical too."""
+    return parse_timestamp((datetime.fromisoformat(timestamp[:-1]) + timedelta(**delta)).isoformat())
 
 
 def method_pool(size: int, prefix: str = "pool") -> list[str]:
@@ -211,7 +216,7 @@ def make_record(
         target=target,
         type=type,
         commit=commit,
-        timestamp=_BASE_TS + timedelta(seconds=offset_seconds),
+        timestamp=shift_timestamp(_BASE_TS, seconds=offset_seconds),
         author_email=author_email,
         project=project,
     )

@@ -6,13 +6,14 @@ correlation oracle uses O(n^2) counting ranks plus a hand-written Pearson,
 the filter oracle judges each record on its own, as the ingest filters
 once did, with no per-vertex reuse and its own split of each signature,
 the commit rule keeps no memo, and edge dedup keys a dict by edge instead
-of sorting records.
+of sorting records and compares timestamps as datetimes, not as strings.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from datetime import datetime
 
 
 def bfs_components(edges: list[tuple[str, str]]) -> set[frozenset[str]]:
@@ -42,13 +43,17 @@ def bfs_components(edges: list[tuple[str, str]]) -> set[frozenset[str]]:
 
 def dedup_edges(records) -> list:
     """One record per edge ``(source, target, type, commit)``: of several,
-    the one with the smaller ``(timestamp, author_email)``, the first seen
-    on a tie.  Returned in edge order."""
+    the one with the earlier timestamp, then the smaller author email, the
+    first seen on a tie.  Returned in edge order."""
+
+    def rank(record):
+        return datetime.fromisoformat(record.timestamp[:-1]), record.author_email
+
     kept: dict[tuple, object] = {}
     for record in records:
         key = (record.source, record.target, record.type, record.commit)
         current = kept.get(key)
-        if current is None or (record.timestamp, record.author_email) < (current.timestamp, current.author_email):
+        if current is None or rank(record) < rank(current):
             kept[key] = record
     return [kept[key] for key in sorted(kept)]
 

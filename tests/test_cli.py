@@ -856,25 +856,23 @@ def test_dot_project_names_stay_inside_out(tmp_path, project):
     assert len(list((dot_out / "_").glob("*.dot"))) == 1
 
 
+def _records_file(path, projects, records=corpus.CHART_AXIS_RECORDS):
+    """``records`` copied once per project, written to ``path``."""
+    path.write_text(corpus.to_jsonl(dict(r, project=p) for p in projects for r in records), encoding="utf-8")
+    return str(path)
+
+
 def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
     # "a/b" and "a_b" both map to directory a_b; neither command may write.
-    def records_file(name, projects):
-        path = tmp_path / name
-        path.write_text(
-            corpus.to_jsonl(dict(r, project=p) for p in projects for r in corpus.CHART_AXIS_RECORDS),
-            encoding="utf-8",
-        )
-        return str(path)
-
     both = tmp_path / "both"
-    assert main(["build", "--records", records_file("both.jsonl", ["a/b", "a_b"]), "--out", str(both)]) == 1
+    assert main(["build", "--records", _records_file(tmp_path / "both.jsonl", ["a/b", "a_b"]), "--out", str(both)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("refgraph: error:") and "'a/b'" in err and "'a_b'" in err
     assert not both.exists()
 
     for name in ("a/b", "a_b"):
         out = str(tmp_path / ("one" if name == "a/b" else "two"))
-        assert main(["build", "--records", records_file("r.jsonl", [name]), "--out", out]) == 0
+        assert main(["build", "--records", _records_file(tmp_path / "r.jsonl", [name]), "--out", out]) == 0
     capsys.readouterr()
     dot_out = tmp_path / "dot"
     code = main(["export", "--graph", str(tmp_path / "one"), str(tmp_path / "two"), "--all", "--out", str(dot_out)])
@@ -883,6 +881,66 @@ def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
     assert err.startswith("refgraph: error:") and "'a/b'" in err and "'a_b'" in err
     assert not dot_out.exists()
 
+
+@pytest.mark.parametrize("project", ["run_log.json", "run/log.json"])
+def test_a_project_taking_the_run_logs_path_is_an_error(tmp_path, monkeypatch, capsys, project):
+    out = tmp_path / "build"
+    assert main(["build", "--records", str(DEMO_RECORDS), "--out", str(out)]) == 0
+    before = _snapshot(out)
+    writes = []
+    monkeypatch.setattr(cli, "_write_json", lambda path, chunks: writes.append(path))
+    records = _records_file(tmp_path / "r.jsonl", ["mpandroidchart", project])
+    capsys.readouterr()
+    assert main(["build", "--records", records, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refgraph: error:") and repr(project) in err and "run_log.json" in err
+    assert "Errno" not in err and "/." not in err  # no OS error naming the temporary tree
+    assert writes == []  # the check runs before any dump is written
+    assert _snapshot(out) == before and _temporaries(out) == []
+
+
+@pytest.mark.parametrize("length, directory_length", [(255, 255), (300, 89)])
+def test_a_long_project_name_gets_a_short_directory(tmp_path, length, directory_length):
+    project = "p" * length
+    records = _records_file(tmp_path / "r.jsonl", [project])
+    build_out, dot_out = tmp_path / "build", tmp_path / "dot"
+    assert main(["build", "--records", records, "--out", str(build_out)]) == 0
+    [directory] = [p.name for p in build_out.iterdir() if p.is_dir()]
+    assert len(directory) == directory_length and directory.startswith("p" * 80)
+    assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "stats")]) == 0
+    assert _read_json(tmp_path / "stats" / "summary.json")["projects"] == [project]
+    assert main(["export", "--graph", str(build_out), "--all", "--out", str(dot_out)]) == 0
+    assert [p.name for p in dot_out.iterdir()] == [directory]
+    assert len(list((dot_out / directory).glob("*.dot"))) == 1
+
+
+def test_a_long_project_name_shortened_onto_another_is_an_error(tmp_path, capsys):
+    long = "p" * 300
+    short = cli._safe_name(long, fallback="project")  # the directory the long name shortens to
+    out = tmp_path / "build"
+    assert main(["build", "--records", _records_file(tmp_path / "r.jsonl", [long, short]), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refgraph: error:") and repr(long) in err and repr(short) in err
+    assert not out.exists()
+
+
+def test_a_date_before_year_1000_round_trips_through_a_dump(tmp_path):
+    # Four-digit years: a dump written with "999-..." would not load again.
+    dated = [dict(r, timestamp="0999-01-01T00:00:00Z" if i == 0 else "2020-01-01T00:00:00Z")
+             for i, r in enumerate(corpus.CHART_AXIS_RECORDS)]
+    records = _records_file(tmp_path / "r.jsonl", ["old"], dated)
+    build_out = tmp_path / "build"
+    assert main(["build", "--records", records, "--out", str(build_out)]) == 0
+    dump = _read_json(build_out / "old" / "graph.json")
+    assert sorted({e["timestamp"] for e in dump["edges"]}) == ["0999-01-01T00:00:00Z", "2020-01-01T00:00:00Z"]
+    assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "from_graph")]) == 0
+    assert main(["stats", "--records", records, "--out", str(tmp_path / "from_records")]) == 0
+    ages = (tmp_path / "from_graph" / "age_summary.csv").read_bytes()
+    assert ages == (tmp_path / "from_records" / "age_summary.csv").read_bytes()
+    assert _read_csv(tmp_path / "from_graph" / "age_summary.csv")[1] == ["old", "1", "372912.0", "372912.0", "372912.0"]
+    assert main(["export", "--graph", str(build_out), "--all", "--out", str(tmp_path / "dot")]) == 0
+    [dot] = (tmp_path / "dot" / "old").glob("*.dot")
+    assert "\\n0999-01-01" in dot.read_text(encoding="utf-8")
 
 def _two_project_dumps(tmp_path):
     """Record files and build dumps of two parts of project "proj" with

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from datetime import timedelta
 from unittest import mock
 
 import pytest
@@ -170,7 +169,7 @@ def test_partition_matches_bfs_oracle_and_ignores_order_and_duplicates(n_edges, 
 
     # Exact duplicates, plus copies whose later timestamp must lose the metadata tie-break.
     duplicates = rng.choices(records, k=len(records) // 2)
-    later = [r._replace(timestamp=r.timestamp + timedelta(seconds=1)) for r in duplicates[::2]]
+    later = [r._replace(timestamp=corpus.shift_timestamp(r.timestamp, seconds=1)) for r in duplicates[::2]]
     noisy = records + duplicates + later
     rng.shuffle(noisy)
     assert partition(build(noisy)) == subgraphs
@@ -192,7 +191,10 @@ def test_build_keeps_the_edge_the_dedup_oracle_keeps(n_edges, pool_size, seed):
     noisy = (
         records
         + copies[::3]
-        + [r._replace(timestamp=r.timestamp + timedelta(seconds=1), author_email="a" + r.author_email) for r in copies[1::3]]
+        + [
+            r._replace(timestamp=corpus.shift_timestamp(r.timestamp, seconds=1), author_email="a" + r.author_email)
+            for r in copies[1::3]
+        ]
         + [r._replace(author_email="a" + r.author_email) for r in copies[2::3]]
     )
     rng.shuffle(noisy)
@@ -386,5 +388,5 @@ class TestRecordAsEdge:
         assert copy == record and hash(copy) == hash(record)
         # the project is the last field, so it only orders records that agree on the rest
         other = record._replace(project="a")  # record.project is "mpandroidchart"
-        later = other._replace(timestamp=record.timestamp + timedelta(seconds=1))
+        later = other._replace(timestamp=corpus.shift_timestamp(record.timestamp, seconds=1))
         assert sorted([later, record, other]) == [other, record, later]

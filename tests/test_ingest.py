@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from refgraph import ingest
+from refgraph.graph import build
 from refgraph.ingest import (
     DEFAULT_EXCLUDED_KEYWORDS,
     REFACTORING_TYPES,
@@ -20,7 +21,6 @@ from refgraph.ingest import (
     SignatureError,
     apply_filters,
     clear_caches,
-    format_timestamp,
     normalize_commit,
     parse_record_line,
     parse_records,
@@ -220,6 +220,8 @@ TIMESTAMPS_ACCEPTED = [
     ("2014-01-20T08:30:00+00:00", "2014-01-20T08:30:00Z"),
     ("  2014-01-20T08:30:00Z\n", "2014-01-20T08:30:00Z"),
     ("2016-02-29T00:00:00+23:59", "2016-02-28T00:01:00Z"),
+    ("0999-01-01T00:00:00Z", "0999-01-01T00:00:00Z"),
+    ("0001-01-01T05:00:00+01:00", "0001-01-01T04:00:00Z"),
 ]
 TIMESTAMPS_REJECTED = [
     "20140120T083000Z",
@@ -252,15 +254,13 @@ TIMESTAMPS_REJECTED = [
 
 class TestTimestamps:
     def test_z_suffix(self):
-        assert parse_timestamp("2019-01-01T00:00:00Z") == datetime(2019, 1, 1, tzinfo=timezone.utc)
+        assert parse_timestamp("2019-01-01T00:00:00Z") == "2019-01-01T00:00:00Z"
 
     def test_offset_converted_to_utc(self):
-        assert parse_timestamp("2019-01-01T02:00:00+02:00") == datetime(2019, 1, 1, tzinfo=timezone.utc)
+        assert parse_timestamp("2019-01-01T02:00:00+02:00") == "2019-01-01T00:00:00Z"
 
     def test_naive_assumed_utc_and_seconds_precision(self):
-        parsed = parse_timestamp("2019-01-01T00:00:00.654321")
-        assert parsed == datetime(2019, 1, 1, tzinfo=timezone.utc)
-        assert parsed.microsecond == 0
+        assert parse_timestamp("2019-01-01T00:00:00.654321") == "2019-01-01T00:00:00Z"
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="ISO-8601"):
@@ -268,7 +268,7 @@ class TestTimestamps:
 
     @pytest.mark.parametrize("text, expected", TIMESTAMPS_ACCEPTED)
     def test_grammar_accepts(self, text, expected):
-        assert format_timestamp(parse_timestamp(text)) == expected
+        assert parse_timestamp(text) == expected
 
     @pytest.mark.parametrize("text", TIMESTAMPS_REJECTED)
     def test_grammar_rejects(self, text):
@@ -279,6 +279,12 @@ class TestTimestamps:
         first = parse_timestamp("".join(["2019-01-01T02:00:00", "+02:00"]))
         assert parse_timestamp("".join(["2019-01-01T02:00", ":00+02:00"])) is first
 
+    def test_canonical_string_is_the_parsed_string(self):
+        clear_caches()
+        raw = "".join(["2019-01-01T00:00", ":00Z"])  # an object of its own, not a constant
+        assert parse_timestamp(raw) is raw
+        assert parse_timestamp("".join(["2019-01-01T00:00", ":00Z"])) is raw  # an equal string hits the memo
+
     @pytest.mark.parametrize("bad", ["yesterday", "2014-02-30T08:30:00Z", "0001-01-01T00:00:00+01:00"])
     def test_errors_are_raised_on_every_call(self, bad):
         messages = []
@@ -287,6 +293,43 @@ class TestTimestamps:
                 parse_timestamp(bad)
             messages.append(str(excinfo.value))
         assert messages == [f"invalid ISO-8601 timestamp: {bad!r}"] * 2
+
+
+# An instant in UTC, seen from an offset of under a day either way, with
+# any separator and a fractional second: RFC 3339 text across years 1-9999.
+_INSTANTS = st.tuples(
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30, 23, 59, 59, 999999)),
+    st.integers(-(24 * 60 - 1), 24 * 60 - 1),
+    st.sampled_from("Tt "),
+)
+
+
+@given(st.lists(_INSTANTS, min_size=1, max_size=12))
+@example([(datetime(999, 1, 1), 0, "T"), (datetime(1000, 1, 1), 0, "T"), (datetime(1, 1, 2), 60, "T")])
+def test_canonical_timestamps_are_fixed_points_and_sort_in_time_order(instants):
+    utcs = [utc.replace(microsecond=0) for utc, _, _ in instants]
+    texts = [
+        utc.replace(tzinfo=timezone.utc).astimezone(timezone(timedelta(minutes=minutes))).isoformat(sep)
+        for utc, minutes, sep in instants
+    ]
+    canonical = [parse_timestamp(text) for text in texts]
+    for utc, stamp in zip(utcs, canonical):
+        # written field by field here, not by the library's formatting
+        assert stamp == f"{utc.year:04}-{utc.month:02}-{utc.day:02}T{utc.hour:02}:{utc.minute:02}:{utc.second:02}Z"
+        clear_caches()  # else an equal string parsed before is the memo's answer
+        assert parse_timestamp(stamp) is stamp
+    positions = range(len(instants))
+    assert sorted(positions, key=canonical.__getitem__) == sorted(positions, key=utcs.__getitem__)
+
+    # Copies of a few edges that differ only in timestamp: build keeps the
+    # smallest string, the oracle the earliest datetime.
+    pool = corpus.method_pool(6)
+    records = [
+        corpus.make_record(pool[i % 3], pool[3 + i % 3], commit=f"abcdef{i % 2}")._replace(timestamp=stamp)
+        for i, stamp in enumerate(canonical)
+    ]
+    assert build(records).edges() == oracles.dedup_edges(records)
+    assert build(records[::-1]).edges() == oracles.dedup_edges(records[::-1])
 
 
 class TestNormalizeCommit:
@@ -376,7 +419,6 @@ class TestSharedStrings:
 
 def test_clear_caches_empties_every_memo():
     parse_records([VALID_LINE])
-    format_timestamp(parse_timestamp("2019-01-01T00:00:00Z"))
     memos = {value for value in vars(ingest).values() if hasattr(value, "cache_clear")}
     assert memos == set(ingest._MEMOS)
     assert all(memo.cache_info().currsize for memo in memos)
@@ -394,7 +436,7 @@ class TestParseRecords:
         assert record.target == "util.Bar#m()"
         assert record.type == "move"
         assert record.commit == "c1a2b3c"
-        assert record.timestamp == datetime(2019, 1, 1, tzinfo=timezone.utc)
+        assert record.timestamp == "2019-01-01T00:00:00Z"
         assert record.author_email == "a@x.org"
         assert record.project == "demo"
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
-from datetime import timedelta
 
 import pytest
 from hypothesis import given
@@ -102,7 +101,7 @@ class TestMeasure:
 
     def test_timestamp_translation_invariance(self):
         records = corpus.records_of(corpus.SELECTOR_DEDUPE_RECORDS)
-        shifted = [r._replace(timestamp=r.timestamp + timedelta(days=400, seconds=17)) for r in records]
+        shifted = [r._replace(timestamp=corpus.shift_timestamp(r.timestamp, days=400, seconds=17)) for r in records]
         original = measure(partition(build(records))[0])
         translated = measure(partition(build(shifted))[0])
         assert translated == original
