@@ -9,7 +9,6 @@ composition, and developer count.
 
 from .graph import (
     RefactoringGraph,
-    Subgraph,
     build,
     filter_multi_commit,
     graph_from_dict,
@@ -64,7 +63,6 @@ __all__ = [
     "RestrictResult",
     "SignatureError",
     "SpearmanResult",
-    "Subgraph",
     "SubgraphMetrics",
     "aggregate",
     "apply_filters",

@@ -22,7 +22,6 @@ from . import ingest
 from .graph import (
     GraphDumpError,
     RefactoringGraph,
-    Subgraph,
     build,
     dump_chunks,
     dump_project,
@@ -196,7 +195,7 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[Refa
     return by_project, {"inputs": inputs, "stages": stages}
 
 
-def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Subgraph]]:
+def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[RefactoringGraph]]:
     """A graph's subgraph and single-commit subgraph counts, and the
     subgraphs spanning at least ``min_commits`` commits."""
     subgraphs = partition(graph)
@@ -236,7 +235,7 @@ def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph | None:
         if project or graph.n_edges:  # else the placeholder dump of an empty build
             graphs.append(graph)
     if len(graphs) > 1:  # concatenate, then keep each edge once
-        return build([edge for graph in graphs for edge in graph.edges()])
+        return build([edge for graph in graphs for edge in graph.edges])
     return graphs[0] if graphs else None
 
 
@@ -449,7 +448,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _select_subgraphs(graph: RefactoringGraph, selector: str | None) -> list[Subgraph]:
+def _select_subgraphs(graph: RefactoringGraph, selector: str | None) -> list[RefactoringGraph]:
     """The subgraphs of ``graph`` holding a vertex that contains ``selector``,
     or all of them when it is None."""
     if selector is None:
@@ -457,7 +456,7 @@ def _select_subgraphs(graph: RefactoringGraph, selector: str | None) -> list[Sub
     # A subgraph id is one of its vertex labels, so the id selector is a
     # substring match too, and a graph with no vertex holding the selector
     # cannot match: it is not split.
-    if not any(selector in v for v in graph.vertices()):
+    if not any(selector in v for v in graph.vertices):
         return []
     return [s for s in partition(graph) if any(selector in v for v in s.vertices)]
 
@@ -482,9 +481,13 @@ def cmd_export(args) -> int:
             del graph  # not held while the next graph loads
             if matched:
                 directory = _project_dir(out, project, owners)
+                files: dict[str, str] = {}  # file name -> subgraph id; two ids on one name are an error
                 for subgraph in matched:
-                    path = directory / f"{_safe_name(subgraph.id, fallback='subgraph')}.dot"
-                    path.write_text(emit_dot(subgraph), encoding="utf-8")
+                    name = f"{_safe_name(subgraph.id, fallback='subgraph')}.dot"
+                    if files.setdefault(name, subgraph.id) != subgraph.id:
+                        raise CliError(f"subgraphs {files[name]!r} and {subgraph.id!r} of project {project!r}"
+                                       f" would share the file name {name!r}")
+                    (directory / name).write_text(emit_dot(subgraph), encoding="utf-8")
                 written += len(matched)
             del matched
         if selector and not written:

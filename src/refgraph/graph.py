@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable, Iterator, Sequence
 
@@ -32,56 +31,25 @@ class GraphDumpError(ValueError):
 
 
 class RefactoringGraph:
-    """A project's edges, as :func:`build` returns them: records sorted in
-    field order, one per (source, target, type, commit).  Its vertices are
-    the edges' ends.
+    """A refactoring graph: ``edges``, records sorted in field order with one
+    per (source, target, type, commit), as :func:`build` and
+    :func:`partition` make them, and ``vertices``, the edges' ends, sorted.
+    A subgraph is a graph too, named by its ``id``: its smallest vertex, so
+    subgraph identity is deterministic across runs.
 
     Callers are expected to have run the ingest filters first; in
     particular self-loop records are assumed to be gone already.
     """
 
-    def __init__(self, edges: Sequence[RefactoringRecord] = ()) -> None:
-        self._edges = tuple(edges)
+    __slots__ = ("edges", "vertices", "__weakref__")
+
+    def __init__(self, edges: Iterable[RefactoringRecord] = ()) -> None:
+        self.edges = tuple(edges)
+        self.vertices = tuple(sorted({vertex for edge in self.edges for vertex in (edge.source, edge.target)}))
 
     @property
-    def n_vertices(self) -> int:
-        return len(self._vertex_set())
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    def vertices(self) -> list[str]:
-        """Vertices (canonical signatures), sorted."""
-        return sorted(self._vertex_set())
-
-    def edges(self) -> list[RefactoringRecord]:
-        """Edges sorted by (source, target, type, commit)."""
-        return list(self._edges)
-
-    def _vertex_set(self) -> set[str]:
-        return {vertex for edge in self._edges for vertex in (edge.source, edge.target)}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RefactoringGraph):
-            return NotImplemented
-        return self._edges == other._edges
-
-    def __repr__(self) -> str:
-        return f"RefactoringGraph(vertices={self.n_vertices}, edges={self.n_edges})"
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """One weakly connected component of a refactoring graph.
-
-    ``id`` is the lexicographically smallest canonical vertex label, which
-    makes subgraph identity deterministic across runs.
-    """
-
-    id: str
-    vertices: tuple[str, ...]
-    edges: tuple[RefactoringRecord, ...]
+    def id(self) -> str:
+        return self.vertices[0]
 
     @property
     def n_vertices(self) -> int:
@@ -93,6 +61,14 @@ class Subgraph:
 
     def commit_count(self) -> int:
         return len({e.commit for e in self.edges})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefactoringGraph):
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __repr__(self) -> str:
+        return f"RefactoringGraph(vertices={self.n_vertices}, edges={self.n_edges})"
 
 
 def build(records: Iterable[RefactoringRecord]) -> RefactoringGraph:
@@ -112,11 +88,11 @@ def build(records: Iterable[RefactoringRecord]) -> RefactoringGraph:
     return RefactoringGraph(edges)
 
 
-def partition(graph: RefactoringGraph) -> list[Subgraph]:
+def partition(graph: RefactoringGraph) -> list[RefactoringGraph]:
     """Split a graph into its weakly connected components, sorted by id.
 
-    Every vertex lies on an edge.  In the union-find the smaller label always
-    becomes the root, so a component's root is its id.
+    In the union-find the smaller label always becomes the root, so a
+    component's root is its id.
     """
     parent: dict[str, str] = {}
 
@@ -127,24 +103,19 @@ def partition(graph: RefactoringGraph) -> list[Subgraph]:
             label = parent[label]
         return label
 
-    components: dict[str, tuple[list[str], list[RefactoringRecord]]] = {}
-    for edge in graph._edges:
+    for edge in graph.edges:
         a, b = find(edge.source), find(edge.target)
         if a != b:
             parent[max(a, b)] = min(a, b)
-    for label in parent:
-        components.setdefault(find(label), ([], []))[0].append(label)
-    for edge in graph._edges:  # in graph order, so each component's edges are sorted too
-        components[find(edge.source)][1].append(edge)
-    return [
-        Subgraph(id=root, vertices=tuple(sorted(labels)), edges=tuple(edges))
-        for root, (labels, edges) in sorted(components.items())
-    ]
+    components: dict[str, list[RefactoringRecord]] = {}
+    for edge in graph.edges:  # in graph order, so each component's edges are sorted too
+        components.setdefault(find(edge.source), []).append(edge)
+    return [RefactoringGraph(edges) for _, edges in sorted(components.items())]
 
 
 def filter_multi_commit(
-    subgraphs: Sequence[Subgraph], min_commits: int = 2
-) -> tuple[list[Subgraph], int]:
+    subgraphs: Sequence[RefactoringGraph], min_commits: int = 2
+) -> tuple[list[RefactoringGraph], int]:
     """Keep subgraphs whose edges span at least ``min_commits`` distinct
     commits; also returns how many were excluded."""
     kept = [s for s in subgraphs if s.commit_count() >= min_commits]
@@ -156,7 +127,7 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
     return {
         "format_version": GRAPH_DUMP_VERSION,
         "project": project,
-        "vertices": graph.vertices(),
+        "vertices": list(graph.vertices),
         "edges": [
             {
                 "source": e.source,
@@ -166,7 +137,7 @@ def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
                 "timestamp": e.timestamp,
                 "author_email": e.author_email,
             }
-            for e in graph._edges
+            for e in graph.edges
         ],
     }
 
@@ -251,10 +222,9 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
     graph = build(records)  # a dump is written sorted, so this sort is linear
-    used = graph._vertex_set()
-    if used - declared:
+    if not declared.issuperset(graph.vertices):
         raise GraphDumpError("graph dump edges reference undeclared vertices")
-    if declared - used:
+    if len(declared) > graph.n_vertices:
         raise GraphDumpError("graph dump declares vertices not used by any edge")
     return project, graph
 

@@ -17,7 +17,7 @@ from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Subgraph
+from .graph import RefactoringGraph
 
 SECONDS_PER_DAY = 86400.0
 
@@ -65,7 +65,7 @@ def pct(count: int, total: int) -> float:
     return round_half_up(100.0 * count / total, 1)
 
 
-def measure(subgraph: Subgraph) -> SubgraphMetrics:
+def measure(subgraph: RefactoringGraph) -> SubgraphMetrics:
     """Compute all per-subgraph measurements.
 
     Age is (newest - oldest edge timestamp) in fractional days: canonical
@@ -73,7 +73,7 @@ def measure(subgraph: Subgraph) -> SubgraphMetrics:
     Developers are distinct author emails after trimming and lowercasing.
     """
     if not subgraph.edges:
-        raise MetricsError(f"subgraph {subgraph.id!r} has no edges")
+        raise MetricsError("subgraph has no edges")
     commits = set()
     emails = set()
     types: Counter[str] = Counter()

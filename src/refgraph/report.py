@@ -11,7 +11,7 @@ import csv
 import json
 from pathlib import Path
 
-from .graph import Subgraph
+from .graph import RefactoringGraph
 from .metrics import pct, round_half_up
 
 REPORT_FORMAT_VERSION = "1"
@@ -111,7 +111,7 @@ def _dot_quote(value: str) -> str:
     return f'"{escaped}"'
 
 
-def emit_dot(subgraph: Subgraph) -> str:
+def emit_dot(subgraph: RefactoringGraph) -> str:
     """Render one subgraph as Graphviz DOT text.
 
     Node identifiers are the quoted canonical signatures; edge labels carry
@@ -119,7 +119,7 @@ def emit_dot(subgraph: Subgraph) -> str:
     Statements are sorted, so output is stable across runs.
     """
     lines = [f"digraph {_dot_quote(subgraph.id)} {{"]
-    for vertex in sorted(subgraph.vertices):
+    for vertex in subgraph.vertices:
         lines.append(f"  {_dot_quote(vertex)};")
     for edge in sorted(subgraph.edges):
         label = f"{edge.type}\\n{edge.commit[:7]}\\n{edge.timestamp[:10]}"

@@ -12,7 +12,7 @@ import json
 import random
 from datetime import datetime, timedelta
 
-from refgraph.graph import Subgraph, build, partition
+from refgraph.graph import RefactoringGraph, build, partition
 from refgraph.ingest import (
     REFACTORING_TYPES,
     RefactoringRecord,
@@ -180,7 +180,7 @@ def records_of(dicts) -> list[RefactoringRecord]:
     return list(result.records)
 
 
-def subgraph_of(dicts) -> Subgraph:
+def subgraph_of(dicts) -> RefactoringGraph:
     """Build and partition fixture records that form exactly one subgraph."""
     subgraphs = partition(build(records_of(dicts)))
     assert len(subgraphs) == 1, f"expected one subgraph, got {len(subgraphs)}"

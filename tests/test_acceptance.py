@@ -17,7 +17,7 @@ import corpus
 from dot_grammar import parse_dot
 from oracles import bfs_components, spearman_rho_oracle
 from refgraph.cli import main
-from refgraph.graph import Subgraph, build, filter_multi_commit, partition
+from refgraph.graph import RefactoringGraph, build, filter_multi_commit, partition
 from refgraph.metrics import measure, spearman
 from refgraph.report import emit_dot
 
@@ -125,8 +125,8 @@ def test_criterion_4_threshold_accounting():
             assert excluded == expected_single
 
 
-def _random_subgraphs(rng: random.Random, count: int) -> list[Subgraph]:
-    collected: list[Subgraph] = []
+def _random_subgraphs(rng: random.Random, count: int) -> list[RefactoringGraph]:
+    collected: list[RefactoringGraph] = []
     while len(collected) < count:
         records = corpus.random_records(rng, rng.randint(2, 40), pool_size=rng.randint(6, 25))
         collected.extend(partition(build(records)))
@@ -141,16 +141,12 @@ def test_criterion_5_metric_invariance():
 
             edges = list(subgraph.edges)
             rng.shuffle(edges)
-            permuted = Subgraph(id=subgraph.id, vertices=subgraph.vertices, edges=tuple(edges))
+            permuted = RefactoringGraph(edges)
             assert measure(permuted) == baseline
 
-            translated = Subgraph(
-                id=subgraph.id,
-                vertices=subgraph.vertices,
-                edges=tuple(
-                    e._replace(timestamp=corpus.shift_timestamp(e.timestamp, days=137, seconds=4242))
-                    for e in subgraph.edges
-                ),
+            translated = RefactoringGraph(
+                e._replace(timestamp=corpus.shift_timestamp(e.timestamp, days=137, seconds=4242))
+                for e in subgraph.edges
             )
             assert measure(translated) == baseline
 

@@ -924,6 +924,30 @@ def test_a_long_project_name_shortened_onto_another_is_an_error(tmp_path, capsys
     assert not out.exists()
 
 
+def test_subgraph_ids_sharing_a_file_name_are_an_error(tmp_path, capsys):
+    # Two ids with one 80-character safe prefix and one 32-bit SHA-1 prefix.
+    stem = "org.apache.lucene.codecs.lucene90.blocktree.Lucene90BlockTreeTermsWriter#writeBlock"
+    ids = [f"{stem}30142(int)", f"{stem}139295(int)"]
+    assert cli._safe_name(ids[0], fallback="subgraph") == cli._safe_name(ids[1], fallback="subgraph")
+    records = [dict(corpus.CHART_AXIS_RECORDS[0], project="lucene", source=source, target=target)
+               for source, target in zip(ids, ["zzz.Z#zzzA(int)", "zzz.Z#zzzB(int)"])]
+    path = tmp_path / "r.jsonl"
+    path.write_text(corpus.to_jsonl(records), encoding="utf-8")
+    build_out = tmp_path / "build"
+    assert main(["build", "--records", str(path), "--min-commits", "1", "--out", str(build_out)]) == 0
+    assert len(partition(load_graph(build_out / "lucene" / "graph.json")[1])) == 2
+
+    out = tmp_path / "dot"
+    assert main(["export", "zzzA", "--graph", str(build_out), "--out", str(out)]) == 0  # one file, no clash
+    capsys.readouterr()
+    before = _snapshot(out)
+    assert len(before) == 2  # lucene/ and its one DOT file
+    assert main(["export", "--graph", str(build_out), "--all", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refgraph: error:") and all(repr(i) in err for i in ids)
+    assert _snapshot(out) == before and not _temporaries(out)
+
+
 def test_a_date_before_year_1000_round_trips_through_a_dump(tmp_path):
     # Four-digit years: a dump written with "999-..." would not load again.
     dated = [dict(r, timestamp="0999-01-01T00:00:00Z" if i == 0 else "2020-01-01T00:00:00Z")

@@ -13,7 +13,6 @@ from oracles import bfs_components, dedup_edges
 from refgraph.graph import (
     GraphDumpError,
     RefactoringGraph,
-    Subgraph,
     build,
     dump_chunks,
     dump_project,
@@ -41,7 +40,7 @@ class TestBuild:
         graph = build(corpus.records_of(corpus.EXTRACT_RENAME_CYCLE_RECORDS))
         assert graph.n_vertices == 4
         assert graph.n_edges == 4
-        keys = {(e.source, e.target) for e in graph.edges()}
+        keys = {(e.source, e.target) for e in graph.edges}
         assert ("web.Session#b()", "web.Session#c()") in keys
         assert ("web.Session#c()", "web.Session#b()") in keys
 
@@ -137,18 +136,14 @@ class TestPartition:
 
 def _oracle_partition(graph):
     """The full partition result, with components from the BFS oracle."""
-    edges = graph.edges()
+    edges = graph.edges
     components = bfs_components([(e.source, e.target) for e in edges])
     root_of = {label: min(component) for component in components for label in component}
     edges_of: dict[str, list] = {}
     for edge in edges:
         edges_of.setdefault(root_of[edge.source], []).append(edge)
     return [
-        Subgraph(
-            id=min(component),
-            vertices=tuple(sorted(component)),
-            edges=tuple(sorted(edges_of[min(component)], key=lambda e: (e.source, e.target, e.type, e.commit))),
-        )
+        RefactoringGraph(sorted(edges_of[min(component)], key=lambda e: (e.source, e.target, e.type, e.commit)))
         for component in sorted(components, key=min)
     ]
 
@@ -164,8 +159,18 @@ def _oracle_partition(graph):
 def test_partition_matches_bfs_oracle_and_ignores_order_and_duplicates(n_edges, pool_size, seed):
     rng = random.Random(seed)
     records = corpus.random_records(rng, n_edges, pool_size=pool_size)
-    subgraphs = partition(build(records))
-    assert subgraphs == _oracle_partition(build(records))
+    graph = build(records)
+    subgraphs = partition(graph)
+    assert subgraphs == _oracle_partition(graph)
+    assert {frozenset(s.vertices) for s in subgraphs} == bfs_components([(r.source, r.target) for r in records])
+
+    # A subgraph is the graph of its own edges. Its vertex sets are disjoint
+    # and cover the graph's, and its edges, joined, are the graph's.
+    for subgraph in subgraphs:
+        assert subgraph == build(subgraph.edges)
+        assert subgraph.id == subgraph.vertices[0] == min(subgraph.vertices)
+    assert sorted(v for s in subgraphs for v in s.vertices) == list(graph.vertices)
+    assert sorted(e for s in subgraphs for e in s.edges) == list(graph.edges)
 
     # Exact duplicates, plus copies whose later timestamp must lose the metadata tie-break.
     duplicates = rng.choices(records, k=len(records) // 2)
@@ -199,7 +204,7 @@ def test_build_keeps_the_edge_the_dedup_oracle_keeps(n_edges, pool_size, seed):
     )
     rng.shuffle(noisy)
     graph = build(noisy)
-    assert graph.edges() == dedup_edges(noisy)
+    assert list(graph.edges) == dedup_edges(noisy)
 
     # A hand-made dump need not be sorted: reversed, and with a conflicting
     # copy of one edge that must lose, it loads as the same graph.
@@ -267,7 +272,7 @@ class TestGraphDump:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(graph_to_dict(graph, "proj"), indent=2), encoding="utf-8")
         _, loaded = load_graph(path)
-        edges = loaded.edges()
+        edges = loaded.edges
         for name in ("project", "commit", "author_email"):
             values = [getattr(edge, name) for edge in edges]
             assert len({id(value) for value in values}) == len(set(values)) < len(values), name
@@ -336,8 +341,8 @@ class TestGraphDump:
     def test_loaded_edges_carry_the_dump_project(self):
         graph = build(corpus.records_of(corpus.DEMO_CORPUS))  # four projects
         _, reloaded = graph_from_dict(graph_to_dict(graph, "demo"))
-        assert {edge.project for edge in reloaded.edges()} == {"demo"}
-        assert {edge.project for edge in graph.edges()} == {
+        assert {edge.project for edge in reloaded.edges} == {"demo"}
+        assert {edge.project for edge in graph.edges} == {
             "mpandroidchart", "elasticsearch", "spring-framework", "okhttp"
         }
 
@@ -377,7 +382,7 @@ def test_dump_project_reads_the_head_the_writer_emits(tmp_path_factory, project)
 class TestRecordAsEdge:
     def test_build_keeps_the_records_themselves(self):
         records = corpus.records_of(corpus.CHART_AXIS_RECORDS)
-        edges = build(records).edges()
+        edges = build(records).edges
         assert all(any(edge is record for record in records) for edge in edges)
 
     def test_equality_and_hash_include_project(self):

@@ -328,8 +328,8 @@ def test_canonical_timestamps_are_fixed_points_and_sort_in_time_order(instants):
         corpus.make_record(pool[i % 3], pool[3 + i % 3], commit=f"abcdef{i % 2}")._replace(timestamp=stamp)
         for i, stamp in enumerate(canonical)
     ]
-    assert build(records).edges() == oracles.dedup_edges(records)
-    assert build(records[::-1]).edges() == oracles.dedup_edges(records[::-1])
+    assert list(build(records).edges) == oracles.dedup_edges(records)
+    assert list(build(records[::-1]).edges) == oracles.dedup_edges(records[::-1])
 
 
 class TestNormalizeCommit:

@@ -11,7 +11,7 @@ from scipy import stats as scipy_stats
 
 import corpus
 from oracles import spearman_rho_oracle
-from refgraph.graph import Subgraph, build, partition
+from refgraph.graph import RefactoringGraph, build, partition
 from refgraph.ingest import parse_signature
 from refgraph.metrics import (
     CorrelationError,
@@ -71,24 +71,20 @@ class TestMeasure:
 
     def test_developer_email_normalized(self):
         subgraph = corpus.subgraph_of(corpus.BUILDER_RENAME_REVERT_RECORDS)
-        shouting = Subgraph(
-            id=subgraph.id,
-            vertices=subgraph.vertices,
-            edges=tuple(
-                e._replace(author_email=e.author_email.upper() + "  ") for e in subgraph.edges
-            ),
+        shouting = RefactoringGraph(
+            e._replace(author_email=e.author_email.upper() + "  ") for e in subgraph.edges
         )
         assert measure(shouting).n_developers == 1
 
     def test_missing_email_names_the_edge(self):
         subgraph = corpus.subgraph_of(corpus.BUILDER_RENAME_REVERT_RECORDS)
-        broken = Subgraph(
-            id=subgraph.id,
-            vertices=subgraph.vertices,
-            edges=(subgraph.edges[0], subgraph.edges[1]._replace(author_email=" ")),
-        )
+        broken = RefactoringGraph((subgraph.edges[0], subgraph.edges[1]._replace(author_email=" ")))
         with pytest.raises(MetricsError, match="filterBefore"):
             measure(broken)
+
+    def test_edgeless_graph_is_an_error(self):
+        with pytest.raises(MetricsError, match="no edges"):
+            measure(RefactoringGraph())
 
     def test_edge_order_invariance(self):
         subgraph = corpus.subgraph_of(corpus.DEMO_CORPUS[:4])
@@ -96,7 +92,7 @@ class TestMeasure:
         for _ in range(5):
             edges = list(subgraph.edges)
             rng.shuffle(edges)
-            permuted = Subgraph(id=subgraph.id, vertices=subgraph.vertices, edges=tuple(edges))
+            permuted = RefactoringGraph(edges)
             assert measure(permuted) == measure(subgraph)
 
     def test_timestamp_translation_invariance(self):
