@@ -158,9 +158,10 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[Refa
     records: list[RefactoringRecord] = []
     inputs = []
     for path in args.records:
-        # Undecodable bytes become lone surrogates, which parse_records
-        # reports per line, so one bad line does not end the run.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        # A leading byte-order mark is skipped. Undecodable bytes become lone
+        # surrogates, which parse_records reports per line, so one bad line
+        # does not end the run.
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
             result = parse_records(handle, strict=args.strict)
         records.extend(result.records)
         inputs.append({"path": str(path), "records": len(result.records), "skipped": len(result.issues)})
@@ -211,7 +212,7 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
             candidates = sorted(path.glob("*/graph.json"))
             if (path / "graph.json").is_file():
                 candidates.insert(0, path / "graph.json")
-            if not candidates:
+            if not candidates and not (path / "run_log.json").is_file():  # a build's run log alone: no project
                 raise CliError(f"no graph dumps found under {path}")
             expanded.extend(candidates)
         elif path.is_file():
@@ -224,19 +225,17 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
     return list(first.values())
 
 
-def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph | None:
-    """One graph from the dumps of ``project``; None when they are all the
-    placeholder an empty build writes."""
+def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph:
+    """One graph from the dumps of ``project``."""
     graphs = []
     for path in paths:
         named, graph = load_graph(path)
         if named != project:  # only a key given twice can make the head and the body differ
             raise GraphDumpError(f"corrupt graph dump: names projects {project!r} and {named!r} in {path}")
-        if project or graph.n_edges:  # else the placeholder dump of an empty build
-            graphs.append(graph)
+        graphs.append(graph)
     if len(graphs) > 1:  # concatenate, then keep each edge once
         return build([edge for graph in graphs for edge in graph.edges])
-    return graphs[0] if graphs else None
+    return graphs[0]
 
 
 def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGraph]]:
@@ -253,10 +252,7 @@ def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGrap
     for i, (project, group) in enumerate(groups.items()):
         if i:
             ingest.clear_caches()
-        graph = _merge_dumps(project, group)
-        if graph is not None:
-            yield project, graph
-            del graph  # not held while the next graph loads
+        yield project, _merge_dumps(project, group)  # the generator keeps no reference to the graph
 
 
 def _safe_name(identifier: str, fallback: str) -> str:
@@ -270,7 +266,7 @@ def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
     directory made so far to its project; two projects sharing one directory
     are an error."""
     # A name of dots alone ("." or "..") would point at --out or above it.
-    name = re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project) or "project"
+    name = re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project)
     if len(name) > 255:  # the usual file name limit; the name is ASCII, one byte a character
         name = _safe_name(project, fallback="project")
     if owners.setdefault(name, project) != project:
@@ -281,7 +277,7 @@ def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
 
 # Each command's outputs, as paths under --out. An existing --out is replaced
 # only if it holds nothing else, so no other file is deleted.
-_WRITES = {"build": ("run_log.json", "graph.json", "*/graph.json"),
+_WRITES = {"build": ("run_log.json", "*/graph.json"),
            "stats": (*TABLE_FILES, "summary.json"), "export": ("*/*.dot",)}
 
 
@@ -376,8 +372,6 @@ def cmd_build(args) -> int:
             # An exhausted generator drops its frame, so no dump outlives its write.
             _write_json(directory / "graph.json", dump_chunks(graph_to_dict(graph, project)))
             del graph, kept  # not held while the next graph is built
-        if not groups:  # an empty build still leaves a dump for stats and export to read
-            _write_json(out / "graph.json", dump_chunks(graph_to_dict(RefactoringGraph(), "")))
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
         run_log = dict(
@@ -402,7 +396,7 @@ def _project_ages(args) -> dict[str, float] | None:
     if not args.project_ages:
         return None
     try:
-        with open(args.project_ages, "r", encoding="utf-8") as handle:
+        with open(args.project_ages, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except UnicodeDecodeError as exc:
         raise CliError(f"invalid UTF-8 in project ages file {args.project_ages}: {exc.reason}") from None

@@ -15,15 +15,9 @@ import operator
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable, Iterator, Sequence
 
-from .ingest import (
-    EDGE_KEYS,
-    RefactoringRecord,
-    parse_edge_fields,
-    parse_signature,
-    require_strings,
-)
+from .ingest import EDGE_KEYS, RefactoringRecord, parse_edge_fields, require_strings
 
-GRAPH_DUMP_VERSION = "1"
+GRAPH_DUMP_VERSION = "2"
 
 
 class GraphDumpError(ValueError):
@@ -123,11 +117,11 @@ def filter_multi_commit(
 
 
 def graph_to_dict(graph: RefactoringGraph, project: str) -> dict:
-    """Serializable dump: canonical vertex strings plus edge records."""
+    """Serializable dump: the project and its edge records. The graph's
+    vertices are the edges' ends, so the dump does not list them."""
     return {
         "format_version": GRAPH_DUMP_VERSION,
         "project": project,
-        "vertices": list(graph.vertices),
         "edges": [
             {
                 "source": e.source,
@@ -152,28 +146,21 @@ _edge_fields = operator.itemgetter(*EDGE_KEYS)
 
 def dump_chunks(dump: dict) -> Iterator[str]:
     """The text of ``json.dumps(dump, indent=2)`` for a dump made by
-    :func:`graph_to_dict`, in chunks of one vertex or edge.
+    :func:`graph_to_dict`, in chunks of one edge.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder; this
     template fills in strings escaped by the same C function it uses.
     """
-    yield _HEAD % _encode(dump["format_version"]) + _encode(dump["project"]) + ',\n  "vertices": '
-    yield from _list_chunks(map(_encode, dump["vertices"]))
-    yield ',\n  "edges": '
-    yield from _list_chunks(_EDGE_TEMPLATE % tuple(map(_encode, _edge_fields(edge))) for edge in dump["edges"])
-    yield "\n}"
-
-
-def _list_chunks(items: Iterator[str]) -> Iterator[str]:
-    """A list one level below the top of an ``indent=2`` document."""
-    first = next(items, None)
+    yield _HEAD % _encode(dump["format_version"]) + _encode(dump["project"]) + ',\n  "edges": '
+    edges = (_EDGE_TEMPLATE % tuple(map(_encode, _edge_fields(edge))) for edge in dump["edges"])
+    first = next(edges, None)
     if first is None:
-        yield "[]"
+        yield "[]\n}"
         return
     yield "[\n    " + first
-    for item in items:
-        yield ",\n    " + item
-    yield "\n  ]"
+    for edge in edges:
+        yield ",\n    " + edge
+    yield "\n  ]\n}"
 
 
 def dump_project(path) -> str:
@@ -195,7 +182,7 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     """Rebuild (project, graph) from a dump produced by :func:`graph_to_dict`.
 
     The rebuilt graph equals the dumped one, and its edges carry the dump's
-    project, which must be a string.  Edges are checked by
+    project, which must be a non-empty string.  Edges are checked by
     :func:`~refgraph.ingest.parse_edge_fields`, the rule record lines
     follow; any malformed entry raises :class:`GraphDumpError`.
     """
@@ -204,14 +191,15 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
     version = data.get("format_version")
     if version != GRAPH_DUMP_VERSION:
         raise GraphDumpError(f"unsupported graph dump version: {version!r}")
-    for key in ("project", "vertices", "edges"):
+    for key in ("project", "edges"):
         if key not in data:
             raise GraphDumpError(f"graph dump missing key: {key!r}")
     project = data["project"]
     records = []
     try:
         require_strings(data, ("project",))
-        declared = {parse_signature(v) for v in data["vertices"]}
+        if not project:
+            raise ValueError("empty project name")
         for entry in data["edges"]:
             if not isinstance(entry, dict):
                 raise ValueError("edge is not an object")
@@ -221,17 +209,12 @@ def graph_from_dict(data: dict) -> tuple[str, RefactoringGraph]:
             records.append(record)
     except (TypeError, ValueError) as exc:
         raise GraphDumpError(f"corrupt graph dump: {exc}") from None
-    graph = build(records)  # a dump is written sorted, so this sort is linear
-    if not declared.issuperset(graph.vertices):
-        raise GraphDumpError("graph dump edges reference undeclared vertices")
-    if len(declared) > graph.n_vertices:
-        raise GraphDumpError("graph dump declares vertices not used by any edge")
-    return project, graph
+    return project, build(records)  # a dump is written sorted, so this sort is linear
 
 
 def load_graph(path) -> tuple[str, RefactoringGraph]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle)
         return graph_from_dict(data)
     except GraphDumpError as exc:  # before ValueError, its base class

@@ -45,7 +45,7 @@ def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, str, str]]:
 
 def load_commit_log(path) -> dict[str, tuple[str, str, str]]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return parse_commit_log(handle)
     except UnicodeDecodeError as exc:
         raise CommitLogError(f"invalid UTF-8 in commit log {path}: {exc.reason}") from None

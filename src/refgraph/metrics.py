@@ -142,7 +142,8 @@ def median(values: Sequence[float]) -> float:
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float]:
-    """Tukey hinges: medians of the lower and upper halves."""
+    """Medians of the lower and upper halves, the median itself left out of
+    both when the count is odd (not Tukey's hinges, which keep it in both)."""
     ordered = sorted(values)
     n = len(ordered)
     if n == 0:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import json
 import os
 import random
+import shutil
 import tempfile
 import weakref
 from pathlib import Path
@@ -90,9 +92,9 @@ class TestBuild:
         records.write_text("", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["build", "--records", str(records), "--out", str(out)]) == 0
-        dump = _read_json(out / "graph.json")
-        assert dump["vertices"] == []
-        assert dump["edges"] == []
+        assert list(_tree(out)) == ["run_log.json"]  # no project, so no dump
+        run_log = _read_json(out / "run_log.json")
+        assert run_log["projects"] == [] and set(run_log["totals"].values()) == {0}
 
     def test_strict_mode_fails_without_outputs(self, tmp_path):
         records = tmp_path / "bad.jsonl"
@@ -584,6 +586,8 @@ class TestStats:
         doc = _read_json(out / "summary.json")
         assert doc["projects"] == [] and doc["n_subgraphs"] == 0
         assert _read_csv(out / "subgraph_summary.csv")[1:] == [["All", "0", "0", "0.0", "0", "0.0"]]
+        assert main(["stats", "--records", str(records), "--out", str(tmp_path / "from_records")]) == 0
+        assert _tree(out) == _tree(tmp_path / "from_records")
 
     def test_two_dumps_of_one_project_merge(self, tmp_path):
         union, dumps = _two_project_dumps(tmp_path)
@@ -608,7 +612,7 @@ class TestStats:
     @pytest.mark.parametrize("project", [None, 7, ["mpandroidchart"]], ids=["null", "number", "list"])
     def test_non_string_dump_project_is_a_clean_error(self, tmp_path, capsys, project):
         golden = _read_json(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
-        empty = {"format_version": "1", "project": None, "vertices": [], "edges": []}
+        empty = {"format_version": "2", "project": None, "edges": []}
         for dump in (golden, empty):
             path = tmp_path / "graph.json"
             path.write_text(json.dumps(dict(dump, project=project)), encoding="utf-8")
@@ -754,7 +758,7 @@ class TestExport:
 
     def test_subgraph_id_selector(self, build_out, tmp_path):
         dump = _read_json(build_out / "okhttp" / "graph.json")
-        subgraph_id = min(dump["vertices"])
+        subgraph_id = min(v for edge in dump["edges"] for v in (edge["source"], edge["target"]))
         out = tmp_path / "dot"
         assert main(["export", "--graph", str(build_out), "--out", str(out), subgraph_id]) == 0
         assert len(list(out.rglob("*.dot"))) == 1
@@ -993,7 +997,7 @@ def test_dumps_written_another_way_group_like_build_dumps(tmp_path, layout):
     if layout == "compact":
         text = json.dumps(dump)
     else:
-        text = json.dumps({key: dump[key] for key in ("format_version", "vertices", "edges", "project")}, indent=2)
+        text = json.dumps({key: dump[key] for key in ("format_version", "edges", "project")}, indent=2)
     rewritten = tmp_path / "rewritten.json"
     rewritten.write_text(text, encoding="utf-8")
     dumps[2] = str(rewritten)
@@ -1005,10 +1009,10 @@ def test_dumps_written_another_way_group_like_build_dumps(tmp_path, layout):
 
 @pytest.mark.parametrize("content, problem", [
     # build's layout, but the project is not a string: the full load names the defect
-    (json.dumps({"format_version": "1", "project": 7, "vertices": [], "edges": []}, indent=2),
+    (json.dumps({"format_version": "2", "project": 7, "edges": []}, indent=2),
      "corrupt graph dump: field 'project' is not a string"),
     # only a key given twice makes the head and the full load disagree
-    ('{\n  "format_version": "1",\n  "project": "a",\n  "vertices": [],\n  "edges": [],\n  "project": "b"\n}',
+    ('{\n  "format_version": "2",\n  "project": "a",\n  "edges": [],\n  "project": "b"\n}',
      "corrupt graph dump: names projects 'a' and 'b' in {path}"),
 ], ids=["not-a-string", "two-projects"])
 def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, content, problem):
@@ -1019,6 +1023,60 @@ def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, conte
         assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=path))
         assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["format-1", "empty-project", "no-dump"])
+def test_a_refused_graph_input_leaves_out_as_it_was(tmp_path, capsys, bad):
+    good = TESTS_DIR / "golden" / "build" / "okhttp" / "graph.json"
+    dump = _read_json(good)
+    path = tmp_path / "bad" / "graph.json"
+    path.parent.mkdir()
+    if bad == "format-1":  # format 1 listed the sorted vertices between the project and the edges
+        ends = sorted({v for edge in dump["edges"] for v in (edge["source"], edge["target"])})
+        path.write_text(json.dumps({"format_version": "1", "project": dump["project"], "vertices": ends,
+                                    "edges": dump["edges"]}, indent=2), encoding="utf-8")
+        problem = f"unsupported graph dump version: '1' in {path}"
+    elif bad == "empty-project":  # build's layout, so the project is read from the head first
+        path.write_text(json.dumps(dict(dump, project=""), indent=2), encoding="utf-8")
+        problem = f"corrupt graph dump: empty project name in {path}"
+    else:  # a directory holding neither a dump nor a build's run log
+        path = path.parent
+        problem = f"no graph dumps found under {path}"
+    for command in (["stats"], ["export", "--all"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--graph", str(good), "--out", str(out)]) == 0
+        before = _snapshot(out)
+        capsys.readouterr()
+        assert main([*command, "--graph", str(good), str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: {problem}\n"
+        assert _snapshot(out) == before and not _temporaries(out)
+
+
+@pytest.mark.parametrize("bom_in", ["records", "commit-log", "project-ages", "dump"])
+def test_a_byte_order_mark_starting_an_input_is_skipped(tmp_path, monkeypatch, bom_in):
+    # Some editors start a UTF-8 file with the byte-order mark EF BB BF.
+    shutil.copytree(TESTS_DIR.parent / "demo", tmp_path / "demo")
+    inputs = {"records": "demo/refactorings.jsonl", "commit-log": "demo/commit_log_mpandroidchart.tsv",
+              "project-ages": "demo/project_ages.json", "dump": "golden/build/okhttp/graph.json"}
+    expected = _tree(TESTS_DIR / "golden")
+    monkeypatch.chdir(tmp_path)
+
+    def add_bom(path):
+        Path(path).write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
+
+    if bom_in != "dump":
+        add_bom(inputs[bom_in])
+    build = ["build", "--records", "demo/refactorings.jsonl",
+             "--commit-log", "mpandroidchart=demo/commit_log_mpandroidchart.tsv"]
+    assert main([*build, "--out", "golden/build"]) == 0
+    assert main([*build, "--strict", "--out", "strict"]) == 0  # no line is malformed
+    if bom_in == "dump":
+        add_bom(inputs["dump"])
+        expected["build/okhttp/graph.json"] = codecs.BOM_UTF8 + expected["build/okhttp/graph.json"]
+    assert main(["stats", "--graph", "golden/build", "--project-ages", "demo/project_ages.json",
+                 "--out", "golden/stats"]) == 0
+    assert main(["export", "--graph", "golden/build", "--all", "--out", "golden/export"]) == 0
+    assert _tree(tmp_path / "golden") == expected
 
 
 @pytest.mark.parametrize("command, source, order", [
@@ -1135,7 +1193,7 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("content, problem", [
         (DEEP_JSON.encode("ascii"), "invalid JSON in graph dump {path}: nested too deeply"),
-        (b'{"format_version": "1", "project": "\xff"}', "invalid UTF-8 in graph dump {path}"),
+        (b'{"format_version": "2", "project": "\xff"}', "invalid UTF-8 in graph dump {path}"),
     ], ids=["deep", "utf8"])
     def test_unreadable_dump(self, build_out, tmp_path, capsys, content, problem):
         dump = build_out / "okhttp" / "graph.json"
@@ -1163,15 +1221,12 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err == f"refgraph: error: line 3: field {field!r} is not valid UTF-8\n"
 
     @pytest.mark.parametrize("where, problem", [
-        ("vertex", "invalid UTF-8 in signature"),
         ("edge", "field 'target' is not valid UTF-8"),
         ("project", "field 'project' is not valid UTF-8"),
-    ], ids=["vertex", "edge", "project"])
+    ], ids=["edge", "project"])
     def test_lone_surrogate_in_a_dump(self, tmp_path, capsys, where, problem):
         dump = _read_json(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
-        if where == "vertex":
-            dump["vertices"][0] += "\udc80"
-        elif where == "edge":
+        if where == "edge":
             dump["edges"][0]["target"] += "\udc80"
         else:
             dump["project"] += "\udc80"
@@ -1199,10 +1254,10 @@ class TestUnreadableInputs:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, content, problem", [
-        ("export", b'{"format_version": "1", "project": "p", "n": ' + b"9" * 5000 + b"}",
+        ("export", b'{"format_version": "2", "project": "p", "n": ' + b"9" * 5000 + b"}",
          "invalid JSON in graph dump {path}: Exceeds the limit"),
-        ("export", b'{"format_version": "1", "project": ', "invalid JSON in graph dump {path}: Expecting value"),
-        ("export", b'{\n  "format_version": "1",\n  "project": ', "invalid JSON in graph dump {path}: Expecting value"),
+        ("export", b'{"format_version": "2", "project": ', "invalid JSON in graph dump {path}: Expecting value"),
+        ("export", b'{\n  "format_version": "2",\n  "project": ', "invalid JSON in graph dump {path}: Expecting value"),
         ("stats", b'{"okhttp": 7' + b"0" * 5000 + b"}", "invalid project ages file {path}: Exceeds the limit"),
         ("stats", b'{"okhttp": 7.0', "invalid project ages file {path}: Expecting"),
     ], ids=["dump-long-int", "dump-truncated", "dump-head-truncated", "ages-long-int", "ages-truncated"])

@@ -251,6 +251,11 @@ class TestFilterMultiCommit:
         assert not kept and excluded == 1
 
 
+# Text that stresses the writer's escaping: quotes, backslashes, control
+# characters, non-ASCII letters and characters outside the BMP.
+_dump_text = st.text(st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]))
+
+
 class TestGraphDump:
     def test_round_trip_through_dict(self):
         # four projects' records, renamed into the project the dump names
@@ -259,13 +264,20 @@ class TestGraphDump:
         assert project == "demo"
         assert reloaded == graph
 
-    def test_round_trip_through_file(self, tmp_path):
-        graph = build(corpus.records_of(corpus.CHART_AXIS_RECORDS))
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps(graph_to_dict(graph, "mpandroidchart")), encoding="utf-8")
-        project, reloaded = load_graph(path)
-        assert project == "mpandroidchart"
-        assert reloaded == graph
+    @given(project=_dump_text.filter(bool), seed=st.integers(0, 2**32 - 1), n_edges=st.integers(0, 80))
+    @example(project="mpandroidchart", seed=0, n_edges=0)  # the edgeless graph
+    @example(project="../run_log.json", seed=1, n_edges=40)
+    @example(project=' "a\\b"\n\u2028😀 ', seed=2, n_edges=40)
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_through_file(self, tmp_path_factory, project, seed, n_edges):
+        rng = random.Random(seed)
+        records = corpus.random_records(rng, n_edges, pool_size=rng.randint(2, 40), n_commits=rng.randint(1, 8),
+                                        project=project)
+        graph = build(records)
+        path = tmp_path_factory.mktemp("dump") / "graph.json"
+        path.write_text("".join(dump_chunks(graph_to_dict(graph, project))) + "\n", encoding="utf-8")
+        assert dump_project(path) == project
+        assert load_graph(path) == (project, graph)
 
     def test_loaded_dump_shares_each_distinct_value(self, tmp_path):
         graph = build(corpus.random_records(random.Random(11), 200, pool_size=60, prefix="shared.pkg"))
@@ -282,26 +294,12 @@ class TestGraphDump:
     def test_dump_edge_fields(self):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "spring-framework")
-        assert set(data["edges"][0]) == {"source", "target", "type", "commit", "timestamp", "author_email"}
-        assert data["vertices"] == sorted(data["vertices"])
+        assert list(data) == ["format_version", "project", "edges"]
+        assert list(data["edges"][0]) == ["source", "target", "type", "commit", "timestamp", "author_email"]
 
     def test_version_mismatch(self):
         with pytest.raises(GraphDumpError, match="version"):
-            graph_from_dict({"format_version": "99", "project": "p", "vertices": [], "edges": []})
-
-    def test_undeclared_vertex_rejected(self):
-        graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
-        data = graph_to_dict(graph, "p")
-        data["vertices"] = data["vertices"][:1]
-        with pytest.raises(GraphDumpError, match="undeclared"):
-            graph_from_dict(data)
-
-    def test_unused_vertex_rejected(self):
-        graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
-        data = graph_to_dict(graph, "p")
-        data["vertices"].append("zzz.Orphan#alone()")
-        with pytest.raises(GraphDumpError, match="not used"):
-            graph_from_dict(data)
+            graph_from_dict({"format_version": "99", "project": "p", "edges": []})
 
     def test_corrupt_edge_rejected(self):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
@@ -326,11 +324,11 @@ class TestGraphDump:
             graph_from_dict(data)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda d: d["vertices"].__setitem__(0, 5),
+        lambda d: d.__setitem__("project", ""),
         lambda d: d["edges"].__setitem__(0, ["p.A#m()"]),
         lambda d: d["edges"][0].pop("timestamp"),
         lambda d: d["edges"][0].__setitem__("target", d["edges"][0]["source"]),
-    ], ids=["vertex not a string", "edge not an object", "edge field missing", "self-loop edge"])
+    ], ids=["empty project", "edge not an object", "edge field missing", "self-loop edge"])
     def test_corrupt_dump_structure_rejected(self, corrupt):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "p")
@@ -347,23 +345,17 @@ class TestGraphDump:
         }
 
 
-# Text that stresses the writer's escaping: quotes, backslashes, control
-# characters, non-ASCII letters and characters outside the BMP.
-_dump_text = st.text(st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]))
-
 @given(
     version=_dump_text,
     project=_dump_text,
-    vertices=st.lists(_dump_text, max_size=5),
     edges=st.lists(st.tuples(*[_dump_text] * len(EDGE_KEYS)), max_size=5),
 )
-@example(version="1", project="", vertices=[], edges=[])
-def test_dump_chunks_are_the_stdlib_encoding(version, project, vertices, edges):
+@example(version="2", project="", edges=[])
+def test_dump_chunks_are_the_stdlib_encoding(version, project, edges):
     # Keys in graph_to_dict's order (EDGE_KEYS is in that order too), which json.dumps keeps.
     dump = {
         "format_version": version,
         "project": project,
-        "vertices": vertices,
         "edges": [dict(zip(EDGE_KEYS, values)) for values in edges],
     }
     assert "".join(dump_chunks(dump)) == json.dumps(dump, indent=2)

@@ -118,7 +118,7 @@ class TestRounding:
         assert median([3.0, 1.0, 2.0]) == 2.0
         assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
 
-    def test_quartiles_are_tukey_hinges(self):
+    def test_quartiles_leave_an_odd_median_out_of_both_halves(self):
         assert quartiles([1.0, 2.0, 3.0, 4.0]) == (1.5, 3.5)
         assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 4.5)
         assert quartiles([7.0]) == (7.0, 7.0)
