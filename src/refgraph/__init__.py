@@ -11,7 +11,6 @@ from .graph import (
     RefactoringGraph,
     build,
     filter_multi_commit,
-    graph_from_dict,
     graph_to_dict,
     load_graph,
     partition,
@@ -72,7 +71,6 @@ __all__ = [
     "emit_json_summary",
     "emit_tables",
     "filter_multi_commit",
-    "graph_from_dict",
     "graph_to_dict",
     "load_commit_log",
     "load_graph",

@@ -230,7 +230,7 @@ def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph:
     graphs = []
     for path in paths:
         named, graph = load_graph(path)
-        if named != project:  # only a key given twice can make the head and the body differ
+        if named != project:  # the file was rewritten since its head was read
             raise GraphDumpError(f"corrupt graph dump: names projects {project!r} and {named!r} in {path}")
         graphs.append(graph)
     if len(graphs) > 1:  # concatenate, then keep each edge once
@@ -344,7 +344,6 @@ def _write_json(path: Path, chunks: Iterator[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         while batch := "".join(itertools.islice(chunks, 1024)):
             handle.write(batch)
-        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,7 @@ def cmd_build(args) -> int:
             projects=project_rows,
             totals=totals,
         )
-        _write_json(out / "run_log.json", json.JSONEncoder(indent=2).iterencode(run_log))
+        _write_json(out / "run_log.json", itertools.chain(json.JSONEncoder(indent=2).iterencode(run_log), "\n"))
     print(f"build: {totals['subgraphs']} subgraphs, {totals['kept']} kept (min-commits={min_commits})")
     return 0
 
@@ -435,7 +434,7 @@ def cmd_stats(args) -> int:
             splits.append((project, total, single))
             groups[project] = [measure(subgraph) for subgraph in kept]
             del graph, kept  # not held while the next graph loads
-        summary = aggregate(groups, splits, ages)
+        summary = aggregate(dict(sorted(groups.items())), sorted(splits), ages)  # in project-name order
         emit_tables(summary, out)
         write_json_summary(summary, out / "summary.json")
     print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {Path(args.out)}")

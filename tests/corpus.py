@@ -165,6 +165,20 @@ def to_jsonl(dicts) -> str:
     return "".join(json.dumps(d) + "\n" for d in dicts)
 
 
+def read_dump(path) -> dict:
+    """A graph dump as ``graph_to_dict`` gives it: its head line's keys plus
+    ``edges``, the objects of the lines after it."""
+    with open(path, encoding="utf-8-sig") as handle:
+        head, *edges = map(json.loads, handle)
+    return {**head, "edges": edges}
+
+
+def dump_text(dump: dict) -> str:
+    """The JSON lines of a dump like :func:`read_dump` gives: a head line of
+    every key but ``edges``, then one line per edge."""
+    return to_jsonl([{key: value for key, value in dump.items() if key != "edges"}, *dump["edges"]])
+
+
 def record_dict(record: RefactoringRecord) -> dict:
     """The record line that parses back to ``record``."""
     return rec(

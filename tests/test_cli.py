@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import corpus
 from refgraph import cli
 from refgraph.cli import main
-from refgraph.graph import build, graph_to_dict, load_graph, partition
+from refgraph.graph import build, dump_project, graph_to_dict, load_graph, partition
 from refgraph.ingest import _MEMOS, clear_caches
 from refgraph.report import emit_dot, emit_tables
 
@@ -175,7 +175,7 @@ class TestBuild:
         assert code == 0
         run_log = _read_json(out / "run_log.json")
         assert run_log["stages"]["off_branch_dropped"] == 0
-        dump = _read_json(out / "mpandroidchart" / "graph.json")
+        dump = corpus.read_dump(out / "mpandroidchart" / "graph.json")
         commits = {e["commit"] for e in dump["edges"]}
         assert all(len(c) == 40 for c in commits)
 
@@ -482,13 +482,12 @@ class TestStats:
         a = tmp_path / "stats_records"
         b = tmp_path / "stats_dumps"
         main(["stats", "--records", str(corpus_file), "--out", str(a)])
-        # Project order follows the config, so list the dumps in record order.
-        dumps = [
-            str(build_out / project / "graph.json")
-            for project in ("mpandroidchart", "elasticsearch", "spring-framework", "okhttp")
-        ]
-        main(["stats", "--graph", *dumps, "--out", str(b)])
+        # The records list the projects in another order than the sorted
+        # directories; the tables list them in name order either way.
+        main(["stats", "--graph", str(build_out), "--out", str(b)])
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+        assert _read_json(b / "summary.json")["projects"] == ["elasticsearch", "mpandroidchart", "okhttp",
+                                                              "spring-framework"]
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -513,10 +512,7 @@ class TestStats:
             threshold = ["--min-commits", str(min_commits)]
             assert main(["build", "--records", str(path), "--out", str(tmp / "build"), *threshold]) == 0
             assert main(["stats", "--records", str(path), "--out", str(tmp / "a"), *threshold]) == 0
-            # Project order follows the inputs, so list the dumps in first-seen order.
-            projects = dict.fromkeys(r.project for r in records)
-            dumps = [str(tmp / "build" / project / "graph.json") for project in projects]
-            assert main(["stats", "--graph", *dumps, "--out", str(tmp / "b"), *threshold]) == 0
+            assert main(["stats", "--graph", str(tmp / "build"), "--out", str(tmp / "b"), *threshold]) == 0
             written = sorted(p.name for p in (tmp / "a").iterdir())
             assert len(written) == 8
             assert written == sorted(p.name for p in (tmp / "b").iterdir())
@@ -527,23 +523,22 @@ class TestStats:
         build_out = tmp_path / "build"
         main(["build", "--records", str(corpus_file), "--out", str(build_out)])
         dump_path = build_out / "okhttp" / "graph.json"
-        dump = _read_json(dump_path)
+        dump = corpus.read_dump(dump_path)
         dump["edges"][0]["author_email"] = ""
-        dump_path.write_text(json.dumps(dump), encoding="utf-8")
+        dump_path.write_text(corpus.dump_text(dump), encoding="utf-8")
         capsys.readouterr()
         assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump")
 
     def test_corrupt_dump_error_names_its_file(self, tmp_path, capsys):
         golden = TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json"
-        dump = _read_json(golden)
-        dump["edges"][0]["type"] = "bogus"
+        dump = corpus.read_dump(golden)
+        dump["edges"][1]["type"] = "bogus"
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(dump), encoding="utf-8")
+        bad.write_text(corpus.dump_text(dump), encoding="utf-8")
         assert main(["stats", "--graph", str(golden), str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("refgraph: error: corrupt graph dump: unknown refactoring type: 'bogus'")
-        assert str(bad) in err and str(golden) not in err
+        assert err == f"refgraph: error: corrupt graph dump: line 3: unknown refactoring type: 'bogus' in {bad}\n"
 
     def test_projects_with_no_kept_subgraph(self, demo_records_path, tmp_path):
         out = tmp_path / "stats"
@@ -553,7 +548,7 @@ class TestStats:
         for table in ("composition", "authorship", "age_summary"):
             assert [row["project"] for row in doc[table]["per_project"]] == doc["projects"]
         summary_projects = [row["project"] for row in doc["subgraph_summary"]["per_project"]]
-        assert summary_projects == ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]
+        assert summary_projects == ["elasticsearch", "mpandroidchart", "okhttp", "spring-framework"]
 
     def test_threshold_one_populates_both_split_columns(self, tmp_path):
         records = tmp_path / "all.jsonl"
@@ -598,11 +593,11 @@ class TestStats:
         assert _tree(tmp_path / "first_only") != _tree(tmp_path / "from_records")
 
         # Interleaved with another project's dump, "proj" still merges, and
-        # tables and DOT trees follow first-dump order, not name order.
+        # the tables list the projects in name order.
         assert main(["stats", "--records", *union, "--out", str(tmp_path / "records3")]) == 0
         assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "dumps3")]) == 0
         assert _tree(tmp_path / "dumps3") == _tree(tmp_path / "records3")
-        assert _read_json(tmp_path / "dumps3" / "summary.json")["projects"] == ["proj", "other"]
+        assert _read_json(tmp_path / "dumps3" / "summary.json")["projects"] == ["other", "proj"]
         assert main(["build", "--records", *union, "--out", str(tmp_path / "union")]) == 0
         assert main(["export", "--graph", str(tmp_path / "union"), "--all", "--out", str(tmp_path / "dot_union")]) == 0
         assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "dot_dumps")]) == 0
@@ -611,16 +606,16 @@ class TestStats:
 
     @pytest.mark.parametrize("project", [None, 7, ["mpandroidchart"]], ids=["null", "number", "list"])
     def test_non_string_dump_project_is_a_clean_error(self, tmp_path, capsys, project):
-        golden = _read_json(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
-        empty = {"format_version": "2", "project": None, "edges": []}
+        golden = corpus.read_dump(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
+        empty = {"format_version": "3", "project": None, "edges": []}
         for dump in (golden, empty):
             path = tmp_path / "graph.json"
-            path.write_text(json.dumps(dict(dump, project=project)), encoding="utf-8")
+            path.write_text(corpus.dump_text(dict(dump, project=project)), encoding="utf-8")
             for command in (["stats"], ["export", "--all"]):
                 out = tmp_path / command[0]
                 assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
                 err = capsys.readouterr().err
-                assert err.startswith("refgraph: error: corrupt graph dump: field 'project' is not a string")
+                assert err == f"refgraph: error: corrupt graph dump: line 1: field 'project' is not a string in {path}\n"
                 assert not out.exists()
 
     def test_requires_exactly_one_source(self, corpus_file, tmp_path):
@@ -710,7 +705,7 @@ class TestStats:
         assert main(["stats", "--graph", okhttp, elasticsearch, "--out", str(tmp_path / "one")]) == 0
         assert main(["stats", "--graph", okhttp, "--graph", elasticsearch, "--out", str(tmp_path / "two")]) == 0
         assert _tree(tmp_path / "two") == _tree(tmp_path / "one")
-        assert _read_json(tmp_path / "two" / "summary.json")["projects"] == ["okhttp", "elasticsearch"]
+        assert _read_json(tmp_path / "two" / "summary.json")["projects"] == ["elasticsearch", "okhttp"]
 
 
 class TestExport:
@@ -757,7 +752,7 @@ class TestExport:
         assert capsys.readouterr().err == "refgraph: error: pass exactly one of a selector or --all\n"
 
     def test_subgraph_id_selector(self, build_out, tmp_path):
-        dump = _read_json(build_out / "okhttp" / "graph.json")
+        dump = corpus.read_dump(build_out / "okhttp" / "graph.json")
         subgraph_id = min(v for edge in dump["edges"] for v in (edge["source"], edge["target"]))
         out = tmp_path / "dot"
         assert main(["export", "--graph", str(build_out), "--out", str(out), subgraph_id]) == 0
@@ -804,13 +799,13 @@ class TestExport:
 
     def test_a_corrupt_later_dump_leaves_no_dot_file(self, tmp_path, capsys):
         good = TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json"
-        dump = _read_json(TESTS_DIR / "golden" / "build" / "okhttp" / "graph.json")
+        dump = corpus.read_dump(TESTS_DIR / "golden" / "build" / "okhttp" / "graph.json")
         dump["edges"][0]["type"] = "bogus"
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(dump, indent=2), encoding="utf-8")  # build's layout: grouped from its head
+        bad.write_text(corpus.dump_text(dump), encoding="utf-8")
         out = tmp_path / "dot"
         assert main(["export", "--graph", str(good), str(bad), "--all", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump: unknown refactoring type")
+        assert capsys.readouterr().err.startswith("refgraph: error: corrupt graph dump: line 2: unknown refactoring type")
         assert not out.exists()
         assert _temporaries(out) == []
         # An --out an earlier run wrote is kept as it was.
@@ -959,7 +954,7 @@ def test_a_date_before_year_1000_round_trips_through_a_dump(tmp_path):
     records = _records_file(tmp_path / "r.jsonl", ["old"], dated)
     build_out = tmp_path / "build"
     assert main(["build", "--records", records, "--out", str(build_out)]) == 0
-    dump = _read_json(build_out / "old" / "graph.json")
+    dump = corpus.read_dump(build_out / "old" / "graph.json")
     assert sorted({e["timestamp"] for e in dump["edges"]}) == ["0999-01-01T00:00:00Z", "2020-01-01T00:00:00Z"]
     assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "from_graph")]) == 0
     assert main(["stats", "--records", records, "--out", str(tmp_path / "from_records")]) == 0
@@ -988,18 +983,30 @@ def _two_project_dumps(tmp_path):
     return paths, dumps
 
 
-@pytest.mark.parametrize("layout", ["compact", "project-last"])
+def _reverse_keys(value):
+    return {key: value[key] for key in reversed(value)}
+
+
+# Ways to write one JSON object on a line, other than json.dumps with its defaults.
+_LINE_WRITERS = {
+    "compact": lambda value: json.dumps(value, separators=(",", ":")),
+    "spaced": lambda value: json.dumps(value, separators=(" , ", " : ")) + " \t",
+    "keys-reversed": lambda value: json.dumps(_reverse_keys(value)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LINE_WRITERS))
 def test_dumps_written_another_way_group_like_build_dumps(tmp_path, layout):
     _, dumps = _two_project_dumps(tmp_path)
     assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "as_built")]) == 0
     assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "dot_as_built")]) == 0
-    dump = _read_json(Path(dumps[2]))
-    if layout == "compact":
-        text = json.dumps(dump)
-    else:
-        text = json.dumps({key: dump[key] for key in ("format_version", "edges", "project")}, indent=2)
+    # Each line holds the same object, written another way; the edges of
+    # the second dump of "proj" are also put in reverse order.
+    dump = corpus.read_dump(Path(dumps[2]))
+    head = {key: value for key, value in dump.items() if key != "edges"}
     rewritten = tmp_path / "rewritten.json"
-    rewritten.write_text(text, encoding="utf-8")
+    rewritten.write_text("".join(_LINE_WRITERS[layout](line) + "\n" for line in [head, *reversed(dump["edges"])]),
+                         encoding="utf-8")
     dumps[2] = str(rewritten)
     assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "rewritten_stats")]) == 0
     assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "rewritten_dot")]) == 0
@@ -1007,41 +1014,50 @@ def test_dumps_written_another_way_group_like_build_dumps(tmp_path, layout):
     assert _tree(tmp_path / "rewritten_dot") == _tree(tmp_path / "dot_as_built")
 
 
-@pytest.mark.parametrize("content, problem", [
-    # build's layout, but the project is not a string: the full load names the defect
-    (json.dumps({"format_version": "2", "project": 7, "edges": []}, indent=2),
-     "corrupt graph dump: field 'project' is not a string"),
-    # only a key given twice makes the head and the full load disagree
-    ('{\n  "format_version": "2",\n  "project": "a",\n  "edges": [],\n  "project": "b"\n}',
+@pytest.mark.parametrize("head, rewritten, problem", [
+    ({"format_version": "3", "project": 7}, None, "corrupt graph dump: line 1: field 'project' is not a string in {path}"),
+    # the file is rewritten between the reading of its head and its load
+    ({"format_version": "3", "project": "a"}, {"format_version": "3", "project": "b"},
      "corrupt graph dump: names projects 'a' and 'b' in {path}"),
 ], ids=["not-a-string", "two-projects"])
-def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, content, problem):
+def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, monkeypatch, capsys, head, rewritten, problem):
     path = tmp_path / "graph.json"
-    path.write_text(content, encoding="utf-8")
+
+    def head_then_rewrite(dump):
+        project = dump_project(dump)
+        if rewritten:
+            path.write_text(json.dumps(rewritten) + "\n", encoding="utf-8")
+        return project
+
+    monkeypatch.setattr(cli, "dump_project", head_then_rewrite)
     for command in (["stats"], ["export", "--all"]):
+        path.write_text(json.dumps(head) + "\n", encoding="utf-8")
         out = tmp_path / command[0]
         assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=path))
+        assert capsys.readouterr().err == f"refgraph: error: {problem.format(path=path)}\n"
         assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["format-1", "empty-project", "no-dump"])
+@pytest.mark.parametrize("bad", ["format-1", "format-2", "empty-project", "blank-project", "spaced-project", "no-dump"])
 def test_a_refused_graph_input_leaves_out_as_it_was(tmp_path, capsys, bad):
     good = TESTS_DIR / "golden" / "build" / "okhttp" / "graph.json"
-    dump = _read_json(good)
+    dump = corpus.read_dump(good)
     path = tmp_path / "bad" / "graph.json"
     path.parent.mkdir()
-    if bad == "format-1":  # format 1 listed the sorted vertices between the project and the edges
-        ends = sorted({v for edge in dump["edges"] for v in (edge["source"], edge["target"])})
-        path.write_text(json.dumps({"format_version": "1", "project": dump["project"], "vertices": ends,
-                                    "edges": dump["edges"]}, indent=2), encoding="utf-8")
-        problem = f"unsupported graph dump version: '1' in {path}"
-    elif bad == "empty-project":  # build's layout, so the project is read from the head first
-        path.write_text(json.dumps(dict(dump, project=""), indent=2), encoding="utf-8")
-        problem = f"corrupt graph dump: empty project name in {path}"
-    else:  # a directory holding neither a dump nor a build's run log
+    if bad in ("format-1", "format-2"):  # both were written as json.dumps(dump, indent=2) writes them
+        old = {"format_version": bad[-1], "project": dump["project"], "edges": dump["edges"]}
+        if bad == "format-1":  # which listed the sorted vertices between the project and the edges
+            old["vertices"] = sorted({v for edge in dump["edges"] for v in (edge["source"], edge["target"])})
+        path.write_text(json.dumps(old, indent=2), encoding="utf-8")
+        problem = f"invalid JSON in graph dump {path}: line 1: Expecting property name enclosed in double quotes"
+    elif bad == "no-dump":  # a directory holding neither a dump nor a build's run log
         path = path.parent
         problem = f"no graph dumps found under {path}"
+    else:  # the rule a record line's project follows
+        project = {"empty-project": "", "blank-project": "  ", "spaced-project": " okhttp"}[bad]
+        path.write_text(corpus.dump_text(dict(dump, project=project)), encoding="utf-8")
+        reason = "empty project name" if bad != "spaced-project" else "whitespace around project name ' okhttp'"
+        problem = f"corrupt graph dump: line 1: {reason} in {path}"
     for command in (["stats"], ["export", "--all"]):
         out = tmp_path / command[0]
         assert main([*command, "--graph", str(good), "--out", str(out)]) == 0
@@ -1191,13 +1207,22 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err.startswith(f"refgraph: error: invalid UTF-8 in commit log {log}")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("content, problem", [
-        (DEEP_JSON.encode("ascii"), "invalid JSON in graph dump {path}: nested too deeply"),
-        (b'{"format_version": "2", "project": "\xff"}', "invalid UTF-8 in graph dump {path}"),
-    ], ids=["deep", "utf8"])
-    def test_unreadable_dump(self, build_out, tmp_path, capsys, content, problem):
+    # Each case replaces okhttp's third line, its second edge; a line with no
+    # newline ends the file, as an interrupted write leaves it. The lines are
+    # read as text in blocks, so undecodable bytes are not placed on a line.
+    @pytest.mark.parametrize("third, problem", [
+        (b'{"source": "a.B#m()", "tar', "invalid JSON in graph dump {path}: line 3: Unterminated string starting at"),
+        (b"\n", "invalid JSON in graph dump {path}: line 3: Expecting value"),
+        (b"{} {}\n", "invalid JSON in graph dump {path}: line 3: Extra data"),
+        (b'["a.B#m()", "a.B#n()"]\n', "corrupt graph dump: line 3: edge is not an object in {path}"),
+        (DEEP_JSON.encode("ascii") + b"\n", "invalid JSON in graph dump {path}: line 3: nested too deeply"),
+        (b'{"n": ' + b"9" * 5000 + b"}\n", "invalid JSON in graph dump {path}: line 3: Exceeds the limit"),
+        (b'{"source": "\xff"}\n', "invalid UTF-8 in graph dump {path}: invalid start byte"),
+    ], ids=["truncated", "blank-line", "extra-data", "not-an-object", "deep", "long-int", "utf8"])
+    def test_unreadable_dump(self, build_out, tmp_path, capsys, third, problem):
         dump = build_out / "okhttp" / "graph.json"
-        dump.write_bytes(content)
+        lines = dump.read_bytes().splitlines(keepends=True)
+        dump.write_bytes(b"".join([*lines[:2], third, *(lines[3:] if third.endswith(b"\n") else [])]))
         capsys.readouterr()
         assert main(["export", "--graph", str(build_out), "--all", "--out", str(tmp_path / "dot")]) == 1
         assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=dump))
@@ -1221,23 +1246,21 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err == f"refgraph: error: line 3: field {field!r} is not valid UTF-8\n"
 
     @pytest.mark.parametrize("where, problem", [
-        ("edge", "field 'target' is not valid UTF-8"),
-        ("project", "field 'project' is not valid UTF-8"),
+        ("edge", "line 3: field 'target' is not valid UTF-8"),
+        ("project", "line 1: field 'project' is not valid UTF-8"),
     ], ids=["edge", "project"])
     def test_lone_surrogate_in_a_dump(self, tmp_path, capsys, where, problem):
-        dump = _read_json(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
+        dump = corpus.read_dump(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
         if where == "edge":
-            dump["edges"][0]["target"] += "\udc80"
+            dump["edges"][1]["target"] += "\udc80"
         else:
             dump["project"] += "\udc80"
         path = tmp_path / "graph.json"
-        path.write_text(json.dumps(dump), encoding="ascii")
+        path.write_text(corpus.dump_text(dump), encoding="ascii")
         for command in (["stats"], ["export", "--all"]):
             out = tmp_path / command[0]
             assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"refgraph: error: corrupt graph dump: {problem}")
-            assert str(path) in err
+            assert capsys.readouterr().err == f"refgraph: error: corrupt graph dump: {problem} in {path}\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("content, problem", [
@@ -1254,10 +1277,11 @@ class TestUnreadableInputs:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, content, problem", [
-        ("export", b'{"format_version": "2", "project": "p", "n": ' + b"9" * 5000 + b"}",
-         "invalid JSON in graph dump {path}: Exceeds the limit"),
-        ("export", b'{"format_version": "2", "project": ', "invalid JSON in graph dump {path}: Expecting value"),
-        ("export", b'{\n  "format_version": "2",\n  "project": ', "invalid JSON in graph dump {path}: Expecting value"),
+        ("export", b'{"format_version": "3", "project": "p", "n": ' + b"9" * 5000 + b"}\n",
+         "invalid JSON in graph dump {path}: line 1: Exceeds the limit"),
+        ("export", b'{"format_version": "3", "project": "p"}\n{"source": ',
+         "invalid JSON in graph dump {path}: line 2: Expecting value"),
+        ("export", b'{"format_version": "3", "project": ', "invalid JSON in graph dump {path}: line 1: Expecting value"),
         ("stats", b'{"okhttp": 7' + b"0" * 5000 + b"}", "invalid project ages file {path}: Exceeds the limit"),
         ("stats", b'{"okhttp": 7.0', "invalid project ages file {path}: Expecting"),
     ], ids=["dump-long-int", "dump-truncated", "dump-head-truncated", "ages-long-int", "ages-truncated"])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import random
-from unittest import mock
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +17,6 @@ from refgraph.graph import (
     dump_chunks,
     dump_project,
     filter_multi_commit,
-    graph_from_dict,
     graph_to_dict,
     load_graph,
     partition,
@@ -187,7 +186,7 @@ def test_partition_matches_bfs_oracle_and_ignores_order_and_duplicates(n_edges, 
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n_edges=1, pool_size=2, seed=0)
-def test_build_keeps_the_edge_the_dedup_oracle_keeps(n_edges, pool_size, seed):
+def test_build_keeps_the_edge_the_dedup_oracle_keeps(tmp_path_factory, n_edges, pool_size, seed):
     rng = random.Random(seed)
     records = corpus.random_records(rng, n_edges, pool_size=pool_size)
     # Exact duplicates, later-timestamp copies that must lose, and copies
@@ -212,7 +211,7 @@ def test_build_keeps_the_edge_the_dedup_oracle_keeps(n_edges, pool_size, seed):
     loser = dict(data["edges"][0], timestamp="2099-01-01T00:00:00Z")
     data["edges"].reverse()
     data["edges"].insert(rng.randint(0, len(data["edges"])), loser)
-    assert graph_from_dict(data) == ("proj", graph)
+    assert load_graph(_write_dump(tmp_path_factory, corpus.dump_text(data))) == ("proj", graph)
 
 
 class TestFilterMultiCommit:
@@ -256,34 +255,48 @@ class TestFilterMultiCommit:
 _dump_text = st.text(st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]))
 
 
-class TestGraphDump:
-    def test_round_trip_through_dict(self):
-        # four projects' records, renamed into the project the dump names
-        graph = build([record._replace(project="demo") for record in corpus.records_of(corpus.DEMO_CORPUS)])
-        project, reloaded = graph_from_dict(graph_to_dict(graph, "demo"))
-        assert project == "demo"
-        assert reloaded == graph
+def _write_dump(tmp_path_factory, text: str):
+    path = tmp_path_factory.mktemp("dump") / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    return path
 
-    @given(project=_dump_text.filter(bool), seed=st.integers(0, 2**32 - 1), n_edges=st.integers(0, 80))
+
+def _whole(message: str) -> str:
+    """A regular expression matching exactly ``message``, in which ``.*``
+    matches anything."""
+    return "^" + re.escape(message).replace(r"\.\*", ".*") + "$"
+
+
+def _written(tmp_path_factory, graph, project):
+    """The path of ``graph``'s dump, written as ``build`` writes it."""
+    return _write_dump(tmp_path_factory, "".join(dump_chunks(graph_to_dict(graph, project))))
+
+
+class TestGraphDump:
+    def test_round_trip_through_dict(self, tmp_path_factory):
+        # four projects' records, renamed into the project the dump names,
+        # through graph_to_dict's dict and the dump file build writes from it
+        graph = build([record._replace(project="demo") for record in corpus.records_of(corpus.DEMO_CORPUS)])
+        assert load_graph(_written(tmp_path_factory, graph, "demo")) == ("demo", graph)
+
+    @given(project=_dump_text.filter(lambda p: p.strip() == p != ""), seed=st.integers(0, 2**32 - 1),
+           n_edges=st.integers(0, 80))
     @example(project="mpandroidchart", seed=0, n_edges=0)  # the edgeless graph
     @example(project="../run_log.json", seed=1, n_edges=40)
-    @example(project=' "a\\b"\n\u2028😀 ', seed=2, n_edges=40)
+    @example(project='"a\\b"\n\u2028😀', seed=2, n_edges=40)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_through_file(self, tmp_path_factory, project, seed, n_edges):
         rng = random.Random(seed)
         records = corpus.random_records(rng, n_edges, pool_size=rng.randint(2, 40), n_commits=rng.randint(1, 8),
                                         project=project)
         graph = build(records)
-        path = tmp_path_factory.mktemp("dump") / "graph.json"
-        path.write_text("".join(dump_chunks(graph_to_dict(graph, project))) + "\n", encoding="utf-8")
+        path = _written(tmp_path_factory, graph, project)
         assert dump_project(path) == project
         assert load_graph(path) == (project, graph)
 
-    def test_loaded_dump_shares_each_distinct_value(self, tmp_path):
+    def test_loaded_dump_shares_each_distinct_value(self, tmp_path_factory):
         graph = build(corpus.random_records(random.Random(11), 200, pool_size=60, prefix="shared.pkg"))
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps(graph_to_dict(graph, "proj"), indent=2), encoding="utf-8")
-        _, loaded = load_graph(path)
+        _, loaded = load_graph(_written(tmp_path_factory, graph, "proj"))
         edges = loaded.edges
         for name in ("project", "commit", "author_email"):
             values = [getattr(edge, name) for edge in edges]
@@ -291,22 +304,28 @@ class TestGraphDump:
         ends = [vertex for edge in edges for vertex in (edge.source, edge.target)]
         assert len({id(vertex) for vertex in ends}) == len(set(ends)) < len(ends)
 
-    def test_dump_edge_fields(self):
+    def test_dump_edge_fields(self, tmp_path_factory):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "spring-framework")
         assert list(data) == ["format_version", "project", "edges"]
         assert list(data["edges"][0]) == ["source", "target", "type", "commit", "timestamp", "author_email"]
+        head, first = _written(tmp_path_factory, graph, "spring-framework").read_text(encoding="ascii").splitlines()[:2]
+        assert head == '{"format_version": "3", "project": "spring-framework"}'
+        assert first.startswith('{"source": "org.springframework.')
 
-    def test_version_mismatch(self):
-        with pytest.raises(GraphDumpError, match="version"):
-            graph_from_dict({"format_version": "99", "project": "p", "edges": []})
+    def test_version_mismatch(self, tmp_path_factory):
+        for version in ("1", "2", "99", None):
+            path = _write_dump(tmp_path_factory, corpus.dump_text({"format_version": version, "project": "p", "edges": []}))
+            with pytest.raises(GraphDumpError, match=_whole(f"unsupported graph dump version: {version!r} in {path}")):
+                load_graph(path)
 
-    def test_corrupt_edge_rejected(self):
+    def test_corrupt_edge_rejected(self, tmp_path_factory):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "p")
         data["edges"][0]["type"] = "refactorize"
-        with pytest.raises(GraphDumpError, match="corrupt"):
-            graph_from_dict(data)
+        path = _write_dump(tmp_path_factory, corpus.dump_text(data))
+        with pytest.raises(GraphDumpError, match=_whole(f"corrupt graph dump: line 2: unknown refactoring type: 'refactorize' in {path}")):
+            load_graph(path)
 
     @pytest.mark.parametrize("field, value", [
         ("author_email", ""),
@@ -316,59 +335,75 @@ class TestGraphDump:
         ("commit", 1234567),
         ("source", ["p.A#m()"]),
     ])
-    def test_corrupt_edge_field_rejected(self, field, value):
+    def test_corrupt_edge_field_rejected(self, tmp_path_factory, field, value):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "p")
-        data["edges"][0][field] = value
-        with pytest.raises(GraphDumpError, match="corrupt graph dump"):
-            graph_from_dict(data)
+        data["edges"][1][field] = value
+        path = _write_dump(tmp_path_factory, corpus.dump_text(data))
+        with pytest.raises(GraphDumpError, match=_whole(f"corrupt graph dump: line 3: .*{field}.* in {path}")):
+            load_graph(path)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda d: d.__setitem__("project", ""),
-        lambda d: d["edges"].__setitem__(0, ["p.A#m()"]),
-        lambda d: d["edges"][0].pop("timestamp"),
-        lambda d: d["edges"][0].__setitem__("target", d["edges"][0]["source"]),
-    ], ids=["empty project", "edge not an object", "edge field missing", "self-loop edge"])
-    def test_corrupt_dump_structure_rejected(self, corrupt):
+    @pytest.mark.parametrize("corrupt, line", [
+        (lambda d: d.__setitem__("project", ""), 1),
+        (lambda d: d.__setitem__("project", "  "), 1),
+        (lambda d: d.__setitem__("project", " x"), 1),
+        (lambda d: d.__setitem__("project", "x\t"), 1),
+        (lambda d: d["edges"].__setitem__(0, ["p.A#m()"]), 2),
+        (lambda d: d["edges"][0].pop("timestamp"), 2),
+        (lambda d: d["edges"][1].__setitem__("target", d["edges"][1]["source"]), 3),
+    ], ids=["empty project", "blank project", "leading space", "trailing tab", "edge not an object",
+            "edge field missing", "self-loop edge"])
+    def test_corrupt_dump_structure_rejected(self, tmp_path_factory, corrupt, line):
         graph = build(corpus.records_of(corpus.BUILDER_RENAME_REVERT_RECORDS))
         data = graph_to_dict(graph, "p")
         corrupt(data)
-        with pytest.raises(GraphDumpError, match="corrupt graph dump"):
-            graph_from_dict(data)
+        path = _write_dump(tmp_path_factory, corpus.dump_text(data))
+        with pytest.raises(GraphDumpError, match=_whole(f"corrupt graph dump: line {line}: .* in {path}")):
+            load_graph(path)
 
-    def test_loaded_edges_carry_the_dump_project(self):
+    def test_loaded_edges_carry_the_dump_project(self, tmp_path_factory):
         graph = build(corpus.records_of(corpus.DEMO_CORPUS))  # four projects
-        _, reloaded = graph_from_dict(graph_to_dict(graph, "demo"))
+        _, reloaded = load_graph(_written(tmp_path_factory, graph, "demo"))
         assert {edge.project for edge in reloaded.edges} == {"demo"}
         assert {edge.project for edge in graph.edges} == {
             "mpandroidchart", "elasticsearch", "spring-framework", "okhttp"
         }
 
 
-@given(
-    version=_dump_text,
-    project=_dump_text,
-    edges=st.lists(st.tuples(*[_dump_text] * len(EDGE_KEYS)), max_size=5),
-)
-@example(version="2", project="", edges=[])
-def test_dump_chunks_are_the_stdlib_encoding(version, project, edges):
+_hostile_edges = st.lists(st.tuples(*[_dump_text] * len(EDGE_KEYS)), max_size=5)
+
+
+@given(project=_dump_text, edges=_hostile_edges)
+@example(project="", edges=[])
+def test_dump_chunks_are_the_stdlib_encoding(tmp_path_factory, project, edges):
     # Keys in graph_to_dict's order (EDGE_KEYS is in that order too), which json.dumps keeps.
-    dump = {
-        "format_version": version,
-        "project": project,
-        "edges": [dict(zip(EDGE_KEYS, values)) for values in edges],
-    }
-    assert "".join(dump_chunks(dump)) == json.dumps(dump, indent=2)
+    dump = {"format_version": "3", "project": project, "edges": [dict(zip(EDGE_KEYS, values)) for values in edges]}
+    path = _write_dump(tmp_path_factory, "".join(dump_chunks(dump)))
+    text = path.read_bytes().decode("ascii")
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text.splitlines()
+    assert len(lines) == 1 + len(edges)
+    assert [json.dumps(json.loads(line)) for line in lines] == lines
+    assert corpus.read_dump(path) == dump
 
 
 @given(project=_dump_text)
+@example(project="mpandroidchart")
 @example(project="")
+@example(project=" \u2028")
+@example(project="x ")
 def test_dump_project_reads_the_head_the_writer_emits(tmp_path_factory, project):
-    path = tmp_path_factory.mktemp("dump") / "graph.json"
-    path.write_text("".join(dump_chunks(graph_to_dict(RefactoringGraph(), project))) + "\n", encoding="utf-8")
-    # The project comes from the head alone: the full-load fallback never runs.
-    with mock.patch("refgraph.graph.load_graph", side_effect=AssertionError("full load")):
+    # The second line is not JSON: dump_project never reads it, load_graph fails on it.
+    text = "".join(dump_chunks(graph_to_dict(RefactoringGraph(), project))) + "not JSON\n"
+    path = _write_dump(tmp_path_factory, text)
+    if project.strip() == project != "":  # the rule a record line's project follows
         assert dump_project(path) == project
+        with pytest.raises(GraphDumpError, match=_whole(f"invalid JSON in graph dump {path}: line 2: Expecting value")):
+            load_graph(path)
+    else:
+        for read in (dump_project, load_graph):
+            with pytest.raises(GraphDumpError, match=_whole(f"corrupt graph dump: line 1: .*project.* in {path}")):
+                read(path)
 
 
 class TestRecordAsEdge:
