@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import os
@@ -256,6 +255,8 @@ def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGrap
 
 
 def _safe_name(identifier: str, fallback: str) -> str:
+    import hashlib  # here: it loads OpenSSL, and only export and names over 255 characters need it
+
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", identifier).strip("._")
     digest = hashlib.sha1(identifier.encode("utf-8")).hexdigest()[:8]
     return f"{safe[:80] or fallback}-{digest}"

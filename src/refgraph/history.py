@@ -13,8 +13,7 @@ full hash to ``(hash, timestamp, author_email)``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ingest import RefactoringRecord, parse_metadata
 
@@ -53,8 +52,7 @@ def load_commit_log(path) -> dict[str, tuple[str, str, str]]:
         raise CommitLogError(f"commit log {path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class RestrictResult:
+class RestrictResult(NamedTuple):
     """Outcome of restricting records to a commit log.
 
     ``kept`` records are enriched: commit expanded to the log's full hash,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, NamedTuple
 
@@ -74,8 +73,7 @@ class RefactoringRecord(NamedTuple):
     project: str
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(NamedTuple):
     """Knobs for :func:`apply_filters`.
 
     Keyword matching is case-insensitive and applies to whole dot-separated
@@ -88,16 +86,14 @@ class FilterConfig:
     drop_constructors: bool = True
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     """A skipped input line: 1-based line number plus the reason."""
 
     line_no: int
     message: str
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     records: tuple[RefactoringRecord, ...]
     issues: tuple[ParseIssue, ...]
 

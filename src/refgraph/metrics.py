@@ -10,12 +10,10 @@ p-value.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import RefactoringGraph
 
@@ -33,8 +31,7 @@ class CorrelationError(ValueError):
     """Correlation is undefined for the given series."""
 
 
-@dataclass(frozen=True)
-class SubgraphMetrics:
+class SubgraphMetrics(NamedTuple):
     """Measured values only: :func:`aggregate` derives composition and authorship."""
 
     subgraph_id: str
@@ -46,8 +43,7 @@ class SubgraphMetrics:
     n_developers: int
 
 
-@dataclass(frozen=True)
-class SpearmanResult:
+class SpearmanResult(NamedTuple):
     rho: float
     n: int
     p_approx: float
@@ -129,6 +125,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> SpearmanResult:
         raise CorrelationError(f"need at least 3 pairs, got {n}")
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise CorrelationError("constant series: correlation undefined")
+    import statistics  # here, not at the top: only stats correlates, and the import slows every start-up
+
     rho = statistics.correlation(_average_ranks(xs), _average_ranks(ys))
     rho = max(-1.0, min(1.0, rho))
     z = rho * math.sqrt(n - 1)
@@ -138,6 +136,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> SpearmanResult:
 
 def median(values: Sequence[float]) -> float:
     """Median of the sorted list; mean of the middle two when even."""
+    import statistics  # see spearman
+
     return float(statistics.median(values))
 
 

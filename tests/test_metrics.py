@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -315,7 +314,7 @@ class TestCorrelateCorpus:
     def test_identical_developer_counts_is_degenerate(self):
         rng = random.Random(55)
         metrics = [
-            replace(_random_metrics(rng, i), n_developers=2)
+            _random_metrics(rng, i)._replace(n_developers=2)
             for i in range(10)
         ]
         dev_commit, _ = correlate_corpus({"p": metrics})
@@ -329,7 +328,7 @@ class TestCorrelateCorpus:
         for i in range(60):
             commits = i // 4 + 1
             devs = commits + rng.randint(0, 2)  # noisy increasing function
-            metrics.append(replace(_random_metrics(rng, i), n_commits=commits, n_developers=devs))
+            metrics.append(_random_metrics(rng, i)._replace(n_commits=commits, n_developers=devs))
         dev_commit, _ = correlate_corpus({"p": metrics})
         assert dev_commit["status"] == "ok"
         assert dev_commit["rho"] > 0

@@ -1,8 +1,119 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import refgraph
+from refgraph.history import RestrictResult
+from refgraph.ingest import DEFAULT_EXCLUDED_KEYWORDS, FilterConfig, ParseIssue, ParseResult
+from refgraph.metrics import SpearmanResult, SubgraphMetrics
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_public_name_resolves():
     # A name removed from the package but left in __all__ breaks "from refgraph import *".
     assert [name for name in refgraph.__all__ if not hasattr(refgraph, name)] == []
+
+
+def _fresh_interpreter(code: str, *args: str) -> dict:
+    """Run ``code`` in a new interpreter that imports refgraph from this
+    checkout; it prints one JSON document, which is returned."""
+    path = [str(REPO_ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=REPO_ROOT, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Modules that `build` never runs, each a few milliseconds or megabytes of every
+# process's start-up: dataclasses (which imports inspect, ast and dis),
+# statistics (stats only) and hashlib (OpenSSL; export's file names only).
+UNUSED_BY_BUILD = ("dataclasses", "inspect", "statistics", "hashlib")
+
+
+def test_importing_the_cli_loads_nothing_build_does_not_run():
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import refgraph.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    loaded = _fresh_interpreter(code)
+    assert "refgraph.cli" in loaded
+    assert [name for name in UNUSED_BY_BUILD if name in loaded] == []
+
+
+def test_build_and_stats_run_without_hashlib(tmp_path):
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from refgraph.cli import main\n"
+        "demo, out = sys.argv[1:]\n"
+        "codes = [\n"
+        "    main(['build', '--records', demo + '/refactorings.jsonl', '--commit-log',\n"
+        "          'mpandroidchart=' + demo + '/commit_log_mpandroidchart.tsv', '--out', out + '/build']),\n"
+        "    main(['stats', '--graph', out + '/build', '--project-ages', demo + '/project_ages.json',\n"
+        "          '--out', out + '/stats']),\n"
+        "]\n"
+        "print(json.dumps({'codes': codes, 'hashlib': 'hashlib' in set(sys.modules) - before}))\n"
+    )
+    result = _fresh_interpreter(code, str(REPO_ROOT / "demo"), str(tmp_path))
+    assert result == {"codes": [0, 0], "hashlib": False}
+
+
+# The named-tuple result types: each with its fields in order and a value for
+# each, the fields that have a default, and the repr of the example.
+RESULT_TYPES = [
+    (
+        FilterConfig,
+        {"excluded_package_keywords": ("a",), "drop_constructors": False},
+        {"excluded_package_keywords": DEFAULT_EXCLUDED_KEYWORDS, "drop_constructors": True},
+        "FilterConfig(excluded_package_keywords=('a',), drop_constructors=False)",
+    ),
+    (ParseIssue, {"line_no": 3, "message": "x"}, {}, "ParseIssue(line_no=3, message='x')"),
+    (ParseResult, {"records": (), "issues": ()}, {}, "ParseResult(records=(), issues=())"),
+    (
+        RestrictResult,
+        {"kept": (), "dropped": 2, "issues": ("y",)},
+        {},
+        "RestrictResult(kept=(), dropped=2, issues=('y',))",
+    ),
+    (
+        SubgraphMetrics,
+        {
+            "subgraph_id": "a.B#m()",
+            "n_vertices": 2,
+            "n_edges": 1,
+            "n_commits": 1,
+            "age_days": 0.5,
+            "type_counts": {"rename": 1},
+            "n_developers": 1,
+        },
+        {},
+        "SubgraphMetrics(subgraph_id='a.B#m()', n_vertices=2, n_edges=1, n_commits=1, age_days=0.5, "
+        "type_counts={'rename': 1}, n_developers=1)",
+    ),
+    (SpearmanResult, {"rho": 0.5, "n": 3, "p_approx": 0.25}, {}, "SpearmanResult(rho=0.5, n=3, p_approx=0.25)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, text", RESULT_TYPES, ids=[case[0].__name__ for case in RESULT_TYPES])
+def test_result_type_surface(cls, fields, defaults, text):
+    value = cls(**fields)
+    assert cls._fields == tuple(fields)
+    assert cls._field_defaults == defaults
+    if len(defaults) == len(fields):
+        assert cls() == cls(*defaults.values())
+    assert value == cls(*fields.values())
+    assert repr(value) == text
+    first = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(value, first, fields[first])
+    assert value._replace(**{first: fields[first]}) == value
