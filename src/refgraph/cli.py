@@ -23,7 +23,6 @@ from .graph import (
     RefactoringGraph,
     build,
     dump_chunks,
-    dump_project,
     filter_multi_commit,
     graph_to_dict,
     load_graph,
@@ -224,34 +223,23 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
     return list(first.values())
 
 
-def _merge_dumps(project: str, paths: list[Path]) -> RefactoringGraph:
-    """One graph from the dumps of ``project``."""
-    graphs = []
-    for path in paths:
-        named, graph = load_graph(path)
-        if named != project:  # the file was rewritten since its head was read
-            raise GraphDumpError(f"corrupt graph dump: names projects {project!r} and {named!r} in {path}")
-        graphs.append(graph)
-    if len(graphs) > 1:  # concatenate, then keep each edge once
-        return build([edge for graph in graphs for edge in graph.edges])
-    return graphs[0]
-
-
 def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGraph]]:
-    """``(project, graph)`` per project named by the dumps under ``paths``,
-    in first-dump order, merging two dumps of one project.
+    """``(project, graph)`` per dump under ``paths``, in path order. A
+    project is one dump: a second dump naming it is an error.
 
-    One project is held at a time: its dumps load only after the caller has
+    One project is held at a time: a dump loads only after the caller has
     dropped the previous graph, and the parser memos are emptied before each
-    project but the first, which frees the strings only the previous graph held.
+    dump but the first, which frees the strings only the previous graph held.
     """
-    groups: dict[str, list[Path]] = {}
-    for path in _expand_graph_paths(paths):
-        groups.setdefault(dump_project(path), []).append(path)
-    for i, (project, group) in enumerate(groups.items()):
+    first: dict[str, Path] = {}  # project -> the dump that named it
+    for i, path in enumerate(_expand_graph_paths(paths)):
         if i:
             ingest.clear_caches()
-        yield project, _merge_dumps(project, group)  # the generator keeps no reference to the graph
+        project, graph = load_graph(path)
+        if first.setdefault(project, path) != path:
+            raise CliError(f"graph dumps {first[project]} and {path} both name project {project!r}")
+        yield project, graph
+        del graph  # not held while the next dump loads
 
 
 def _safe_name(identifier: str, fallback: str) -> str:

@@ -171,9 +171,9 @@ def _decode_line(line: str, path, line_no: int):
     raise GraphDumpError(f"invalid JSON in graph dump {path}: line {line_no}: {problem}")
 
 
-def _read_dump(path, head_only: bool = False) -> tuple[str, list[RefactoringRecord]]:
-    """The project a dump names and, unless ``head_only``, its edges, read one
-    line at a time. Edges are checked by
+def load_graph(path) -> tuple[str, RefactoringGraph]:
+    """``(project, graph)`` of a dump, read one line at a time; the graph
+    equals the dumped one. Edges are checked by
     :func:`~refgraph.ingest.parse_edge_fields`, the rule record lines follow,
     and carry the dump's project, which follows the record rule too: not
     blank, and no whitespace around it."""
@@ -192,8 +192,6 @@ def _read_dump(path, head_only: bool = False) -> tuple[str, list[RefactoringReco
                 raise ValueError("empty project name")
             if project != project.strip():
                 raise ValueError(f"whitespace around project name {project!r}")
-            if head_only:
-                return project, records
             for line_no, line in enumerate(handle, start=2):
                 edge = _decode_line(line, path, line_no)
                 if not isinstance(edge, dict):
@@ -208,15 +206,4 @@ def _read_dump(path, head_only: bool = False) -> tuple[str, list[RefactoringReco
         raise GraphDumpError(f"invalid UTF-8 in graph dump {path}: {exc.reason}") from None
     except ValueError as exc:
         raise GraphDumpError(f"corrupt graph dump: line {line_no}: {exc} in {path}") from None
-    return project, records
-
-
-def dump_project(path) -> str:
-    """The project a dump names, read from its first line alone."""
-    return _read_dump(path, head_only=True)[0]
-
-
-def load_graph(path) -> tuple[str, RefactoringGraph]:
-    """``(project, graph)`` of a dump; the graph equals the dumped one."""
-    project, records = _read_dump(path)
     return project, build(records)  # a dump is written sorted, so this sort is linear

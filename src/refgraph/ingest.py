@@ -196,7 +196,9 @@ def parse_signature(raw: str) -> str:
     are preserved.  Spacing inside a parameter is canonical, so
     ``Map<K,V>``, ``Map<K, V>`` and ``Map< K ,V >`` are one type: whitespace
     runs become one space, whitespace next to ``<``, ``>``, ``[`` and ``]``
-    is dropped, and nested commas are written ``, ``.
+    is dropped, and nested commas are written ``, ``.  Whitespace next to
+    a ``.`` of the class path is dropped too; an empty class path segment,
+    or whitespace inside a segment or the method name, is an error.
 
     Results are memoized per string for the life of the process (errors
     are not): every record naming one signature shares one string.  When
@@ -229,10 +231,17 @@ def _parse_signature(raw: str) -> str:
         params = _split_params(member[lparen + 1 : -1])
     except SignatureError as exc:  # the split is shared, so name this signature here
         raise SignatureError(f"{exc} in signature: {raw!r}") from None
-    package, class_path = _split_class_path(prefix)
-    if not class_path:
-        raise SignatureError(f"missing class name in signature: {raw!r}")
-    prefix = f"{package}.{class_path}" if package else class_path
+    # Whitespace at either end of a class path segment is dropped; no segment
+    # may be empty or hold whitespace. A prefix with none of these is as written.
+    if " " in prefix or ".." in prefix or prefix[0] == "." or prefix[-1] == "." or not prefix.isprintable():
+        segments = [segment.strip() for segment in prefix.split(".")]
+        if not all(segments):
+            raise SignatureError(f"empty class path segment in signature: {raw!r}")
+        prefix = ".".join(segments)
+        if len(prefix.split()) > 1:
+            raise SignatureError(f"whitespace inside a class path segment in signature: {raw!r}")
+    if (" " in method or not method.isprintable()) and len(method.split()) > 1:
+        raise SignatureError(f"whitespace inside the method name in signature: {raw!r}")
     canonical = f"{prefix}#{method}({', '.join(params)})"
     return raw if canonical == raw else canonical  # keep one string, the memo key, not an equal copy
 
@@ -278,21 +287,17 @@ def _split_params(content: str) -> tuple[str, ...]:
     return tuple(params)
 
 
-def _split_class_path(prefix: str) -> tuple[str, str]:
-    """``(package, class path)``: the class path starts at the first segment
-    with an uppercase initial, or is the last segment if none has one.  On
-    a canonical prefix the split gives back the parts it was joined from."""
-    segments = prefix.split(".")
-    for i, segment in enumerate(segments):
-        if segment and segment[0].isupper():
-            return ".".join(segments[:i]), ".".join(segments[i:])
-    return ".".join(segments[:-1]), segments[-1]
-
-
 def signature_parts(signature: str) -> tuple[str, str, str]:
-    """``(package, class path, method)`` of a canonical signature."""
+    """``(package, class path, method)`` of a canonical signature.  The
+    class path starts at the first segment with an uppercase initial, or is
+    the last segment if none has one."""
     prefix, _, member = signature.partition("#")
-    return (*_split_class_path(prefix), member[: member.index("(")])
+    method = member[: member.index("(")]
+    segments = prefix.split(".")  # none is empty in a canonical signature
+    for i, segment in enumerate(segments):
+        if segment[0].isupper():
+            return ".".join(segments[:i]), ".".join(segments[i:]), method
+    return ".".join(segments[:-1]), segments[-1], method
 
 
 def parse_record_line(line: str) -> RefactoringRecord:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import corpus
 from refgraph import cli
 from refgraph.cli import main
-from refgraph.graph import build, dump_project, graph_to_dict, load_graph, partition
+from refgraph.graph import build, graph_to_dict, load_graph, partition
 from refgraph.ingest import _MEMOS, clear_caches
 from refgraph.report import emit_dot, emit_tables
 
@@ -293,7 +293,7 @@ def _forbid_reading(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    for name in ("parse_records", "load_graph", "dump_project"):
+    for name in ("parse_records", "load_graph"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(cli, "open", refuse, raising=False)
 
@@ -584,25 +584,23 @@ class TestStats:
         assert main(["stats", "--records", str(records), "--out", str(tmp_path / "from_records")]) == 0
         assert _tree(out) == _tree(tmp_path / "from_records")
 
-    def test_two_dumps_of_one_project_merge(self, tmp_path):
+    def test_a_project_in_two_dumps_is_an_error(self, tmp_path, capsys):
         union, dumps = _two_project_dumps(tmp_path)
-        assert main(["stats", "--records", *union[::2], "--out", str(tmp_path / "from_records")]) == 0
-        assert main(["stats", "--graph", *dumps[::2], "--out", str(tmp_path / "from_dumps")]) == 0
-        assert main(["stats", "--graph", dumps[0], "--out", str(tmp_path / "first_only")]) == 0
-        assert _tree(tmp_path / "from_dumps") == _tree(tmp_path / "from_records")
-        assert _tree(tmp_path / "first_only") != _tree(tmp_path / "from_records")
-
-        # Interleaved with another project's dump, "proj" still merges, and
-        # the tables list the projects in name order.
-        assert main(["stats", "--records", *union, "--out", str(tmp_path / "records3")]) == 0
-        assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "dumps3")]) == 0
-        assert _tree(tmp_path / "dumps3") == _tree(tmp_path / "records3")
-        assert _read_json(tmp_path / "dumps3" / "summary.json")["projects"] == ["other", "proj"]
         assert main(["build", "--records", *union, "--out", str(tmp_path / "union")]) == 0
-        assert main(["export", "--graph", str(tmp_path / "union"), "--all", "--out", str(tmp_path / "dot_union")]) == 0
-        assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "dot_dumps")]) == 0
-        assert _tree(tmp_path / "dot_dumps") == _tree(tmp_path / "dot_union")
-        assert {Path(name).parent.name for name in _tree(tmp_path / "dot_union")} == {"proj", "other"}
+        assert main(["stats", "--records", *union, "--out", str(tmp_path / "from_records")]) == 0
+        assert main(["stats", "--graph", str(tmp_path / "union"), "--out", str(tmp_path / "from_dumps")]) == 0
+        assert _tree(tmp_path / "from_dumps") == _tree(tmp_path / "from_records")
+        assert _read_json(tmp_path / "from_dumps" / "summary.json")["projects"] == ["other", "proj"]
+        # "proj" is in the first and the third dump, with "other" between them
+        problem = f"graph dumps {dumps[0]} and {dumps[2]} both name project 'proj'"
+        for command in (["stats"], ["export", "--all"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--graph", str(tmp_path / "union"), "--out", str(out)]) == 0
+            before = _snapshot(out)
+            capsys.readouterr()
+            assert main([*command, "--graph", *dumps, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"refgraph: error: {problem}\n"
+            assert _snapshot(out) == before and not _temporaries(out)
 
     @pytest.mark.parametrize("project", [None, 7, ["mpandroidchart"]], ids=["null", "number", "list"])
     def test_non_string_dump_project_is_a_clean_error(self, tmp_path, capsys, project):
@@ -997,41 +995,30 @@ _LINE_WRITERS = {
 
 @pytest.mark.parametrize("layout", sorted(_LINE_WRITERS))
 def test_dumps_written_another_way_group_like_build_dumps(tmp_path, layout):
-    _, dumps = _two_project_dumps(tmp_path)
+    dumps = _two_project_dumps(tmp_path)[1][:2]  # "proj" and "other", one dump each
     assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "as_built")]) == 0
     assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "dot_as_built")]) == 0
     # Each line holds the same object, written another way; the edges of
-    # the second dump of "proj" are also put in reverse order.
-    dump = corpus.read_dump(Path(dumps[2]))
+    # the dump of "proj" are also put in reverse order.
+    dump = corpus.read_dump(Path(dumps[0]))
     head = {key: value for key, value in dump.items() if key != "edges"}
     rewritten = tmp_path / "rewritten.json"
     rewritten.write_text("".join(_LINE_WRITERS[layout](line) + "\n" for line in [head, *reversed(dump["edges"])]),
                          encoding="utf-8")
-    dumps[2] = str(rewritten)
+    dumps[0] = str(rewritten)
     assert main(["stats", "--graph", *dumps, "--out", str(tmp_path / "rewritten_stats")]) == 0
     assert main(["export", "--graph", *dumps, "--all", "--out", str(tmp_path / "rewritten_dot")]) == 0
     assert _tree(tmp_path / "rewritten_stats") == _tree(tmp_path / "as_built")
     assert _tree(tmp_path / "rewritten_dot") == _tree(tmp_path / "dot_as_built")
 
 
-@pytest.mark.parametrize("head, rewritten, problem", [
-    ({"format_version": "3", "project": 7}, None, "corrupt graph dump: line 1: field 'project' is not a string in {path}"),
-    # the file is rewritten between the reading of its head and its load
-    ({"format_version": "3", "project": "a"}, {"format_version": "3", "project": "b"},
-     "corrupt graph dump: names projects 'a' and 'b' in {path}"),
-], ids=["not-a-string", "two-projects"])
-def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, monkeypatch, capsys, head, rewritten, problem):
+@pytest.mark.parametrize("head, problem", [
+    ({"format_version": "3", "project": 7}, "corrupt graph dump: line 1: field 'project' is not a string in {path}"),
+], ids=["not-a-string"])
+def test_a_dump_head_that_does_not_hold_is_a_clean_error(tmp_path, capsys, head, problem):
     path = tmp_path / "graph.json"
-
-    def head_then_rewrite(dump):
-        project = dump_project(dump)
-        if rewritten:
-            path.write_text(json.dumps(rewritten) + "\n", encoding="utf-8")
-        return project
-
-    monkeypatch.setattr(cli, "dump_project", head_then_rewrite)
+    path.write_text(json.dumps(head) + "\n", encoding="utf-8")
     for command in (["stats"], ["export", "--all"]):
-        path.write_text(json.dumps(head) + "\n", encoding="utf-8")
         out = tmp_path / command[0]
         assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"refgraph: error: {problem.format(path=path)}\n"
@@ -1096,11 +1083,10 @@ def test_a_byte_order_mark_starting_an_input_is_skipped(tmp_path, monkeypatch, b
 
 
 @pytest.mark.parametrize("command, source, order", [
-    # --graph: okhttp's dump and a copy of it, so both load and build merges
-    # them into a third graph; the dumps build wrote are grouped from their heads,
-    # so each loads once. --records: one graph per project, in first-record order.
-    (["stats"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "okhttp", "spring-framework"]),
-    (["export", "--all"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "okhttp", "okhttp", "spring-framework"]),
+    # --graph: one graph per dump, in path order. --records: one graph per
+    # project, in first-record order.
+    (["stats"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "spring-framework"]),
+    (["export", "--all"], "graph", ["elasticsearch", "mpandroidchart", "okhttp", "spring-framework"]),
     (["build"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
     (["stats"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
 ], ids=["stats", "export", "build", "stats-records"])
@@ -1125,15 +1111,53 @@ def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, o
     build_out = tmp_path / "build"
     if source == "graph":
         assert main(["build", "--records", records, "--out", str(build_out)]) == 0
-        copy = tmp_path / "okhttp-copy.json"  # a second path: one path named twice loads once
-        copy.write_bytes((build_out / "okhttp" / "graph.json").read_bytes())
-        inputs = ["--graph", str(build_out), str(copy)]
+        inputs = ["--graph", str(build_out)]
     else:
         inputs = ["--records", records, "--commit-log", f"mpandroidchart={commit_log}"]
     monkeypatch.setattr(cli, "load_graph", tracked(load_graph, lambda path, result: result))
     monkeypatch.setattr(cli, "build", tracked(build, lambda group, graph: (group[0].project, graph)))
     assert main([*command, *inputs, "--out", str(tmp_path / "out")]) == 0
     assert [name for name, _ in held] == order
+
+
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+def test_each_dump_is_opened_once(tmp_path, monkeypatch, command):
+    build_out = TESTS_DIR / "golden" / "build"
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr("refgraph.graph.open", counted, raising=False)
+    assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(opened) == sorted(build_out.glob("*/graph.json"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_dumps_in_any_order_give_the_build_directory_trees(sizes, seed):
+    # The projects share one vertex pool, so each dump loads after the
+    # parser memos were emptied of strings the others hold too.
+    rng = random.Random(seed)
+    records = []
+    for i, n_edges in enumerate(sizes):
+        records += corpus.random_records(rng, n_edges, pool_size=rng.randint(2, n_edges + 2),
+                                         n_commits=rng.randint(1, 6), project=f"proj{i}")
+    rng.shuffle(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "records.jsonl"
+        path.write_text(corpus.to_jsonl(corpus.record_dict(r) for r in records), encoding="utf-8")
+        build_out = tmp / "build"
+        assert main(["build", "--records", str(path), "--out", str(build_out)]) == 0
+        assert main(["stats", "--records", str(path), "--out", str(tmp / "from_records")]) == 0
+        reversed_dumps = [str(dump) for dump in sorted(build_out.glob("*/graph.json"), reverse=True)]
+        for name, graph in (("directory", [str(build_out)]), ("reversed", reversed_dumps)):
+            assert main(["stats", "--graph", *graph, "--out", str(tmp / name / "stats")]) == 0
+            assert main(["export", "--all", "--graph", *graph, "--out", str(tmp / name / "export")]) == 0
+        assert _tree(tmp / "directory" / "stats") == _tree(tmp / "from_records")
+        assert _tree(tmp / "reversed") == _tree(tmp / "directory")
 
 
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):

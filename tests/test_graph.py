@@ -15,7 +15,6 @@ from refgraph.graph import (
     RefactoringGraph,
     build,
     dump_chunks,
-    dump_project,
     filter_multi_commit,
     graph_to_dict,
     load_graph,
@@ -290,9 +289,7 @@ class TestGraphDump:
         records = corpus.random_records(rng, n_edges, pool_size=rng.randint(2, 40), n_commits=rng.randint(1, 8),
                                         project=project)
         graph = build(records)
-        path = _written(tmp_path_factory, graph, project)
-        assert dump_project(path) == project
-        assert load_graph(path) == (project, graph)
+        assert load_graph(_written(tmp_path_factory, graph, project)) == (project, graph)
 
     def test_loaded_dump_shares_each_distinct_value(self, tmp_path_factory):
         graph = build(corpus.random_records(random.Random(11), 200, pool_size=60, prefix="shared.pkg"))
@@ -393,17 +390,15 @@ def test_dump_chunks_are_the_stdlib_encoding(tmp_path_factory, project, edges):
 @example(project=" \u2028")
 @example(project="x ")
 def test_dump_project_reads_the_head_the_writer_emits(tmp_path_factory, project):
-    # The second line is not JSON: dump_project never reads it, load_graph fails on it.
+    # The second line is not JSON: load_graph fails on it only once the head holds.
     text = "".join(dump_chunks(graph_to_dict(RefactoringGraph(), project))) + "not JSON\n"
     path = _write_dump(tmp_path_factory, text)
     if project.strip() == project != "":  # the rule a record line's project follows
-        assert dump_project(path) == project
-        with pytest.raises(GraphDumpError, match=_whole(f"invalid JSON in graph dump {path}: line 2: Expecting value")):
-            load_graph(path)
+        problem = f"invalid JSON in graph dump {path}: line 2: Expecting value"
     else:
-        for read in (dump_project, load_graph):
-            with pytest.raises(GraphDumpError, match=_whole(f"corrupt graph dump: line 1: .*project.* in {path}")):
-                read(path)
+        problem = f"corrupt graph dump: line 1: .*project.* in {path}"
+    with pytest.raises(GraphDumpError, match=_whole(problem)):
+        load_graph(path)
 
 
 class TestRecordAsEdge:

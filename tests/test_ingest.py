@@ -93,6 +93,7 @@ class TestParseSignature:
 
     def test_whitespace_stripped(self):
         assert parse_signature("  util.Foo#m( int ,  Map<K, V> ) ") == "util.Foo#m(int, Map<K, V>)"
+        assert parse_signature("com. test .Foo\t.Bar #m()") == "com.test.Foo.Bar#m()"
 
     def test_equality_is_canonical(self):
         assert parse_signature("a.B#m(int,long)") == parse_signature("a.B#m( int , long )")
@@ -127,6 +128,14 @@ class TestParseSignature:
             "a.B#m(int,)",
             "a.B#m(\udc80)",  # a lone surrogate: UTF-8 cannot encode it
             "a.\ud800B#m()",
+            # an empty class path segment, or whitespace inside a name
+            ".B#m()",
+            "a..B#B()",
+            "p.A.#m()",
+            "p. .A#m()",
+            "p.A#m x()",
+            "p.A x#m()",
+            "p.A#m\nx()",
         ],
     )
     def test_malformed_signatures(self, bad):
@@ -203,6 +212,14 @@ def test_parse_ignores_spacing_around_brackets_and_commas(signature, rnd):
         params,
     )
     assert parse_signature(f"{head}({noisy}") == signature
+
+
+@given(canonical_signatures(), st.randoms(use_true_random=False))
+def test_parse_ignores_spacing_around_class_path_dots(signature, rnd):
+    prefix, _, member = signature.partition("#")
+    noisy = ".".join(rnd.choice(["", " ", "\t"]) + segment + rnd.choice(["", " ", "\n"])
+                     for segment in prefix.split("."))
+    assert parse_signature(f"{noisy}#{member}") == signature
 
 
 # The timestamp grammar (RFC 3339 date-time) as plain literals: input -> UTC
@@ -558,6 +575,10 @@ class TestApplyFilters:
         kept, report = apply_filters([_record("com.test.A#m()", "com.app.A#n()")], config)
         assert not kept and report["package-keyword"] == 1
 
+    def test_keyword_segment_spelled_with_spaces_matches(self):
+        kept, report = apply_filters([_record("com. test.Foo#m()", "com.app.A#n()")])
+        assert not kept and report["package-keyword"] == 1
+
     def test_substring_does_not_match(self):
         kept, report = apply_filters([_record("com.protest.A#m()", "com.app.B#n()")])
         assert len(kept) == 1
@@ -647,7 +668,7 @@ _FILTER_SIGNATURES = [
     "a.b.Foo#Foo()", "a.b.Foo#<init>(int)", "a.Outer$Inner#Inner()", "a.Outer.Inner#Inner()",
     "a.tests.Foo#Foo()", "x.sample.Y#<init>()",
     # shapes where a split of the canonical string could drift from the raw parse
-    "Foo#Foo()", "a.b.c#c()", "a..B#B()", "Foo.bar#bar()", "a.Outer$Mid.Inner#Inner()",
+    "Foo#Foo()", "a.b.c#c()", "a. tests .B#B()", "Foo.bar#bar()", "a.Outer$Mid.Inner#Inner()",
     " a.tests.C # m ( int ,String ) ",
 ]
 
@@ -657,8 +678,6 @@ _FILTER_SIGNATURES = [
     [
         ("Foo#Foo()", ("", "Foo", "Foo")),
         ("a.b.c#c()", ("a.b", "c", "c")),
-        ("a..B#B()", ("a.", "B", "B")),
-        (".B#m()", ("", "B", "m")),
         ("Foo.bar#bar()", ("", "Foo.bar", "bar")),
         ("a.Outer$Mid.Inner#Inner()", ("a", "Outer$Mid.Inner", "Inner")),
         (" a.tests.C # m ( int ,String ) ", ("a.tests", "C", "m")),
