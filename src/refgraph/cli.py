@@ -15,7 +15,7 @@ import shutil
 import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ingest
 from .graph import (
@@ -54,6 +54,9 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):  # so an error a worker process sends up keeps its code
+        return type(self), (str(self), self.code)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,23 +226,74 @@ def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
     return list(first.values())
 
 
-def _project_graphs(paths: Sequence[str]) -> Iterator[tuple[str, RefactoringGraph]]:
-    """``(project, graph)`` per dump under ``paths``, in path order. A
-    project is one dump: a second dump naming it is an error.
+def _workers() -> int:  # one per CPU this process may run on, or one where the platform cannot tell
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    One project is held at a time: a dump loads only after the caller has
-    dropped the previous graph, and the parser memos are emptied before each
-    dump but the first, which frees the strings only the previous graph held.
-    """
-    first: dict[str, Path] = {}  # project -> the dump that named it
-    for i, path in enumerate(_expand_graph_paths(paths)):
-        if i:
-            ingest.clear_caches()
+
+def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable]) -> Iterator[tuple[str, Iterator]]:
+    """``(project, values)`` per dump under ``paths`` in path order, ``values`` being what ``work`` gives
+    for its graph; a second dump of one project is an error. The dumps are dealt round-robin to forked
+    workers and read back in path order, so errors come in path order; closing this kills and reaps them."""
+    import pickle  # here: build needs neither
+    import signal
+
+    def loaded(path):  # the dump's project, then what work gives for its graph
+        ingest.clear_caches()  # frees the strings only the dumps loaded before held
         project, graph = load_graph(path)
-        if first.setdefault(project, path) != path:
-            raise CliError(f"graph dumps {first[project]} and {path} both name project {project!r}")
-        yield project, graph
-        del graph  # not held while the next dump loads
+        yield project
+        yield from work(graph)
+
+    def received(pipe, path):  # what a worker sent for the dump at path
+        try:
+            while (value := pickle.load(pipe)) is not None:
+                if isinstance(value, Exception):
+                    raise value
+                yield value
+        except (EOFError, pickle.UnpicklingError):  # the worker died mid-dump: killed, say, or out of memory
+            raise CliError(f"the worker process loading {path} ended before it was done") from None
+
+    dumps = _expand_graph_paths(paths)
+    n = min(len(dumps), _workers())
+    workers = []  # (pid, read end of its pipe)
+    try:
+        while n > 1 and len(workers) < n:  # with one worker, and for those a failed fork leaves out, work runs here
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if not pid:  # a worker, which leaves only through os._exit: nothing of the parent's runs twice
+                try:
+                    for fd in [read, *(pipe.fileno() for _, pipe in workers)]:  # so it cannot block on a dead parent
+                        os.close(fd)
+                    with open(write, "wb") as pipe:
+                        for path in dumps[len(workers)::n]:
+                            try:
+                                for value in loaded(path):
+                                    pickle.dump(value, pipe)
+                                value = None
+                            except Exception as exc:  # raised in the parent, in path order
+                                value = exc
+                            pickle.dump(value, pipe)  # the end of the dump
+                            pipe.flush()
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        first: dict[str, Path] = {}  # project -> the dump that named it
+        for i, path in enumerate(dumps):
+            values = received(workers[i % n][1], path) if i % n < len(workers) else loaded(path)
+            project = next(values)
+            if first.setdefault(project, path) != path:
+                raise CliError(f"graph dumps {first[project]} and {path} both name project {project!r}")
+            yield project, values
+    finally:
+        for pid, pipe in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def _safe_name(identifier: str, fallback: str) -> str:
@@ -412,35 +466,27 @@ def cmd_stats(args) -> int:
     with _output_tree(args.out, "stats") as out:
         ages = _project_ages(args)
         if args.records:
-            groups = _run_front_pipeline(args, _filter_config(args))[0]
-            graphs = ((project, build(group)) for project, group in groups.items())
+            records = _run_front_pipeline(args, _filter_config(args))[0]
+            results = ((project, [_split(build(group), min_commits)]) for project, group in records.items())
         else:
-            graphs = _project_graphs(args.graph)
-        splits = []
-        groups = {}
-        for project, graph in graphs:
-            total, single, kept = _split(graph, min_commits)
-            splits.append((project, total, single))
-            groups[project] = [measure(subgraph) for subgraph in kept]
-            del graph, kept  # not held while the next graph loads
-        summary = aggregate(dict(sorted(groups.items())), sorted(splits), ages)  # in project-name order
+            results = _per_dump(args.graph, lambda graph: [_split(graph, min_commits)])
+        with contextlib.closing(results):  # a process holds one project's graph at a time
+            rows = sorted((project, total, single, [measure(subgraph) for subgraph in kept])  # a project is one row
+                          for project, values in results for total, single, kept in values)
+        summary = aggregate({project: metrics for project, *_, metrics in rows}, [row[:3] for row in rows], ages)
         emit_tables(summary, out)
         write_json_summary(summary, out / "summary.json")
     print(f"stats: {summary['n_subgraphs']} subgraphs across {len(summary['projects'])} projects -> {Path(args.out)}")
     return 0
 
 
-def _select_subgraphs(graph: RefactoringGraph, selector: str | None) -> list[RefactoringGraph]:
-    """The subgraphs of ``graph`` holding a vertex that contains ``selector``,
-    or all of them when it is None."""
-    if selector is None:
-        return partition(graph)
-    # A subgraph id is one of its vertex labels, so the id selector is a
-    # substring match too, and a graph with no vertex holding the selector
-    # cannot match: it is not split.
-    if not any(selector in v for v in graph.vertices):
-        return []
-    return [s for s in partition(graph) if any(selector in v for v in s.vertices)]
+def _dots(graph: RefactoringGraph, selector: str | None) -> Iterator[tuple[str, str]]:
+    """``(id, DOT text)`` per subgraph of ``graph`` with a vertex holding ``selector``, or per subgraph if None.
+    A subgraph id is one of its vertex labels, so the id selector is a substring match too."""
+    if selector is None or any(selector in v for v in graph.vertices):
+        for subgraph in partition(graph):
+            if selector is None or any(selector in v for v in subgraph.vertices):
+                yield subgraph.id, emit_dot(subgraph)
 
 
 def cmd_export(args) -> int:
@@ -457,21 +503,19 @@ def cmd_export(args) -> int:
     selector = None if args.all else args.selector
     owners: dict[str, str] = {}
     written = 0
-    with _output_tree(args.out, "export") as out:
-        for project, graph in _project_graphs(args.graph):
-            matched = _select_subgraphs(graph, selector)
-            del graph  # not held while the next graph loads
-            if matched:
-                directory = _project_dir(out, project, owners)
-                files: dict[str, str] = {}  # file name -> subgraph id; two ids on one name are an error
-                for subgraph in matched:
-                    name = f"{_safe_name(subgraph.id, fallback='subgraph')}.dot"
-                    if files.setdefault(name, subgraph.id) != subgraph.id:
-                        raise CliError(f"subgraphs {files[name]!r} and {subgraph.id!r} of project {project!r}"
-                                       f" would share the file name {name!r}")
-                    (directory / name).write_text(emit_dot(subgraph), encoding="utf-8")
-                written += len(matched)
-            del matched
+    dumps = _per_dump(args.graph, lambda graph: _dots(graph, selector))
+    with _output_tree(args.out, "export") as out, contextlib.closing(dumps):
+        for project, dots in dumps:
+            files: dict[str, str] = {}  # file name -> subgraph id; two ids on one name are an error
+            for subgraph_id, text in dots:
+                if not files:
+                    directory = _project_dir(out, project, owners)
+                name = f"{_safe_name(subgraph_id, fallback='subgraph')}.dot"
+                if files.setdefault(name, subgraph_id) != subgraph_id:
+                    raise CliError(f"subgraphs {files[name]!r} and {subgraph_id!r} of project {project!r}"
+                                   f" would share the file name {name!r}")
+                (directory / name).write_text(text, encoding="utf-8")
+            written += len(files)
         if selector and not written:
             raise CliError(f"selector matched no subgraph: {selector!r}", code=2)
     print(f"export: wrote {written} DOT file(s) -> {Path(args.out)}")

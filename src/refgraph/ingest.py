@@ -29,6 +29,7 @@ FILTER_REASONS = (REASON_PACKAGE_KEYWORD, REASON_CONSTRUCTOR, REASON_SELF_LOOP)
 
 _COMMIT_RE = re.compile(r"^[0-9a-f]{7,40}$")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the code points UTF-8 cannot encode
+_UNPRINTABLE_RE = re.compile(r"[\x00-\x08\x0e-\x1b\x7f-\x84\x86-\x9f\ud800-\udfff]")  # non-whitespace C0/C1 controls, surrogates
 _PARAM_SEPARATOR_RE = re.compile(r"\s*([,<>\[\]])\s*|([()])")
 _NESTING_RE = re.compile(r"[.$]")
 _TIMESTAMP_RE = re.compile(
@@ -196,9 +197,10 @@ def parse_signature(raw: str) -> str:
     are preserved.  Spacing inside a parameter is canonical, so
     ``Map<K,V>``, ``Map<K, V>`` and ``Map< K ,V >`` are one type: whitespace
     runs become one space, whitespace next to ``<``, ``>``, ``[`` and ``]``
-    is dropped, and nested commas are written ``, ``.  Whitespace next to
-    a ``.`` of the class path is dropped too; an empty class path segment,
-    or whitespace inside a segment or the method name, is an error.
+    or before a varargs ``...`` is dropped, and nested commas are written
+    ``, ``.  Whitespace next to a ``.`` or ``$`` of the class path is dropped
+    too; an empty class path segment, whitespace inside a segment or the
+    method name, or a control character that is not whitespace is an error.
 
     Results are memoized per string for the life of the process (errors
     are not): every record naming one signature shares one string.  When
@@ -211,8 +213,9 @@ def parse_signature(raw: str) -> str:
 
 @functools.cache
 def _parse_signature(raw: str) -> str:
-    if not raw.isascii() and _SURROGATE_RE.search(raw):
-        raise SignatureError(f"invalid UTF-8 in signature: {raw!r}")
+    if not raw.isprintable() and (bad := _UNPRINTABLE_RE.search(raw)):  # a printable string holds neither
+        problem = "invalid UTF-8" if bad.group() > "\x9f" else f"control character {bad.group()!r}"
+        raise SignatureError(f"{problem} in signature: {raw!r}")
     text = raw.strip()
     if text.count("#") != 1:
         raise SignatureError(f"expected exactly one '#' in signature: {raw!r}")
@@ -231,13 +234,13 @@ def _parse_signature(raw: str) -> str:
         params = _split_params(member[lparen + 1 : -1])
     except SignatureError as exc:  # the split is shared, so name this signature here
         raise SignatureError(f"{exc} in signature: {raw!r}") from None
-    # Whitespace at either end of a class path segment is dropped; no segment
-    # may be empty or hold whitespace. A prefix with none of these is as written.
+    # Whitespace at either end of a class path segment or next to "$" is dropped;
+    # no segment may be empty or hold whitespace. A prefix with none of these is as written.
     if " " in prefix or ".." in prefix or prefix[0] == "." or prefix[-1] == "." or not prefix.isprintable():
         segments = [segment.strip() for segment in prefix.split(".")]
         if not all(segments):
             raise SignatureError(f"empty class path segment in signature: {raw!r}")
-        prefix = ".".join(segments)
+        prefix = re.sub(r"\s*\$\s*", "$", ".".join(segments))
         if len(prefix.split()) > 1:
             raise SignatureError(f"whitespace inside a class path segment in signature: {raw!r}")
     if (" " in method or not method.isprintable()) and len(method.split()) > 1:
@@ -255,6 +258,7 @@ def _split_params(content: str) -> tuple[str, ...]:
     """
     if "  " in content or not content.isprintable():  # a run of spaces, or a tab, newline, ...
         content = " ".join(content.split())
+    content = content.replace(" ...", "...")  # varargs: "String ..." is "String..."
     # text, separator, paren, text, ...: the split drops whitespace around <>[] and commas
     parts = _PARAM_SEPARATOR_RE.split(content)
     if len(parts) == 1:

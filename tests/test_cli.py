@@ -5,11 +5,14 @@ import csv
 import gc
 import json
 import os
+import pickle
 import random
 import shutil
+import signal
 import tempfile
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 import corpus
 from refgraph import cli
 from refgraph.cli import main
-from refgraph.graph import build, graph_to_dict, load_graph, partition
+from refgraph.graph import GraphDumpError, build, graph_to_dict, load_graph, partition
 from refgraph.ingest import _MEMOS, clear_caches
 from refgraph.report import emit_dot, emit_tables
 
@@ -44,14 +47,14 @@ def _temporaries(out):
     return sorted(p.name for p in out.parent.iterdir() if p.name.startswith("."))
 
 
-def _fail_on_call(n, func):
-    """``func``, except that its ``n``-th call raises OSError."""
+def _fail_on_call(n, func, error=None):
+    """``func``, except that its ``n``-th call raises ``error``, by default an OSError."""
     calls = []
 
     def failing(*args):
         calls.append(args)
         if len(calls) == n:
-            raise OSError("injected write error")
+            raise error or OSError("injected write error")
         return func(*args)
 
     return failing
@@ -60,6 +63,42 @@ def _fail_on_call(n, func):
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """``stats --graph`` and ``export`` load every dump in the test's own process."""
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """``stats --graph`` and ``export`` deal their dumps to two forked workers, whatever the CPU count."""
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+
+
+def _logged(log, func, key):
+    """``func``, also appending the calling process id and ``key(*args)`` as
+    one line to the file ``log``, so calls made in a forked worker are seen."""
+    def logging(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {key(*args)}\n")
+        return func(*args, **kwargs)
+
+    return logging
+
+
+def _log_lines(log):
+    """``(pid, key)`` per line :func:`_logged` wrote to ``log``."""
+    if not log.exists():
+        return []
+    return [(int(pid), key) for pid, key in (line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())]
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):  # this process has no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
 
 class TestBuild:
@@ -680,6 +719,7 @@ class TestStats:
         assert str(path) in capsys.readouterr().err
         assert not out.exists() and _temporaries(out) == []
 
+    @pytest.mark.usefixtures("one_process")
     def test_a_dump_named_twice_loads_once(self, tmp_path, monkeypatch):
         build_out = TESTS_DIR / "golden" / "build"
         assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "once")]) == 0
@@ -695,6 +735,21 @@ class TestStats:
         assert main(["stats", "--graph", str(build_out), *again, "--out", str(tmp_path / "twice")]) == 0
         assert len(loads) == len(set(loads)) == 4
         assert build_out / "okhttp" / "graph.json" in loads  # the first spelling
+        assert _tree(tmp_path / "twice") == _tree(tmp_path / "once")
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_a_dump_named_twice_loads_once_across_workers(self, tmp_path, monkeypatch):
+        build_out = TESTS_DIR / "golden" / "build"
+        assert main(["stats", "--graph", str(build_out), "--out", str(tmp_path / "once")]) == 0
+        log = tmp_path / "loads.log"
+        monkeypatch.setattr(cli, "load_graph", _logged(log, load_graph, str))
+        monkeypatch.chdir(TESTS_DIR)
+        again = [str(build_out / "okhttp" / "graph.json"), str(build_out), "golden/build/okhttp/graph.json"]
+        assert main(["stats", "--graph", str(build_out), *again, "--out", str(tmp_path / "twice")]) == 0
+        loads = [path for _, path in _log_lines(log)]
+        assert len(loads) == len(set(loads)) == 4
+        assert str(build_out / "okhttp" / "graph.json") in loads  # the first spelling
+        assert len({pid for pid, _ in _log_lines(log)} - {os.getpid()}) == 2  # each worker loaded two
         assert _tree(tmp_path / "twice") == _tree(tmp_path / "once")
 
     def test_repeated_graph_flags_add_up(self, tmp_path):
@@ -765,6 +820,7 @@ class TestExport:
         code = main(["export", "--graph", str(build_out), "--out", str(tmp_path / "dot"), "nonexistent"])
         assert code == 2
 
+    @pytest.mark.usefixtures("one_process")
     def test_selector_splits_only_the_graphs_holding_it(self, tmp_path, monkeypatch):
         records = tmp_path / "records.jsonl"
         records.write_text(
@@ -781,6 +837,16 @@ class TestExport:
         alone = tmp_path / "alone"
         assert main(["export", "--graph", str(build_out / "mpandroidchart"), "--out", str(alone), "--all"]) == 0
         assert _tree(out) == _tree(alone) and len(_tree(out)) == 1
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_selector_splits_only_the_graphs_holding_it_across_workers(self, tmp_path, monkeypatch):
+        build_out = TESTS_DIR / "golden" / "build"
+        log = tmp_path / "partitions.log"
+        monkeypatch.setattr(cli, "partition", _logged(log, partition, lambda graph: graph.id))
+        assert main(["export", "--graph", str(build_out), "--out", str(tmp_path / "dot"), "drawYLabels"]) == 0
+        [(pid, graph_id)] = _log_lines(log)  # one of four graphs, split in a worker
+        assert pid != os.getpid() and graph_id.startswith("com.github.mikephil.charting.")
+        assert [p.parent.name for p in (tmp_path / "dot").rglob("*.dot")] == ["mpandroidchart"]
 
     def test_all_on_an_empty_build_writes_nothing(self, tmp_path, capsys):
         records = tmp_path / "empty.jsonl"
@@ -813,6 +879,7 @@ class TestExport:
         assert _snapshot(out) == before
         assert _temporaries(out) == []
 
+    @pytest.mark.usefixtures("one_process")
     def test_a_write_error_leaves_no_dot_file(self, build_out, tmp_path, monkeypatch, capsys):
         out = tmp_path / "dot"
         assert main(["export", "--graph", str(build_out), "--out", str(out), "drawYLabels"]) == 0
@@ -823,6 +890,24 @@ class TestExport:
         assert capsys.readouterr().err == "refgraph: error: injected write error\n"
         assert _snapshot(out) == before
         assert _temporaries(out) == []
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_an_error_in_a_worker_leaves_no_dot_file(self, build_out, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "dot"
+        assert main(["export", "--graph", str(build_out), "--out", str(out), "drawYLabels"]) == 0
+        before = _snapshot(out)
+
+        def failing(subgraph):  # the third dump in path order, the second of the first worker
+            if ".okhttp." in subgraph.id:
+                raise OSError("injected write error")
+            return emit_dot(subgraph)
+
+        monkeypatch.setattr(cli, "emit_dot", failing)
+        capsys.readouterr()
+        assert main(["export", "--graph", str(build_out), "--all", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "refgraph: error: injected write error\n"
+        assert _snapshot(out) == before
+        assert _temporaries(out) == [] and _no_child_is_left()
 
     def test_selector_and_all_are_exclusive(self, build_out, tmp_path):
         out = str(tmp_path / "dot")
@@ -1090,6 +1175,7 @@ def test_a_byte_order_mark_starting_an_input_is_skipped(tmp_path, monkeypatch, b
     (["build"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
     (["stats"], "records", ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]),
 ], ids=["stats", "export", "build", "stats-records"])
+@pytest.mark.usefixtures("one_process")
 def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, order):
     # RefactoringGraph defines __eq__ and so is unhashable: weak references
     # are kept in a list, not a WeakSet.
@@ -1121,6 +1207,7 @@ def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, o
 
 
 @pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+@pytest.mark.usefixtures("one_process")
 def test_each_dump_is_opened_once(tmp_path, monkeypatch, command):
     build_out = TESTS_DIR / "golden" / "build"
     opened = []
@@ -1132,6 +1219,40 @@ def test_each_dump_is_opened_once(tmp_path, monkeypatch, command):
     monkeypatch.setattr("refgraph.graph.open", counted, raising=False)
     assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
     assert sorted(opened) == sorted(build_out.glob("*/graph.json"))
+
+
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+@pytest.mark.usefixtures("two_workers")
+def test_each_dump_is_opened_once_across_workers(tmp_path, monkeypatch, command):
+    build_out = TESTS_DIR / "golden" / "build"
+    log = tmp_path / "opens.log"
+    monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: file), raising=False)
+    assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(Path(file) for _, file in _log_lines(log)) == sorted(build_out.glob("*/graph.json"))
+
+
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+@pytest.mark.usefixtures("two_workers")
+def test_one_project_is_held_at_a_time_in_each_worker(tmp_path, monkeypatch, command):
+    held: list[tuple[str, weakref.ref]] = []  # in each worker, the graphs it loaded
+    log = tmp_path / "loads.log"
+
+    def tracked(path):
+        project, graph = load_graph(path)
+        gc.collect()
+        alive = {name for name, ref in held if ref() is not None}  # an AssertionError here fails the run
+        assert alive <= {project}, f"{sorted(alive - {project})} still held when {project!r} is loaded"
+        held.append((project, weakref.ref(graph)))
+        return project, graph
+
+    monkeypatch.setattr(cli, "load_graph", _logged(log, tracked, lambda path: Path(path).parent.name))
+    assert main([*command, "--graph", str(TESTS_DIR / "golden" / "build"), "--out", str(tmp_path / "out")]) == 0
+    by_worker: dict[int, list[str]] = {}
+    for pid, project in _log_lines(log):
+        by_worker.setdefault(pid, []).append(project)
+    # dealt round-robin in path order, each worker loading its dumps in that order
+    assert os.getpid() not in by_worker
+    assert sorted(by_worker.values()) == [["elasticsearch", "okhttp"], ["mpandroidchart", "spring-framework"]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1153,11 +1274,201 @@ def test_dumps_in_any_order_give_the_build_directory_trees(sizes, seed):
         assert main(["build", "--records", str(path), "--out", str(build_out)]) == 0
         assert main(["stats", "--records", str(path), "--out", str(tmp / "from_records")]) == 0
         reversed_dumps = [str(dump) for dump in sorted(build_out.glob("*/graph.json"), reverse=True)]
-        for name, graph in (("directory", [str(build_out)]), ("reversed", reversed_dumps)):
-            assert main(["stats", "--graph", *graph, "--out", str(tmp / name / "stats")]) == 0
-            assert main(["export", "--all", "--graph", *graph, "--out", str(tmp / name / "export")]) == 0
-        assert _tree(tmp / "directory" / "stats") == _tree(tmp / "from_records")
-        assert _tree(tmp / "reversed") == _tree(tmp / "directory")
+        # in this process, and dealt to as many workers as there are dumps, or fewer
+        for workers in (1, 2, 3):
+            with mock.patch.object(cli, "_workers", lambda: workers):
+                for name, graph in (("directory", [str(build_out)]), ("reversed", reversed_dumps)):
+                    out = tmp / f"{name}-{workers}"
+                    assert main(["stats", "--graph", *graph, "--out", str(out / "stats")]) == 0
+                    assert main(["export", "--all", "--graph", *graph, "--out", str(out / "export")]) == 0
+        assert _tree(tmp / "directory-1" / "stats") == _tree(tmp / "from_records")
+        for run in ("reversed-1", "directory-2", "reversed-2", "directory-3", "reversed-3"):
+            assert _tree(tmp / run) == _tree(tmp / "directory-1"), run
+
+
+GOLDEN_BUILD = TESTS_DIR / "golden" / "build"
+
+
+def _corrupt_copy(path, dump, edge, **fields):
+    """``dump`` written to ``path`` with ``fields`` set on its edge ``edge``;
+    returns the line that edge is on."""
+    dump["edges"][edge].update(fields)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(corpus.dump_text(dump), encoding="utf-8")
+    return 2 + range(len(dump["edges"]))[edge]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_first_bad_dump_in_path_order_is_reported(tmp_path, monkeypatch, capsys, workers):
+    # The third dump fails on its head line; the second, which its worker
+    # may reach later, fails on its last line, and is the one reported.
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    late = tmp_path / "late.json"
+    line = _corrupt_copy(late, corpus.read_dump(GOLDEN_BUILD / "mpandroidchart" / "graph.json"), -1, type="bogus")
+    early = tmp_path / "early.json"
+    early.write_text(json.dumps({"format_version": "3", "project": 7}) + "\n", encoding="utf-8")
+    for command in (["stats"], ["export", "--all"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--graph", str(GOLDEN_BUILD / "okhttp"), str(late), str(early), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"refgraph: error: corrupt graph dump: line {line}:"
+                                           f" unknown refactoring type: 'bogus' in {late}\n")
+        assert not out.exists() and not _temporaries(out) and _no_child_is_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_repeated_project_is_reported_before_a_later_error_of_its_dump(tmp_path, monkeypatch, capsys, workers):
+    # The second dump loads, names the project of the first, and then fails to split.
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    good = GOLDEN_BUILD / "okhttp" / "graph.json"
+    again = tmp_path / "again.json"
+    shutil.copy(good, again)
+    failing = []  # the graph that fails, as id(), in the process that loaded it
+
+    def loading(path):
+        project, graph = load_graph(path)
+        if path == again:
+            failing.append(id(graph))
+        return project, graph
+
+    def splitting(graph):
+        if id(graph) in failing:
+            raise OSError("injected error")
+        return partition(graph)
+
+    monkeypatch.setattr(cli, "load_graph", loading)
+    monkeypatch.setattr(cli, "partition", splitting)
+    for command in (["stats"], ["export", "--all"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--graph", str(again), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "refgraph: error: injected error\n"
+        assert main([*command, "--graph", str(good), str(again), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: graph dumps {good} and {again} both name project 'okhttp'\n"
+        assert not out.exists() and _temporaries(out) == [] and _no_child_is_left()
+
+
+def _killed_in_a_worker(project, func):
+    """``func``, except that a worker process loading the dump of ``project`` kills itself."""
+    parent = os.getpid()
+
+    def loading(path):
+        if Path(path).parent.name == project and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return func(path)
+
+    return loading
+
+
+def _killed_mid_value(project, dump):
+    """``pickle.dump``, except that a worker sending the project name
+    ``project`` writes half of it and kills itself."""
+    parent = os.getpid()
+
+    def dumping(value, file, *args, **kwargs):
+        if value == project and os.getpid() != parent:
+            data = pickle.dumps(value)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return dump(value, file, *args, **kwargs)
+
+    return dumping
+
+
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+@pytest.mark.parametrize("when", ["loading", "sending"])
+@pytest.mark.usefixtures("two_workers")
+def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatch, capsys, command, when):
+    if when == "loading":
+        monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker("okhttp", load_graph))
+    else:  # the pipe then ends inside a pickle
+        monkeypatch.setattr(pickle, "dump", _killed_mid_value("okhttp", pickle.dump))
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not end")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        code = main([*command, "--graph", str(GOLDEN_BUILD), "--out", str(tmp_path / "out")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    dump = GOLDEN_BUILD / "okhttp" / "graph.json"
+    assert capsys.readouterr().err == f"refgraph: error: the worker process loading {dump} ended before it was done\n"
+    assert not (tmp_path / "out").exists() and not _temporaries(tmp_path / "out") and _no_child_is_left()
+
+
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+@pytest.mark.parametrize("outcome", [
+    "success", "corrupt-dump", "repeated-project", "write-error", "interrupt", "killed-worker",
+])
+@pytest.mark.usefixtures("two_workers")
+def test_no_worker_is_left_after_a_run(tmp_path, monkeypatch, capsys, command, outcome):
+    graph = [str(GOLDEN_BUILD)]
+    if outcome == "corrupt-dump":
+        graph.append(str(tmp_path / "bad" / "graph.json"))
+        _corrupt_copy(Path(graph[-1]), corpus.read_dump(GOLDEN_BUILD / "okhttp" / "graph.json"), 0, type="bogus")
+    elif outcome == "repeated-project":
+        graph.append(str(tmp_path / "okhttp.json"))
+        shutil.copy(GOLDEN_BUILD / "okhttp" / "graph.json", graph[-1])
+    elif outcome == "write-error":  # in this process: export's while the workers run, stats' after them
+        if command == ["stats"]:
+            monkeypatch.setattr(cli, "emit_tables", _fail_on_call(1, emit_tables))
+        else:
+            monkeypatch.setattr(cli, "_project_dir", _fail_on_call(2, cli._project_dir))
+    elif outcome == "interrupt":  # while this process waits on a worker
+        monkeypatch.setattr(pickle, "load", _fail_on_call(2, pickle.load, KeyboardInterrupt()))
+    elif outcome == "killed-worker":
+        monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker("okhttp", load_graph))
+    out = tmp_path / "out"
+    argv = [*command, "--graph", *graph, "--out", str(out)]
+    if outcome == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == (0 if outcome == "success" else 1)
+        assert capsys.readouterr().err.startswith("refgraph: error:") == (outcome != "success")
+    assert out.exists() == (outcome == "success")
+    assert _temporaries(out) == [] and _no_child_is_left()
+
+
+@pytest.mark.parametrize("made", [0, 1], ids=["no-worker", "one-worker"])
+def test_a_failed_fork_leaves_its_dumps_to_this_process(tmp_path, monkeypatch, made):
+    fork = os.fork
+    for command in (["stats"], ["export", "--all"]):
+        monkeypatch.setattr(cli, "_workers", lambda: 1)
+        expected = tmp_path / "expected" / command[0]
+        assert main([*command, "--graph", str(GOLDEN_BUILD), "--out", str(expected)]) == 0
+        forks = []
+
+        def failing():
+            if len(forks) == made:
+                raise OSError("injected fork error")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(cli, "_workers", lambda: 3)
+        monkeypatch.setattr(os, "fork", failing)
+        out = tmp_path / command[0]
+        assert main([*command, "--graph", str(GOLDEN_BUILD), "--out", str(out)]) == 0
+        monkeypatch.setattr(os, "fork", fork)
+        assert _tree(out) == _tree(expected) and _no_child_is_left()
+
+
+def test_errors_keep_their_message_and_code_through_pickle():
+    # A worker pickles the error that ends its dump; the parent raises it.
+    for error in (cli.CliError("no match", code=2), cli.CliError("corrupt"), GraphDumpError("bad dump"),
+                  OSError(2, "No such file or directory", "x.json")):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        assert getattr(copy, "code", None) == getattr(error, "code", None)
+
+
+def test_one_worker_per_usable_cpu(monkeypatch):
+    assert cli._workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    assert cli._workers() == 1
 
 
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
@@ -1285,6 +1596,22 @@ class TestUnreadableInputs:
             out = tmp_path / command[0]
             assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"refgraph: error: corrupt graph dump: {problem} in {path}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("control", ["\x00", "\x07", "\x1b", "\x7f", "\x9b"])
+    def test_control_character_in_a_dump_signature(self, tmp_path, capsys, control):
+        # JSON writes the character as an escape, "\u0000"; it must not reach a DOT file.
+        dump = corpus.read_dump(TESTS_DIR / "golden" / "build" / "mpandroidchart" / "graph.json")
+        target = dump["edges"][1]["target"]
+        dump["edges"][1]["target"] = target.replace("#", f"#x{control}", 1)
+        path = tmp_path / "graph.json"
+        path.write_text(corpus.dump_text(dump), encoding="utf-8")
+        signature = dump["edges"][1]["target"]
+        for command in (["stats"], ["export", "--all"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--graph", str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"refgraph: error: corrupt graph dump: line 3: control character"
+                                               f" {control!r} in signature: {signature!r} in {path}\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("content, problem", [

@@ -91,6 +91,31 @@ class TestParseSignature:
         assert signature == "Foo#m(int)"
         assert signature_parts(signature) == ("", "Foo", "m")
 
+    @pytest.mark.parametrize("raw", ["p.A $B#m()", "p.A$ B#m()", "p.A \t$\n B#m()", " p . A $ B #m()"])
+    def test_whitespace_next_to_a_dollar_is_dropped(self, raw):
+        signature = parse_signature(raw)
+        assert signature == "p.A$B#m()"
+        assert signature_parts(signature) == ("p", "A$B", "m")
+
+    @pytest.mark.parametrize("raw", [
+        "p.A\x07B#m()",  # in the class path
+        "\x00p.A#m()",
+        "p.A#n\x00x()",  # in the method name
+        "p.A#m\x7f()",
+        "p.A#m(in\x1bt, long)",  # in a parameter
+        "p.A#m(int, List<\x9fString>)",
+        "p.A#m(int)\x08",  # at the end, where whitespace would be stripped
+    ])
+    def test_control_characters_other_than_whitespace_are_refused(self, raw):
+        control = next(c for c in raw if ord(c) < 0x20 or 0x7F <= ord(c) <= 0x9F)
+        with pytest.raises(SignatureError) as excinfo:
+            parse_signature(raw)
+        assert str(excinfo.value) == f"control character {control!r} in signature: {raw!r}"
+
+    @pytest.mark.parametrize("space", ["\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1f", "\x85"])
+    def test_control_characters_that_are_whitespace_are_whitespace(self, space):
+        assert parse_signature(f"{space}p.{space}A#m({space}int,{space}long{space}){space}") == "p.A#m(int, long)"
+
     def test_whitespace_stripped(self):
         assert parse_signature("  util.Foo#m( int ,  Map<K, V> ) ") == "util.Foo#m(int, Map<K, V>)"
         assert parse_signature("com. test .Foo\t.Bar #m()") == "com.test.Foo.Bar#m()"
@@ -109,6 +134,11 @@ class TestParseSignature:
             ("a.B#m(Set<?  extends\tNumber>)", ("Set<? extends Number>",)),
             ("a.B#m(Map<K,List< V >>[],Map.Entry<K ,V>)", ("Map<K, List<V>>[]", "Map.Entry<K, V>")),
             ("a.B#m(Function<?  super T,\n? extends R>)", ("Function<? super T, ? extends R>",)),
+            # whitespace before varargs' "..." is dropped, as it is after ">"
+            ("a.B#m(String ...)", ("String...",)),
+            ("a.B#m(int,\tString\n ...)", ("int", "String...")),
+            ("a.B#m(Map<K, V> ...)", ("Map<K, V>...",)),
+            ("a.B#m(int[] ...)", ("int[]...",)),
         ],
     )
     def test_parameter_spacing_is_canonical(self, raw, params):
