@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -23,6 +24,7 @@ from .graph import (
     RefactoringGraph,
     build,
     dump_chunks,
+    dump_paths,
     filter_multi_commit,
     graph_to_dict,
     load_graph,
@@ -37,7 +39,7 @@ from .ingest import (
     apply_filters,
     parse_records,
 )
-from .metrics import aggregate, measure
+from .metrics import ProjectAgesError, aggregate, load_project_ages, measure
 from .report import TABLE_FILES, emit_dot, emit_tables, write_json_summary
 
 RUN_LOG_VERSION = "1"
@@ -112,7 +114,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, RecordError, CommitLogError, GraphDumpError) as exc:
+    except (CliError, OSError, RecordError, CommitLogError, GraphDumpError, ProjectAgesError) as exc:
         print(f"refgraph: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1
 
@@ -138,7 +140,7 @@ def _min_commits(args) -> int:
     return args.min_commits
 
 
-def _commit_logs(args) -> dict[str, dict]:
+def _commit_log_paths(args) -> dict[str, str]:
     paths: dict[str, str] = {}
     for item in args.commit_log:
         project, sep, path = item.partition("=")
@@ -147,42 +149,72 @@ def _commit_logs(args) -> dict[str, dict]:
         if project in paths:
             raise CliError(f"--commit-log given more than once for project {project!r}", code=2)
         paths[project] = path
-    return {project: load_commit_log(path) for project, path in paths.items()}
+    return paths
+
+
+def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
+    """What the byte range ``(path, start, end)`` of a records file gives: its line count, its records'
+    projects, its parsed, skipped and excluded counts, then its kept records as plain tuples, 1024 at a time.
+    The range is parsed whole first, so a worker does not wait on its pipe while it parses."""
+    lines = itertools.count()  # counts a line each time the file gives one
+    with ingest.open_range(*item) as handle:
+        records, issues = parse_records((line for line, _ in zip(handle, lines)), strict=strict)
+    kept, excluded = apply_filters(records, config)
+    yield next(lines), {record.project for record in records}, len(records), len(issues), excluded
+    del records
+    while kept:  # each batch let go once sent, so in one process the records are not held twice
+        yield list(map(tuple, kept[:1024]))
+        del kept[:1024]
 
 
 def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[RefactoringRecord]], dict]:
     """The records analyzed per project, in first-record order, and the run
     log's ``inputs`` and ``stages`` blocks. Each caller builds one project's
-    graph at a time from them."""
-    logs = _commit_logs(args)
+    graph at a time from them. Each records file is cut into byte ranges,
+    parsed and filtered in forked workers."""
+    from .workers import OrderedMap  # here: importing the CLI loads neither pickle nor signal
 
+    log_paths = _commit_log_paths(args)
+    n = _workers()
+    ranges = [(path, *span) for path in args.records for span in ingest.record_ranges(path, n)]
+    share = {}.setdefault  # so a string two ranges hold is one object here
     records: list[RefactoringRecord] = []
-    inputs = []
-    for path in args.records:
-        # A leading byte-order mark is skipped. Undecodable bytes become lone
-        # surrogates, which parse_records reports per line, so one bad line
-        # does not end the run.
-        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-            result = parse_records(handle, strict=args.strict)
-        records.extend(result.records)
-        inputs.append({"path": str(path), "records": len(result.records), "skipped": len(result.issues)})
-    parsed_projects = {record.project for record in records}
+    inputs, projects, excluded = [], set(), dict.fromkeys(ingest.FILTER_REASONS, 0)
+    with OrderedMap(functools.partial(_parsed, args.strict, config), ranges, n,
+                    lambda item: CliError(f"the worker process parsing {item[0]} ended before it was done")) as results:
+        logs = {project: load_commit_log(path) for project, path in log_paths.items()}  # as the workers parse
+        for (path, start, _), values in zip(ranges, results):
+            if not start:
+                inputs.append({"path": str(path), "records": 0, "skipped": 0})
+                offset = 0  # lines in the file's ranges before this one
+            try:
+                lines, seen, parsed, skipped, dropped = next(values)
+            except RecordError as exc:  # numbered within its range
+                raise RecordError(offset + exc.line_no, exc.message) from None
+            offset += lines
+            projects |= seen
+            inputs[-1]["records"] += parsed
+            inputs[-1]["skipped"] += skipped
+            for reason, count in dropped.items():
+                excluded[reason] += count
+            for batch in values:
+                records.extend(RefactoringRecord._make(map(share, fields, fields)) for fields in batch)
+    del share
     for project in logs:
-        if project not in parsed_projects:
+        if project not in projects:
             raise CliError(f"--commit-log project {project!r} matches no record", code=2)
 
-    filtered, excluded = apply_filters(records, config)
     stages = {
-        "parsed": len(records),
+        "parsed": sum(entry["records"] for entry in inputs),
         "parse_skipped": sum(entry["skipped"] for entry in inputs),
         "excluded": excluded,
-        "filtered": len(filtered),
+        "filtered": len(records),
         "off_branch_dropped": 0,
         "ambiguous_commit": 0,
     }
 
     by_project: dict[str, list[RefactoringRecord]] = {}
-    for record in filtered:
+    for record in records:
         by_project.setdefault(record.project, []).append(record)
 
     for project, log in logs.items():
@@ -205,37 +237,15 @@ def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Re
     return len(subgraphs), sum(1 for s in subgraphs if s.commit_count() == 1), kept
 
 
-def _expand_graph_paths(paths: Sequence[str]) -> list[Path]:
-    expanded: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            candidates = sorted(path.glob("*/graph.json"))
-            if (path / "graph.json").is_file():
-                candidates.insert(0, path / "graph.json")
-            if not candidates and not (path / "run_log.json").is_file():  # a build's run log alone: no project
-                raise CliError(f"no graph dumps found under {path}")
-            expanded.extend(candidates)
-        elif path.is_file():
-            expanded.append(path)
-        else:
-            raise CliError(f"graph dump not found: {path}")
-    first: dict[Path, Path] = {}  # so B and B/p/graph.json load p once, under its first spelling
-    for path in expanded:
-        first.setdefault(path.resolve(), path)
-    return list(first.values())
-
-
 def _workers() -> int:  # one per CPU this process may run on, or one where the platform cannot tell
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable]) -> Iterator[tuple[str, Iterator]]:
     """``(project, values)`` per dump under ``paths`` in path order, ``values`` being what ``work`` gives
-    for its graph; a second dump of one project is an error. The dumps are dealt round-robin to forked
-    workers and read back in path order, so errors come in path order; closing this kills and reaps them."""
-    import pickle  # here: build needs neither
-    import signal
+    for its graph; a second dump of one project is an error. The dumps load in forked workers, read back
+    in path order, so errors come in path order; closing this kills and reaps them."""
+    from .workers import OrderedMap
 
     def loaded(path):  # the dump's project, then what work gives for its graph
         ingest.clear_caches()  # frees the strings only the dumps loaded before held
@@ -243,57 +253,15 @@ def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable]
         yield project
         yield from work(graph)
 
-    def received(pipe, path):  # what a worker sent for the dump at path
-        try:
-            while (value := pickle.load(pipe)) is not None:
-                if isinstance(value, Exception):
-                    raise value
-                yield value
-        except (EOFError, pickle.UnpicklingError):  # the worker died mid-dump: killed, say, or out of memory
-            raise CliError(f"the worker process loading {path} ended before it was done") from None
-
-    dumps = _expand_graph_paths(paths)
-    n = min(len(dumps), _workers())
-    workers = []  # (pid, read end of its pipe)
-    try:
-        while n > 1 and len(workers) < n:  # with one worker, and for those a failed fork leaves out, work runs here
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                break
-            if not pid:  # a worker, which leaves only through os._exit: nothing of the parent's runs twice
-                try:
-                    for fd in [read, *(pipe.fileno() for _, pipe in workers)]:  # so it cannot block on a dead parent
-                        os.close(fd)
-                    with open(write, "wb") as pipe:
-                        for path in dumps[len(workers)::n]:
-                            try:
-                                for value in loaded(path):
-                                    pickle.dump(value, pipe)
-                                value = None
-                            except Exception as exc:  # raised in the parent, in path order
-                                value = exc
-                            pickle.dump(value, pipe)  # the end of the dump
-                            pipe.flush()
-                finally:
-                    os._exit(0)
-            os.close(write)
-            workers.append((pid, open(read, "rb")))
-        first: dict[str, Path] = {}  # project -> the dump that named it
-        for i, path in enumerate(dumps):
-            values = received(workers[i % n][1], path) if i % n < len(workers) else loaded(path)
+    dumps = dump_paths(paths)
+    first: dict[str, Path] = {}  # project -> the dump that named it
+    with OrderedMap(loaded, dumps, _workers(),
+                    lambda path: CliError(f"the worker process loading {path} ended before it was done")) as results:
+        for path, values in zip(dumps, results):
             project = next(values)
             if first.setdefault(project, path) != path:
                 raise CliError(f"graph dumps {first[project]} and {path} both name project {project!r}")
             yield project, values
-    finally:
-        for pid, pipe in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
 
 
 def _safe_name(identifier: str, fallback: str) -> str:
@@ -434,27 +402,6 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _project_ages(args) -> dict[str, float] | None:
-    if not args.project_ages:
-        return None
-    try:
-        with open(args.project_ages, "r", encoding="utf-8-sig") as handle:
-            data = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"invalid UTF-8 in project ages file {args.project_ages}: {exc.reason}") from None
-    except RecursionError:
-        raise CliError(f"invalid project ages file {args.project_ages}: nested too deeply") from None
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
-        raise CliError(f"invalid project ages file {args.project_ages}: {exc}") from None
-    # json reads NaN and Infinity, and 1e400 as inf: an age must be a finite float
-    if not isinstance(data, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-        for v in data.values()
-    ):
-        raise CliError(f"project ages file must map project names to numbers: {args.project_ages}")
-    return {str(k): float(v) for k, v in data.items()}
-
-
 def cmd_stats(args) -> int:
     min_commits = _min_commits(args)
     if bool(args.records) == bool(args.graph):
@@ -464,7 +411,7 @@ def cmd_stats(args) -> int:
         if getattr(args, dest) not in (None, False, []):  # given, not left at its default
             raise CliError(f"--{dest.replace('_', '-')} applies only with --records", code=2)
     with _output_tree(args.out, "stats") as out:
-        ages = _project_ages(args)
+        ages = load_project_ages(args.project_ages) if args.project_ages else None
         if args.records:
             records = _run_front_pipeline(args, _filter_config(args))[0]
             results = ((project, [_split(build(group), min_commits)]) for project, group in records.items())

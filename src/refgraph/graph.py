@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import operator
 from json.encoder import encode_basestring_ascii as _encode
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import EDGE_KEYS, RefactoringRecord, parse_edge_fields, require_strings
@@ -169,6 +170,32 @@ def _decode_line(line: str, path, line_no: int):
     except ValueError as exc:  # an integer too long for int()
         problem = str(exc)
     raise GraphDumpError(f"invalid JSON in graph dump {path}: line {line_no}: {problem}")
+
+
+def dump_paths(paths: Sequence[str]) -> list[Path]:
+    """The dump files ``paths`` name, in order: a file is itself; a
+    directory, its own ``graph.json`` if any, then its ``*/graph.json`` in
+    name order, as ``build`` lays them out.  A dump named twice, under any
+    spelling of its path, counts once, at its first place and under its
+    first spelling."""
+    expanded: list[Path] = []
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            candidates = sorted(path.glob("*/graph.json"))
+            if (path / "graph.json").is_file():
+                candidates.insert(0, path / "graph.json")
+            if not candidates and not (path / "run_log.json").is_file():  # a build's run log alone: no project
+                raise GraphDumpError(f"no graph dumps found under {path}")
+            expanded.extend(candidates)
+        elif path.is_file():
+            expanded.append(path)
+        else:
+            raise GraphDumpError(f"graph dump not found: {path}")
+    first: dict[Path, Path] = {}  # so B and B/p/graph.json load p once, under its first spelling
+    for path in expanded:
+        first.setdefault(path.resolve(), path)
+    return list(first.values())
 
 
 def load_graph(path) -> tuple[str, RefactoringGraph]:

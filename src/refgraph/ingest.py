@@ -11,8 +11,11 @@ string but not kept: developers are told apart by email.
 from __future__ import annotations
 
 import functools
+import io
 import json
+import os
 import re
+import stat
 from datetime import datetime, timedelta
 from typing import Iterable, NamedTuple
 
@@ -44,7 +47,15 @@ class SignatureError(ValueError):
 
 
 class RecordError(ValueError):
-    """A record line is malformed (raised only in strict mode)."""
+    """A record line is malformed (raised only in strict mode): ``line_no``,
+    1-based, and the defect, ``message``."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(line_no, message)
+        self.line_no, self.message = line_no, message
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.message}"
 
 
 #: The eight method-level refactoring operations: a record's ``type`` is one
@@ -346,6 +357,67 @@ def clear_caches() -> None:
         memo.cache_clear()
 
 
+def record_ranges(path, parts: int) -> list[tuple[int, int | None]]:
+    """Byte ranges ``(start, end)`` that cover the record file at ``path`` in
+    order, at most ``parts`` of them, of about equal size; ``end`` is None for
+    the last, which reads to the end of the file.  Every other range ends just
+    after a ``\\n``, so none splits a line, a ``\\r\\n`` pair or a UTF-8
+    sequence.  A file that is not a regular file, or that cannot be read
+    here, is one range, and reading it reports the error in its turn."""
+    cuts = [0]
+    try:
+        if parts > 1 and stat.S_ISREG(os.stat(path).st_mode):  # a pipe, say, cannot seek
+            with open(path, "rb") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                for part in range(1, parts):
+                    handle.seek(max(size * part // parts, cuts[-1]))
+                    # to just after the next \n; a line over 64 KiB long here gets no cut
+                    if handle.readline(1 << 16).endswith(b"\n") and handle.tell() < size:
+                        cuts.append(handle.tell())
+    except OSError:
+        pass
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+class _Range(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, which closing this closes."""
+
+    def __init__(self, file, size: int):
+        super().__init__()
+        self._file, self._left = file, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def open_range(path, start: int, end: int | None) -> io.TextIOWrapper:
+    """Bytes ``start`` to ``end`` (None: the end of the file) of the record
+    file at ``path``, as lines decoded as in reading the whole file with
+    ``open(path, encoding="utf-8-sig", errors="surrogateescape")``, given
+    that ``start`` is 0 or just after a ``\\n``: universal newlines, and a
+    byte-order mark skipped only at offset 0.  Undecodable bytes become lone
+    surrogates, which :func:`parse_records` reports per line, so one bad
+    line does not end the run.  Read a piece at a time."""
+    handle = open(path, "rb")
+    try:
+        if start:
+            handle.seek(start)
+        return io.TextIOWrapper(handle if end is None else _Range(handle, end - start),
+                                encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape")
+    except BaseException:
+        handle.close()
+        raise
+
+
 def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
     """Parse a stream of record lines, collecting per-line errors.
 
@@ -362,7 +434,7 @@ def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
             records.append(parse_record_line(line))
         except ValueError as exc:  # SignatureError is a ValueError
             if strict:
-                raise RecordError(f"line {line_no}: {exc}") from None
+                raise RecordError(line_no, str(exc)) from None
             issues.append(ParseIssue(line_no, str(exc)))
     return ParseResult(tuple(records), tuple(issues))
 

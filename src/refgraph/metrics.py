@@ -9,7 +9,9 @@ p-value.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from collections import Counter
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
@@ -31,6 +33,10 @@ class CorrelationError(ValueError):
     """Correlation is undefined for the given series."""
 
 
+class ProjectAgesError(ValueError):
+    """A project ages file is not a JSON object mapping names to finite numbers."""
+
+
 class SubgraphMetrics(NamedTuple):
     """Measured values only: :func:`aggregate` derives composition and authorship."""
 
@@ -47,6 +53,26 @@ class SpearmanResult(NamedTuple):
     rho: float
     n: int
     p_approx: float
+
+
+def load_project_ages(path) -> dict[str, float]:
+    """Read a JSON file mapping project name to age, for :func:`aggregate`."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            data = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ProjectAgesError(f"invalid UTF-8 in project ages file {path}: {exc.reason}") from None
+    except RecursionError:
+        raise ProjectAgesError(f"invalid project ages file {path}: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
+        raise ProjectAgesError(f"invalid project ages file {path}: {exc}") from None
+    # json reads NaN and Infinity, and 1e400 as inf: an age must be a finite float
+    if not isinstance(data, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+        for v in data.values()
+    ):
+        raise ProjectAgesError(f"project ages file must map project names to numbers: {path}")
+    return {str(k): float(v) for k, v in data.items()}
 
 
 def round_half_up(value: float, digits: int = 1) -> float:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import gc
+import io
 import json
 import os
 import pickle
@@ -19,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from refgraph import cli
+from refgraph import cli, ingest
 from refgraph.cli import main
 from refgraph.graph import GraphDumpError, build, graph_to_dict, load_graph, partition
-from refgraph.ingest import _MEMOS, clear_caches
+from refgraph.ingest import _MEMOS, clear_caches, parse_record_line
 from refgraph.report import emit_dot, emit_tables
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
@@ -67,13 +69,13 @@ def _read_csv(path):
 
 @pytest.fixture
 def one_process(monkeypatch):
-    """``stats --graph`` and ``export`` load every dump in the test's own process."""
+    """Every command parses its records and loads its dumps in the test's own process."""
     monkeypatch.setattr(cli, "_workers", lambda: 1)
 
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """``stats --graph`` and ``export`` deal their dumps to two forked workers, whatever the CPU count."""
+    """Every command deals its record file ranges or its dumps to two forked workers, whatever the CPU count."""
     monkeypatch.setattr(cli, "_workers", lambda: 2)
 
 
@@ -1346,25 +1348,25 @@ def test_a_repeated_project_is_reported_before_a_later_error_of_its_dump(tmp_pat
         assert not out.exists() and _temporaries(out) == [] and _no_child_is_left()
 
 
-def _killed_in_a_worker(project, func):
-    """``func``, except that a worker process loading the dump of ``project`` kills itself."""
+def _killed_in_a_worker(when, func):
+    """``func``, except that a worker process calling it with arguments ``when`` is true of kills itself."""
     parent = os.getpid()
 
-    def loading(path):
-        if Path(path).parent.name == project and os.getpid() != parent:
+    def calling(*args):
+        if when(*args) and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return func(path)
+        return func(*args)
 
-    return loading
+    return calling
 
 
-def _killed_mid_value(project, dump):
-    """``pickle.dump``, except that a worker sending the project name
-    ``project`` writes half of it and kills itself."""
+def _killed_mid_value(when, dump):
+    """``pickle.dump``, except that a worker sending a value ``when`` is
+    true of writes half of it and kills itself."""
     parent = os.getpid()
 
     def dumping(value, file, *args, **kwargs):
-        if value == project and os.getpid() != parent:
+        if when(value) and os.getpid() != parent:
             data = pickle.dumps(value)
             file.write(data[: len(data) // 2])
             file.flush()
@@ -1374,55 +1376,91 @@ def _killed_mid_value(project, dump):
     return dumping
 
 
-@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
-@pytest.mark.parametrize("when", ["loading", "sending"])
+def _loading_okhttp(path):
+    return Path(path).parent.name == "okhttp"
+
+
+def _open_fds():
+    """The file descriptors this process holds open."""
+    return sorted(os.listdir("/dev/fd"))
+
+
+# Each command on inputs its workers split between them: the byte ranges of
+# the demo records, or the four golden dumps.
+_WORKER_RUNS = {
+    "build": ["build", "--records", str(DEMO_RECORDS)],
+    "stats": ["stats", "--graph", str(GOLDEN_BUILD)],
+    "export": ["export", "--all", "--graph", str(GOLDEN_BUILD)],
+}
+_KILLED = [("loading", "stats"), ("loading", "export"), ("sending", "stats"), ("sending", "export"),
+           ("parsing", "build"), ("sending", "build")]
+
+
+@pytest.mark.parametrize("when, command", _KILLED, ids=[f"{when}-{command}" for when, command in _KILLED])
 @pytest.mark.usefixtures("two_workers")
 def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatch, capsys, command, when):
     if when == "loading":
-        monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker("okhttp", load_graph))
-    else:  # the pipe then ends inside a pickle
-        monkeypatch.setattr(pickle, "dump", _killed_mid_value("okhttp", pickle.dump))
+        monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker(_loading_okhttp, load_graph))
+    elif when == "parsing":  # the second of the two ranges of the records file
+        monkeypatch.setattr(ingest, "open_range", _killed_in_a_worker(lambda path, start, end: start > 0,
+                                                                      ingest.open_range))
+    else:  # the pipe then ends inside a pickle: the dump's project, or the first batch of records
+        sent = (lambda value: isinstance(value, list)) if command == "build" else (lambda value: value == "okhttp")
+        monkeypatch.setattr(pickle, "dump", _killed_mid_value(sent, pickle.dump))
 
     def hung(signum, frame):
         raise TimeoutError("the run did not end")
 
+    fds = _open_fds()
     previous = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 60)
     try:
-        code = main([*command, "--graph", str(GOLDEN_BUILD), "--out", str(tmp_path / "out")])
+        code = main([*_WORKER_RUNS[command], "--out", str(tmp_path / "out")])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 1
-    dump = GOLDEN_BUILD / "okhttp" / "graph.json"
-    assert capsys.readouterr().err == f"refgraph: error: the worker process loading {dump} ended before it was done\n"
+    doing = f"parsing {DEMO_RECORDS}" if command == "build" else f"loading {GOLDEN_BUILD / 'okhttp' / 'graph.json'}"
+    assert capsys.readouterr().err == f"refgraph: error: the worker process {doing} ended before it was done\n"
     assert not (tmp_path / "out").exists() and not _temporaries(tmp_path / "out") and _no_child_is_left()
+    assert _open_fds() == fds
 
 
-@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
-@pytest.mark.parametrize("outcome", [
-    "success", "corrupt-dump", "repeated-project", "write-error", "interrupt", "killed-worker",
-])
+_OUTCOMES = [(outcome, command) for outcome in ("success", "corrupt-dump", "repeated-project", "write-error",
+                                                "interrupt", "killed-worker") for command in ("stats", "export")]
+_OUTCOMES += [(outcome, "build") for outcome in ("success", "strict-failure", "write-error", "interrupt",
+                                                  "killed-worker")]
+
+
+@pytest.mark.parametrize("outcome, command", _OUTCOMES, ids=[f"{outcome}-{command}" for outcome, command in _OUTCOMES])
 @pytest.mark.usefixtures("two_workers")
 def test_no_worker_is_left_after_a_run(tmp_path, monkeypatch, capsys, command, outcome):
-    graph = [str(GOLDEN_BUILD)]
+    argv = _WORKER_RUNS[command]
     if outcome == "corrupt-dump":
-        graph.append(str(tmp_path / "bad" / "graph.json"))
-        _corrupt_copy(Path(graph[-1]), corpus.read_dump(GOLDEN_BUILD / "okhttp" / "graph.json"), 0, type="bogus")
+        argv = [*argv, str(tmp_path / "bad" / "graph.json")]
+        _corrupt_copy(Path(argv[-1]), corpus.read_dump(GOLDEN_BUILD / "okhttp" / "graph.json"), 0, type="bogus")
     elif outcome == "repeated-project":
-        graph.append(str(tmp_path / "okhttp.json"))
-        shutil.copy(GOLDEN_BUILD / "okhttp" / "graph.json", graph[-1])
-    elif outcome == "write-error":  # in this process: export's while the workers run, stats' after them
-        if command == ["stats"]:
+        argv = [*argv, str(tmp_path / "okhttp.json")]
+        shutil.copy(GOLDEN_BUILD / "okhttp" / "graph.json", argv[-1])
+    elif outcome == "strict-failure":  # in the second range
+        records = tmp_path / "bad.jsonl"
+        records.write_text(DEMO_RECORDS.read_text(encoding="utf-8") + CORRUPT_LINE, encoding="utf-8")
+        argv = ["build", "--strict", "--records", str(records)]
+    elif outcome == "write-error":  # in this process: export's while the workers run, stats' and build's after them
+        if command == "stats":
             monkeypatch.setattr(cli, "emit_tables", _fail_on_call(1, emit_tables))
         else:
             monkeypatch.setattr(cli, "_project_dir", _fail_on_call(2, cli._project_dir))
     elif outcome == "interrupt":  # while this process waits on a worker
         monkeypatch.setattr(pickle, "load", _fail_on_call(2, pickle.load, KeyboardInterrupt()))
+    elif outcome == "killed-worker" and command == "build":
+        monkeypatch.setattr(ingest, "open_range", _killed_in_a_worker(lambda path, start, end: start > 0,
+                                                                      ingest.open_range))
     elif outcome == "killed-worker":
-        monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker("okhttp", load_graph))
+        monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker(_loading_okhttp, load_graph))
     out = tmp_path / "out"
-    argv = [*command, "--graph", *graph, "--out", str(out)]
+    argv = [*argv, "--out", str(out)]
+    fds = _open_fds()
     if outcome == "interrupt":
         with pytest.raises(KeyboardInterrupt):
             main(argv)
@@ -1431,15 +1469,16 @@ def test_no_worker_is_left_after_a_run(tmp_path, monkeypatch, capsys, command, o
         assert capsys.readouterr().err.startswith("refgraph: error:") == (outcome != "success")
     assert out.exists() == (outcome == "success")
     assert _temporaries(out) == [] and _no_child_is_left()
+    assert _open_fds() == fds
 
 
 @pytest.mark.parametrize("made", [0, 1], ids=["no-worker", "one-worker"])
 def test_a_failed_fork_leaves_its_dumps_to_this_process(tmp_path, monkeypatch, made):
     fork = os.fork
-    for command in (["stats"], ["export", "--all"]):
+    for command, argv in _WORKER_RUNS.items():  # build's are the ranges of its records file
         monkeypatch.setattr(cli, "_workers", lambda: 1)
-        expected = tmp_path / "expected" / command[0]
-        assert main([*command, "--graph", str(GOLDEN_BUILD), "--out", str(expected)]) == 0
+        expected = tmp_path / "expected" / command
+        assert main([*argv, "--out", str(expected)]) == 0
         forks = []
 
         def failing():
@@ -1450,8 +1489,8 @@ def test_a_failed_fork_leaves_its_dumps_to_this_process(tmp_path, monkeypatch, m
 
         monkeypatch.setattr(cli, "_workers", lambda: 3)
         monkeypatch.setattr(os, "fork", failing)
-        out = tmp_path / command[0]
-        assert main([*command, "--graph", str(GOLDEN_BUILD), "--out", str(out)]) == 0
+        out = tmp_path / command
+        assert main([*argv, "--out", str(out)]) == 0
         monkeypatch.setattr(os, "fork", fork)
         assert _tree(out) == _tree(expected) and _no_child_is_left()
 
@@ -1471,6 +1510,109 @@ def test_one_worker_per_usable_cpu(monkeypatch):
     assert cli._workers() == 1
 
 
+# What a records file may hold that a cut between byte ranges must read as one
+# process reads it: lines that are blank, malformed or hold undecodable bytes,
+# a byte-order mark before a record mid-file, each kind of line end.
+_ODD_LINES = {
+    "blank": b"",
+    "spaces": b"  \t",
+    "malformed": CORRUPT_LINE.strip().encode("utf-8"),
+    "not-json": b"{oops",
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_edges=st.integers(1, 40),
+       odd=st.lists(st.sampled_from(["blank", "spaces", "malformed", "not-json", "undecodable", "bom"]), max_size=6),
+       ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=5),
+       bom_first=st.booleans(), final_end=st.booleans())
+@example(seed=1, n_edges=12, odd=["bom", "undecodable", "malformed", "blank"], ends=[b"\r\n", b"\r", b"\n"],
+         bom_first=True, final_end=False)
+def test_records_cut_into_ranges_build_what_one_process_builds(seed, n_edges, odd, ends, bom_first, final_end):
+    rng = random.Random(seed)
+    records = []
+    for project in ("alpha", "beta"):
+        records += corpus.random_records(rng, n_edges, pool_size=rng.randint(2, n_edges + 2),
+                                         n_commits=rng.randint(1, 4), project=project)
+    rng.shuffle(records)
+    lines = [json.dumps(corpus.record_dict(record)).encode("utf-8") for record in records]
+    for kind in odd:
+        if kind == "undecodable":
+            line = rng.choice(lines[:n_edges]).replace(b'"author_name": "', b'"author_name": "\xff', 1)
+        elif kind == "bom":  # a byte-order mark not at the start of the file is a character of its line
+            line = codecs.BOM_UTF8 + rng.choice(lines[:n_edges])
+        else:
+            line = _ODD_LINES[kind]
+        lines.insert(rng.randint(0, len(lines)), line)
+    data = b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    if not final_end:
+        data = data[: len(data) - len(ends[(len(lines) - 1) % len(ends)])]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "records.jsonl"
+        path.write_bytes((codecs.BOM_UTF8 if bom_first else b"") + data)
+        errors = {}
+        for workers in (1, 2, 3):
+            with mock.patch.object(cli, "_workers", lambda: workers):
+                argv = ["build", "--records", str(path)]
+                assert main([*argv, "--out", str(tmp / f"out-{workers}")]) == 0
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main([*argv, "--strict", "--out", str(tmp / f"strict-{workers}")])
+                errors[workers] = code, err.getvalue()
+        assert _tree(tmp / "out-2") == _tree(tmp / "out-1") and _tree(tmp / "out-3") == _tree(tmp / "out-1")
+        skipped = _read_json(tmp / "out-1" / "run_log.json")["stages"]["parse_skipped"]
+        assert errors[2] == errors[3] == errors[1] == ((1, errors[1][1]) if skipped else (0, ""))
+        if skipped:  # the first bad line in the file, under its number in the file
+            with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+                first = next(n for n, line in enumerate(handle, 1) if line.strip() and _bad(line))
+            assert errors[1][1].startswith(f"refgraph: error: line {first}: ")
+        else:  # the same outputs, the run log's config aside
+            strict, lax = _tree(tmp / "strict-1"), _tree(tmp / "out-1")
+            assert strict.pop("run_log.json").replace(b'"strict": true', b'"strict": false') == lax.pop("run_log.json")
+            assert strict == lax
+
+
+def _bad(line):
+    try:
+        parse_record_line(line)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_a_records_file_named_twice_is_read_twice(tmp_path, monkeypatch):
+    # Two inputs entries and twice the parsed count, as in one process, though
+    # each name is cut into ranges of its own.
+    records = str(DEMO_RECORDS)
+    assert main(["build", "--records", records, "--out", str(tmp_path / "once")]) == 0
+    assert main(["build", "--records", records, records, "--out", str(tmp_path / "twice")]) == 0
+    once, twice = (_read_json(tmp_path / run / "run_log.json") for run in ("once", "twice"))
+    assert twice["inputs"] == once["inputs"] * 2
+    assert twice["stages"]["parsed"] == 2 * once["stages"]["parsed"]
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    assert main(["build", "--records", records, records, "--out", str(tmp_path / "one-process")]) == 0
+    assert _tree(tmp_path / "twice") == _tree(tmp_path / "one-process")
+
+
+def test_a_string_two_ranges_hold_is_one_object(tmp_path, monkeypatch):
+    # The demo records twice over: each value of the second range is in the first too.
+    text = DEMO_RECORDS.read_text(encoding="utf-8")
+    path = tmp_path / "twice.jsonl"
+    path.write_text(text + text, encoding="utf-8")
+    assert len(ingest.record_ranges(path, 2)) == 2
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    groups = []
+    monkeypatch.setattr(cli, "build", lambda group: groups.append(group) or build(group))
+    assert main(["build", "--records", str(path), "--out", str(tmp_path / "out")]) == 0
+    objects: dict[str, set[int]] = {}  # each vertex, commit, email, timestamp, project and type -> its objects
+    for record in (record for group in groups for record in group):
+        for value in record:
+            objects.setdefault(value, set()).add(id(value))
+    assert len(objects) > 20 and all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.usefixtures("one_process")  # the caches of this process are the ones parsing
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
     # The first run starts from empty parser caches, the second reuses them.
     clear_caches()

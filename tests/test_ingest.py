@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import codecs
 import json
+import os
+import pickle
 import random
 import re
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -583,6 +587,63 @@ class TestParseRecords:
         assert result.issues[0].message.startswith("invalid UTF-8")
         with pytest.raises(RecordError, match="line 1: invalid UTF-8"):
             parse_records([bad], strict=True)
+
+    def test_strict_error_keeps_its_line_and_message_through_pickle(self):
+        # A worker process pickles the error; the parent renumbers it by the lines before its range.
+        with pytest.raises(RecordError) as caught:
+            parse_records([VALID_LINE, "{broken"], strict=True)
+        copy = pickle.loads(pickle.dumps(caught.value))
+        assert (copy.line_no, copy.message, str(copy)) == (2, caught.value.message, str(caught.value))
+        assert str(copy).startswith("line 2: invalid JSON")
+
+
+# Bytes a record file may hold that a cut between ranges must not change the
+# reading of: line ends of all three kinds, byte-order marks, a UTF-8
+# sequence of each length, bytes UTF-8 cannot decode, blank lines.
+_FILE_PIECES = st.sampled_from([
+    b"\n", b"\r\n", b"\r", b"\r\r\n", codecs.BOM_UTF8, b"\xef\xbb", b"\xff", b"\xe2\x82", b"\xc3\xa9",
+    "\u20ac".encode(), "\U0001f600".encode(), b"{}", b" ", b"a", b"bc",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(_FILE_PIECES, max_size=40), parts=st.integers(1, 6))
+@example(pieces=[codecs.BOM_UTF8, b"a", b"\r\n", codecs.BOM_UTF8, b"b", b"\n", b"\xff", b"\r"], parts=3)
+def test_record_file_ranges_read_as_the_whole_file(pieces, parts):
+    data = b"".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        ranges = ingest.record_ranges(path, parts)
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            whole = list(handle)
+        lines = []
+        for start, end in ranges:
+            with ingest.open_range(path, start, end) as handle:
+                lines += list(handle)
+    assert lines == whole
+    # the ranges follow each other from offset 0, each but the last ending just after a \n
+    assert 1 <= len(ranges) <= parts and ranges[0][0] == 0 and ranges[-1][1] is None
+    for (_, end), (start, _) in zip(ranges, ranges[1:]):
+        assert end == start and data[end - 1 : end] == b"\n" and end < len(data)
+
+
+def test_a_file_that_cannot_be_cut_is_one_range(tmp_path):
+    # Reading a file that is missing, or a pipe, reports or reads it as a whole, in its turn.
+    assert ingest.record_ranges(tmp_path / "missing.jsonl", 4) == [(0, None)]
+    read, write = os.pipe()
+    try:
+        os.write(write, b"a\r\nb\n")
+        os.close(write)
+        write = None
+        assert ingest.record_ranges(f"/dev/fd/{read}", 4) == [(0, None)]
+        with ingest.open_range(f"/dev/fd/{read}", 0, None) as handle:
+            assert list(handle) == ["a\n", "b\n"]
+    finally:
+        os.close(read)
+        if write is not None:
+            os.close(write)
 
 
 def _record(source: str, target: str):

@@ -48,6 +48,8 @@ def test_importing_the_cli_loads_nothing_build_does_not_run():
     loaded = _fresh_interpreter(code)
     assert "refgraph.cli" in loaded
     assert [name for name in UNUSED_BY_BUILD if name in loaded] == []
+    # the worker processes' machinery is imported when a command first forks
+    assert [name for name in ("refgraph.workers", "pickle", "signal") if name in loaded] == []
 
 
 def test_build_and_stats_run_without_hashlib(tmp_path):
