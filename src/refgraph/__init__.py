@@ -25,7 +25,6 @@ from .history import (
 from .ingest import (
     REFACTORING_TYPES,
     FilterConfig,
-    ParseIssue,
     ParseResult,
     RecordError,
     RefactoringRecord,
@@ -53,7 +52,6 @@ __all__ = [
     "CorrelationError",
     "FilterConfig",
     "MetricsError",
-    "ParseIssue",
     "ParseResult",
     "REFACTORING_TYPES",
     "RecordError",

@@ -114,7 +114,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, RecordError, CommitLogError, GraphDumpError, ProjectAgesError) as exc:
+    except (CliError, OSError, CommitLogError, GraphDumpError, ProjectAgesError) as exc:
         print(f"refgraph: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1
 
@@ -167,18 +167,19 @@ def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
         del kept[:1024]
 
 
-def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[RefactoringRecord]], dict]:
+def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, Sequence[RefactoringRecord]], dict]:
     """The records analyzed per project, in first-record order, and the run
     log's ``inputs`` and ``stages`` blocks. Each caller builds one project's
     graph at a time from them. Each records file is cut into byte ranges,
-    parsed and filtered in forked workers."""
+    parsed and filtered in forked workers; each record joins its project's
+    group as its range comes back."""
     from .workers import OrderedMap  # here: importing the CLI loads neither pickle nor signal
 
     log_paths = _commit_log_paths(args)
     n = _workers()
     ranges = [(path, *span) for path in args.records for span in ingest.record_ranges(path, n)]
     share = {}.setdefault  # so a string two ranges hold is one object here
-    records: list[RefactoringRecord] = []
+    groups: dict[str, Sequence[RefactoringRecord]] = {}
     inputs, projects, excluded = [], set(), dict.fromkeys(ingest.FILTER_REASONS, 0)
     with OrderedMap(functools.partial(_parsed, args.strict, config), ranges, n,
                     lambda item: CliError(f"the worker process parsing {item[0]} ended before it was done")) as results:
@@ -190,7 +191,7 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[Refa
             try:
                 lines, seen, parsed, skipped, dropped = next(values)
             except RecordError as exc:  # numbered within its range
-                raise RecordError(offset + exc.line_no, exc.message) from None
+                raise CliError(f"records file {path}: line {offset + exc.line_no}: {exc.message}") from None
             offset += lines
             projects |= seen
             inputs[-1]["records"] += parsed
@@ -198,7 +199,9 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[Refa
             for reason, count in dropped.items():
                 excluded[reason] += count
             for batch in values:
-                records.extend(RefactoringRecord._make(map(share, fields, fields)) for fields in batch)
+                for fields in batch:
+                    record = RefactoringRecord._make(map(share, fields, fields))
+                    groups.setdefault(record.project, []).append(record)
     del share
     for project in logs:
         if project not in projects:
@@ -208,25 +211,19 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, list[Refa
         "parsed": sum(entry["records"] for entry in inputs),
         "parse_skipped": sum(entry["skipped"] for entry in inputs),
         "excluded": excluded,
-        "filtered": len(records),
+        "filtered": sum(map(len, groups.values())),
         "off_branch_dropped": 0,
         "ambiguous_commit": 0,
     }
-
-    by_project: dict[str, list[RefactoringRecord]] = {}
-    for record in records:
-        by_project.setdefault(record.project, []).append(record)
-
     for project, log in logs.items():
-        if project not in by_project:
-            continue
-        outcome = restrict_to_log(by_project[project], log)
-        by_project[project] = list(outcome.kept)
-        stages["off_branch_dropped"] += outcome.dropped
-        stages["ambiguous_commit"] += len(outcome.issues)
+        if project in groups:
+            outcome = restrict_to_log(groups[project], log)
+            groups[project] = outcome.kept
+            stages["off_branch_dropped"] += outcome.dropped
+            stages["ambiguous_commit"] += len(outcome.issues)
 
-    stages["analyzed"] = sum(len(group) for group in by_project.values())
-    return by_project, {"inputs": inputs, "stages": stages}
+    stages["analyzed"] = sum(map(len, groups.values()))
+    return groups, {"inputs": inputs, "stages": stages}
 
 
 def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[RefactoringGraph]]:

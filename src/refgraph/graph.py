@@ -10,6 +10,7 @@ operation applied in two different commits yields two edges.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from json.encoder import encode_basestring_ascii as _encode
@@ -73,14 +74,8 @@ def build(records: Iterable[RefactoringRecord]) -> RefactoringGraph:
     ``(timestamp, author_email)`` is kept, so the graph does not depend on
     record order: sorted, that record comes first in its run.
     """
-    edges: list[RefactoringRecord] = []
-    last = None
-    for record in sorted(records):
-        if (last is None or record.source != last.source or record.target != last.target
-                or record.commit != last.commit or record.type != last.type):
-            edges.append(record)
-            last = record
-    return RefactoringGraph(edges)
+    runs = itertools.groupby(sorted(records), operator.itemgetter(0, 1, 2, 3))  # one run per edge
+    return RefactoringGraph(next(run) for _, run in runs)
 
 
 def partition(graph: RefactoringGraph) -> list[RefactoringGraph]:

@@ -47,8 +47,8 @@ class SignatureError(ValueError):
 
 
 class RecordError(ValueError):
-    """A record line is malformed (raised only in strict mode): ``line_no``,
-    1-based, and the defect, ``message``."""
+    """A malformed record line, as :func:`parse_records` reports it or, in
+    strict mode, raises it: ``line_no``, 1-based, and the defect, ``message``."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(line_no, message)
@@ -98,16 +98,9 @@ class FilterConfig(NamedTuple):
     drop_constructors: bool = True
 
 
-class ParseIssue(NamedTuple):
-    """A skipped input line: 1-based line number plus the reason."""
-
-    line_no: int
-    message: str
-
-
 class ParseResult(NamedTuple):
     records: tuple[RefactoringRecord, ...]
-    issues: tuple[ParseIssue, ...]
+    issues: tuple[RecordError, ...]
 
 
 @functools.cache
@@ -421,21 +414,21 @@ def open_range(path, start: int, end: int | None) -> io.TextIOWrapper:
 def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
     """Parse a stream of record lines, collecting per-line errors.
 
-    Blank lines are ignored.  A malformed line is skipped and reported with
-    its 1-based line number; in strict mode the first malformed line raises
-    :class:`RecordError` instead.
+    Blank lines are ignored.  A malformed line is skipped and reported as a
+    :class:`RecordError`; in strict mode the first one is raised instead.
     """
     records: list[RefactoringRecord] = []
-    issues: list[ParseIssue] = []
+    issues: list[RecordError] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             records.append(parse_record_line(line))
         except ValueError as exc:  # SignatureError is a ValueError
+            issue = RecordError(line_no, str(exc))
             if strict:
-                raise RecordError(line_no, str(exc)) from None
-            issues.append(ParseIssue(line_no, str(exc)))
+                raise issue from None
+            issues.append(issue)
     return ParseResult(tuple(records), tuple(issues))
 
 

@@ -1208,26 +1208,12 @@ def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, o
     assert [name for name, _ in held] == order
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
-@pytest.mark.usefixtures("one_process")
-def test_each_dump_is_opened_once(tmp_path, monkeypatch, command):
-    build_out = TESTS_DIR / "golden" / "build"
-    opened = []
-
-    def counted(file, *args, **kwargs):
-        opened.append(Path(file))
-        return open(file, *args, **kwargs)
-
-    monkeypatch.setattr("refgraph.graph.open", counted, raising=False)
-    assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
-    assert sorted(opened) == sorted(build_out.glob("*/graph.json"))
-
-
-@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
-@pytest.mark.usefixtures("two_workers")
-def test_each_dump_is_opened_once_across_workers(tmp_path, monkeypatch, command):
+def test_each_dump_is_opened_once(tmp_path, monkeypatch, command, workers):
     build_out = TESTS_DIR / "golden" / "build"
     log = tmp_path / "opens.log"
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
     monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: file), raising=False)
     assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
     assert sorted(Path(file) for _, file in _log_lines(log)) == sorted(build_out.glob("*/graph.json"))
@@ -1565,7 +1551,7 @@ def test_records_cut_into_ranges_build_what_one_process_builds(seed, n_edges, od
         if skipped:  # the first bad line in the file, under its number in the file
             with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
                 first = next(n for n, line in enumerate(handle, 1) if line.strip() and _bad(line))
-            assert errors[1][1].startswith(f"refgraph: error: line {first}: ")
+            assert errors[1][1].startswith(f"refgraph: error: records file {path}: line {first}: ")
         else:  # the same outputs, the run log's config aside
             strict, lax = _tree(tmp / "strict-1"), _tree(tmp / "out-1")
             assert strict.pop("run_log.json").replace(b'"strict": true', b'"strict": false') == lax.pop("run_log.json")
@@ -1593,6 +1579,23 @@ def test_a_records_file_named_twice_is_read_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_workers", lambda: 1)
     assert main(["build", "--records", records, records, "--out", str(tmp_path / "one-process")]) == 0
     assert _tree(tmp_path / "twice") == _tree(tmp_path / "one-process")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_strict_error_names_its_records_file(tmp_path, monkeypatch, capsys, workers):
+    # Line 3 of the second file is bad; with two workers it is in that file's second range.
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(corpus.to_jsonl(corpus.DEMO_CORPUS), encoding="utf-8")
+    head = corpus.to_jsonl(corpus.DEMO_CORPUS[:2])
+    bad.write_text(head + CORRUPT_LINE, encoding="utf-8")
+    assert 0 < ingest.record_ranges(bad, 2)[1][0] <= len(head.encode("utf-8"))
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    message = ingest.parse_records([CORRUPT_LINE]).issues[0].message
+    for command in ("build", "stats"):
+        out = tmp_path / command
+        assert main([command, "--strict", "--records", str(good), str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: records file {bad}: line 3: {message}\n"
+        assert not out.exists()
 
 
 def test_a_string_two_ranges_hold_is_one_object(tmp_path, monkeypatch):
@@ -1673,7 +1676,7 @@ class TestUnreadableInputs:
         records = tmp_path / "records.jsonl"
         records.write_bytes(corpus.to_jsonl(corpus.DEMO_CORPUS[:2]).encode("utf-8") + b"\xfe\n")
         assert main(["build", "--records", str(records), "--out", str(tmp_path / "out"), "--strict"]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error: line 3: invalid UTF-8")
+        assert capsys.readouterr().err.startswith(f"refgraph: error: records file {records}: line 3: invalid UTF-8")
 
     def test_undecodable_commit_log(self, corpus_file, demo_commit_log_path, tmp_path, capsys):
         log = tmp_path / "log.tsv"
@@ -1720,7 +1723,8 @@ class TestUnreadableInputs:
         assert main(["export", "--graph", str(tmp_path / "build"), "--all", "--out", str(tmp_path / "dot")]) == 0
         capsys.readouterr()
         assert main(["build", "--records", str(records), "--out", str(tmp_path / "strict"), "--strict"]) == 1
-        assert capsys.readouterr().err == f"refgraph: error: line 3: field {field!r} is not valid UTF-8\n"
+        assert capsys.readouterr().err == (f"refgraph: error: records file {records}: line 3:"
+                                           f" field {field!r} is not valid UTF-8\n")
 
     @pytest.mark.parametrize("where, problem", [
         ("edge", "line 3: field 'target' is not valid UTF-8"),

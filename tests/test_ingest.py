@@ -596,6 +596,25 @@ class TestParseRecords:
         assert (copy.line_no, copy.message, str(copy)) == (2, caught.value.message, str(caught.value))
         assert str(copy).startswith("line 2: invalid JSON")
 
+    # One line of each kind of defect: the same RecordError, skipped or raised.
+    @pytest.mark.parametrize("bad", [
+        "{oops",
+        '"a string"',
+        "[" * 100_000,
+        VALID_LINE.replace("Alice", "Al\udcffce"),
+        VALID_LINE.replace('"author_name"', '"author"'),
+        VALID_LINE.replace('"move"', '"refactorize"'),
+        VALID_LINE.replace("util.Foo#m()", "util.Foo#m(Map<K, V)"),
+        VALID_LINE.replace("2019-01-01T00:00:00Z", "2019-02-30T00:00:00Z"),
+    ], ids=["not-json", "not-an-object", "deep", "undecodable", "keys", "type", "signature", "timestamp"])
+    def test_a_bad_line_is_one_record_error_skipped_or_raised(self, bad):
+        issues = parse_records([VALID_LINE, "", bad]).issues
+        with pytest.raises(RecordError) as caught:
+            parse_records([VALID_LINE, "", bad], strict=True)
+        assert [type(issue) for issue in issues] == [RecordError] and type(caught.value) is RecordError
+        assert (issues[0].line_no, issues[0].message) == (caught.value.line_no, caught.value.message)
+        assert str(issues[0]) == str(caught.value) == f"line 3: {caught.value.message}"
+
 
 # Bytes a record file may hold that a cut between ranges must not change the
 # reading of: line ends of all three kinds, byte-order marks, a UTF-8

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import refgraph
 from refgraph.history import RestrictResult
-from refgraph.ingest import DEFAULT_EXCLUDED_KEYWORDS, FilterConfig, ParseIssue, ParseResult
+from refgraph.ingest import DEFAULT_EXCLUDED_KEYWORDS, FilterConfig, ParseResult, RecordError
 from refgraph.metrics import SpearmanResult, SubgraphMetrics
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +80,6 @@ RESULT_TYPES = [
         {"excluded_package_keywords": DEFAULT_EXCLUDED_KEYWORDS, "drop_constructors": True},
         "FilterConfig(excluded_package_keywords=('a',), drop_constructors=False)",
     ),
-    (ParseIssue, {"line_no": 3, "message": "x"}, {}, "ParseIssue(line_no=3, message='x')"),
     (ParseResult, {"records": (), "issues": ()}, {}, "ParseResult(records=(), issues=())"),
     (
         RestrictResult,
@@ -119,3 +119,12 @@ def test_result_type_surface(cls, fields, defaults, text):
     with pytest.raises(AttributeError):
         setattr(value, first, fields[first])
     assert value._replace(**{first: fields[first]}) == value
+
+
+def test_record_error_surface():
+    # A skipped or strict-mode bad record line: its fields, its text, and a pickle round trip, as a worker sends it.
+    error = RecordError(3, "x")
+    assert isinstance(error, ValueError)
+    assert (error.line_no, error.message, str(error)) == (3, "x", "line 3: x")
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), copy.line_no, copy.message, str(copy)) == (RecordError, 3, "x", "line 3: x")
