@@ -29,6 +29,7 @@ from .graph import (
     graph_to_dict,
     load_graph,
     partition,
+    scan_dump,
 )
 from .history import CommitLogError, load_commit_log, restrict_to_log
 from .ingest import (
@@ -40,7 +41,7 @@ from .ingest import (
     parse_records,
 )
 from .metrics import ProjectAgesError, aggregate, load_project_ages, measure
-from .report import TABLE_FILES, emit_dot, emit_tables, write_json_summary
+from .report import TABLE_FILES, emit_dot, emit_tables, safe_name, write_json_summary
 
 RUN_LOG_VERSION = "1"
 
@@ -238,35 +239,51 @@ def _workers() -> int:  # one per CPU this process may run on, or one where the 
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable]) -> Iterator[tuple[str, Iterator]]:
+# With a selector, at most this many dumps stay open from their scan to their load, so
+# a selector most dumps hold does not run out of file descriptors; the rest are opened again.
+_HELD_DUMPS = 64
+
+
+def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable],
+              selector: str | None = None) -> Iterator[tuple[str, Iterator | None]]:
     """``(project, values)`` per dump under ``paths`` in path order, ``values`` being what ``work`` gives
-    for its graph; a second dump of one project is an error. The dumps load in forked workers, read back
-    in path order, so errors come in path order; closing this kills and reaps them."""
+    for its graph; a second dump of one project is an error. With ``selector``, each dump is first scanned
+    here, in path order, by :func:`scan_dump`, and one whose bytes do not hold it is read for its head line
+    alone: its ``values`` is None. The other dumps load in forked workers, read back in path order, so errors
+    come in path order; a dump whose scan fails is loaded, to fail in its turn. Closing this kills and reaps
+    the workers, and closes the dumps still open from their scan."""
     from .workers import OrderedMap
 
-    def loaded(path):  # the dump's project, then what work gives for its graph
+    def loaded(item):  # the dump's project, then what work gives for its graph
         ingest.clear_caches()  # frees the strings only the dumps loaded before held
-        project, graph = load_graph(path)
+        project, graph = load_graph(*item)
         yield project
         yield from work(graph)
 
     dumps = dump_paths(paths)
-    first: dict[str, Path] = {}  # project -> the dump that named it
-    with OrderedMap(loaded, dumps, _workers(),
-                    lambda path: CliError(f"the worker process loading {path} ended before it was done")) as results:
-        for path, values in zip(dumps, results):
-            project = next(values)
+    heads = {}  # path -> project, of each dump read for its head line alone
+    with contextlib.ExitStack() as held:
+        loads = []  # load_graph's arguments, per dump to load
+        for path in dumps:
+            try:
+                found = scan_dump(path, selector, keep=len(loads) < _HELD_DUMPS) if selector else None
+            except (OSError, GraphDumpError):  # loading the dump raises it again, in its turn
+                loads.append((path,))
+                break
+            if isinstance(found, str):
+                heads[path] = found
+            else:
+                loads.append((path, held.enter_context(found)) if found else (path,))
+        results = iter(held.enter_context(OrderedMap(loaded, loads, _workers(), lambda item: CliError(
+            f"the worker process loading {item[0]} ended before it was done"))))
+        first: dict[str, Path] = {}  # project -> the dump that named it
+        for path in dumps:
+            project = heads.get(path)
+            values = None if project else next(results)
+            project = project or next(values)
             if first.setdefault(project, path) != path:
                 raise CliError(f"graph dumps {first[project]} and {path} both name project {project!r}")
             yield project, values
-
-
-def _safe_name(identifier: str, fallback: str) -> str:
-    import hashlib  # here: it loads OpenSSL, and only export and names over 255 characters need it
-
-    safe = re.sub(r"[^A-Za-z0-9._-]+", "_", identifier).strip("._")
-    digest = hashlib.sha1(identifier.encode("utf-8")).hexdigest()[:8]
-    return f"{safe[:80] or fallback}-{digest}"
 
 
 def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
@@ -276,7 +293,7 @@ def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
     # A name of dots alone ("." or "..") would point at --out or above it.
     name = re.sub(r"[^A-Za-z0-9._-]+|^\.+\Z", "_", project)
     if len(name) > 255:  # the usual file name limit; the name is ASCII, one byte a character
-        name = _safe_name(project, fallback="project")
+        name = safe_name(project, fallback="project")
     if owners.setdefault(name, project) != project:
         raise CliError(f"projects {owners[name]!r} and {project!r} would share the output directory {name!r}")
     (out / name).mkdir()
@@ -446,15 +463,17 @@ def cmd_export(args) -> int:
                        " a selector cannot be combined with --all", code=2)
     selector = None if args.all else args.selector
     owners: dict[str, str] = {}
-    written = 0
-    dumps = _per_dump(args.graph, lambda graph: _dots(graph, selector))
+    written = loaded = total = 0
+    dumps = _per_dump(args.graph, lambda graph: _dots(graph, selector), selector)
     with _output_tree(args.out, "export") as out, contextlib.closing(dumps):
         for project, dots in dumps:
+            total += 1
+            loaded += dots is not None
             files: dict[str, str] = {}  # file name -> subgraph id; two ids on one name are an error
-            for subgraph_id, text in dots:
+            for subgraph_id, text in dots or ():
                 if not files:
                     directory = _project_dir(out, project, owners)
-                name = f"{_safe_name(subgraph_id, fallback='subgraph')}.dot"
+                name = f"{safe_name(subgraph_id, fallback='subgraph')}.dot"
                 if files.setdefault(name, subgraph_id) != subgraph_id:
                     raise CliError(f"subgraphs {files[name]!r} and {subgraph_id!r} of project {project!r}"
                                    f" would share the file name {name!r}")
@@ -462,7 +481,7 @@ def cmd_export(args) -> int:
             written += len(files)
         if selector and not written:
             raise CliError(f"selector matched no subgraph: {selector!r}", code=2)
-    print(f"export: wrote {written} DOT file(s) -> {Path(args.out)}")
+    print(f"export: wrote {written} DOT file(s) from {loaded} of {total} dump(s) -> {Path(args.out)}")
     return 0
 
 

@@ -10,12 +10,13 @@ operation applied in two different commits yields two edges.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import operator
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .ingest import EDGE_KEYS, RefactoringRecord, parse_edge_fields, require_strings
 
@@ -193,39 +194,101 @@ def dump_paths(paths: Sequence[str]) -> list[Path]:
     return list(first.values())
 
 
-def load_graph(path) -> tuple[str, RefactoringGraph]:
-    """``(project, graph)`` of a dump, read one line at a time; the graph
-    equals the dumped one. Edges are checked by
+def _project(line: str, path) -> str:
+    """The project the head line ``line`` of the dump at ``path`` names,
+    checked: the dump's format version, and the record rule for the project,
+    not blank and no whitespace around it."""
+    head = _decode_line(line, path, 1)
+    if not isinstance(head, dict):
+        raise ValueError("head is not an object")
+    if head.get("format_version") != GRAPH_DUMP_VERSION:
+        raise GraphDumpError(f"unsupported graph dump version: {head.get('format_version')!r} in {path}")
+    require_strings(head, ("project",))
+    project = head["project"]
+    if not project.strip():
+        raise ValueError("empty project name")
+    if project != project.strip():
+        raise ValueError(f"whitespace around project name {project!r}")
+    return project
+
+
+def _refusal(exc: ValueError, path, line_no: int) -> GraphDumpError:
+    """The error refusing the dump at ``path``, whose line ``line_no`` raised ``exc``."""
+    if isinstance(exc, GraphDumpError):
+        return exc
+    if isinstance(exc, UnicodeDecodeError):  # read in blocks, so its line is not known
+        return GraphDumpError(f"invalid UTF-8 in graph dump {path}: {exc.reason}")
+    return GraphDumpError(f"corrupt graph dump: line {line_no}: {exc} in {path}")
+
+
+def _text(path, handle: BinaryIO | None):
+    return io.TextIOWrapper(handle or open(path, "rb"), encoding="utf-8-sig")  # a leading byte-order mark is skipped
+
+
+def load_graph(path, handle: BinaryIO | None = None) -> tuple[str, RefactoringGraph]:
+    """``(project, graph)`` of a dump, read one line at a time from ``handle``,
+    the dump at ``path`` open in binary mode at its start, or else from
+    ``path``; the graph equals the dumped one. Edges are checked by
     :func:`~refgraph.ingest.parse_edge_fields`, the rule record lines follow,
-    and carry the dump's project, which follows the record rule too: not
-    blank, and no whitespace around it."""
+    each of their ends must be on its line as :func:`dump_chunks` writes it,
+    so that :func:`scan_dump` finds every vertex by its bytes, and they carry
+    the dump's project, which follows the record rule too: not blank, and
+    no whitespace around it."""
     records: list[RefactoringRecord] = []
     line_no = 1
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is skipped
-            head = _decode_line(handle.readline(), path, line_no)
-            if not isinstance(head, dict):
-                raise ValueError("head is not an object")
-            if head.get("format_version") != GRAPH_DUMP_VERSION:
-                raise GraphDumpError(f"unsupported graph dump version: {head.get('format_version')!r} in {path}")
-            require_strings(head, ("project",))
-            project = head["project"]
-            if not project.strip():
-                raise ValueError("empty project name")
-            if project != project.strip():
-                raise ValueError(f"whitespace around project name {project!r}")
-            for line_no, line in enumerate(handle, start=2):
+        with _text(path, handle) as text:
+            project = _project(text.readline(), path)
+            for line_no, line in enumerate(text, start=2):
                 edge = _decode_line(line, path, line_no)
                 if not isinstance(edge, dict):
                     raise ValueError("edge is not an object")
                 record = RefactoringRecord(*parse_edge_fields(edge), project)
                 if record.source == record.target:
                     raise ValueError(f"self-loop edge {record.source!r}")
+                # An ASCII line with no escape holds each string as decoded; else look for the writer's bytes.
+                if not (line.isascii() and "\\" not in line
+                        and edge["source"] == record.source and edge["target"] == record.target):
+                    for key, vertex in (("source", record.source), ("target", record.target)):
+                        if _encode(vertex) not in line:
+                            raise ValueError(f"{key} {vertex!r} is not written as build writes it,"
+                                             f" {_encode(vertex)}")
                 records.append(record)
-    except GraphDumpError:  # before ValueError, its base class
-        raise
-    except UnicodeDecodeError as exc:  # read in blocks, so its line is not known
-        raise GraphDumpError(f"invalid UTF-8 in graph dump {path}: {exc.reason}") from None
     except ValueError as exc:
-        raise GraphDumpError(f"corrupt graph dump: line {line_no}: {exc} in {path}") from None
+        raise _refusal(exc, path, line_no) from None
     return project, build(records)  # a dump is written sorted, so this sort is linear
+
+
+_BLOCK = 1 << 16  # bytes scan_dump reads at a time
+
+
+def scan_dump(path, substring: str, keep: bool = True) -> str | BinaryIO | None:
+    """The dump at ``path`` open in binary mode at its start, or None unless
+    ``keep``, if its bytes hold ``substring`` as :func:`dump_chunks` writes
+    it, ASCII-escaped; else the project its head line names, checked as
+    :func:`load_graph` checks it. As :func:`load_graph` refuses a vertex
+    not written so, a dump this gives a project for has no vertex holding
+    ``substring``. The dump is opened once and read ``_BLOCK`` bytes at a
+    time, so its size does not change how much of it is held."""
+    needle = _encode(substring)[1:-1].encode("ascii")
+    handle = open(path, "rb")
+    try:
+        tail = b""  # the end of the bytes read so far, too short to hold the needle
+        while block := handle.read(_BLOCK):
+            window = tail + block
+            if needle in window:
+                if not keep:
+                    handle.close()
+                    return None
+                handle.seek(0)
+                return handle
+            tail = window[max(0, len(window) - len(needle) + 1):]
+        handle.seek(0)
+    except BaseException:
+        handle.close()
+        raise
+    try:
+        with _text(path, handle) as text:
+            return _project(text.readline(), path)
+    except ValueError as exc:
+        raise _refusal(exc, path, 1) from None

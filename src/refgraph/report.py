@@ -1,5 +1,6 @@
-"""Report emission: the summary document as JSON and as CSV tables, and
-DOT renderings of subgraphs.
+"""Report emission: the summary document as JSON and as CSV tables, DOT
+renderings of subgraphs, and the file names they and long project names
+are written under.
 
 Every emitter is deterministic: identical inputs produce byte-identical
 output, so report directories can be diffed across runs.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 from .graph import RefactoringGraph
@@ -104,6 +106,23 @@ def write_json_summary(summary: dict, path: Path) -> Path:
     path = Path(path)
     path.write_text(emit_json_summary(summary), encoding="utf-8")
     return path
+
+
+def safe_name(identifier: str, fallback: str) -> str:
+    """A file name for ``identifier``: its runs of characters other than
+    ASCII letters, digits, ``.``, ``_`` and ``-`` made ``_``, stripped of
+    ``.`` and ``_`` at either end and cut to 80 characters (``fallback`` if
+    nothing is left), then ``-`` and the first 8
+    hex digits of the SHA-1 of its UTF-8 bytes, so two identifiers sharing
+    the first part still get two names."""
+    try:  # here, and not from hashlib, which loads OpenSSL: only export and names over 255 characters need it
+        from _sha1 import sha1
+    except ImportError:  # a Python built without its own hash modules
+        from hashlib import sha1
+
+    safe = re.sub(r"[^A-Za-z0-9._-]+", "_", identifier).strip("._")
+    digest = sha1(identifier.encode("utf-8")).hexdigest()[:8]
+    return f"{safe[:80] or fallback}-{digest}"
 
 
 def _dot_quote(value: str) -> str:

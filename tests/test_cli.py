@@ -21,9 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from refgraph import cli, ingest
+from refgraph import cli, ingest, report
 from refgraph.cli import main
-from refgraph.graph import GraphDumpError, build, graph_to_dict, load_graph, partition
+from refgraph.graph import GraphDumpError, build, graph_to_dict, load_graph, partition, scan_dump
 from refgraph.ingest import _MEMOS, clear_caches, parse_record_line
 from refgraph.report import emit_dot, emit_tables
 
@@ -845,10 +845,50 @@ class TestExport:
         build_out = TESTS_DIR / "golden" / "build"
         log = tmp_path / "partitions.log"
         monkeypatch.setattr(cli, "partition", _logged(log, partition, lambda graph: graph.id))
-        assert main(["export", "--graph", str(build_out), "--out", str(tmp_path / "dot"), "drawYLabels"]) == 0
-        [(pid, graph_id)] = _log_lines(log)  # one of four graphs, split in a worker
-        assert pid != os.getpid() and graph_id.startswith("com.github.mikephil.charting.")
-        assert [p.parent.name for p in (tmp_path / "dot").rglob("*.dot")] == ["mpandroidchart"]
+        # two of the four dumps hold "com.": they load and split in workers
+        assert main(["export", "--graph", str(build_out), "--out", str(tmp_path / "dot"), "com."]) == 0
+        assert os.getpid() not in {pid for pid, _ in _log_lines(log)}
+        assert sorted(graph_id.split(".")[1] for _, graph_id in _log_lines(log)) == ["github", "squareup"]
+        assert sorted(p.parent.name for p in (tmp_path / "dot").rglob("*.dot")) == ["mpandroidchart", "okhttp"]
+        # one dump holds "drawYLabels": nothing is forked for it alone
+        log.unlink()
+        assert main(["export", "--graph", str(build_out), "--out", str(tmp_path / "one"), "drawYLabels"]) == 0
+        [(pid, graph_id)] = _log_lines(log)
+        assert pid == os.getpid() and graph_id.startswith("com.github.mikephil.charting.")
+        assert [p.parent.name for p in (tmp_path / "one").rglob("*.dot")] == ["mpandroidchart"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_selector_loads_only_the_dumps_holding_it(self, tmp_path, monkeypatch, capsys, workers):
+        build_out = TESTS_DIR / "golden" / "build"
+        log = tmp_path / "loads.log"
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(cli, "load_graph", _logged(log, load_graph, lambda path, *handle: Path(path).parent.name))
+        out = tmp_path / "dot"
+        assert main(["export", "com.", "--graph", str(build_out), "--out", str(out)]) == 0
+        assert sorted(project for _, project in _log_lines(log)) == ["mpandroidchart", "okhttp"]
+        assert capsys.readouterr().out == f"export: wrote 2 DOT file(s) from 2 of 4 dump(s) -> {out}\n"
+        assert _tree(out) == {name: data for name, data in _tree(TESTS_DIR / "golden" / "export").items()
+                              if name.startswith(("mpandroidchart/", "okhttp/"))}
+        assert main(["export", "--all", "--graph", str(build_out), "--out", str(tmp_path / "all")]) == 0
+        assert capsys.readouterr().out == f"export: wrote 4 DOT file(s) from 4 of 4 dump(s) -> {tmp_path / 'all'}\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_dump_without_the_selector_is_checked_for_its_head_alone(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        build_out = tmp_path / "build"
+        shutil.copytree(GOLDEN_BUILD, build_out)
+        dump = build_out / "elasticsearch" / "graph.json"
+        line = _corrupt_copy(dump, corpus.read_dump(dump), 0, type="bogus")
+        assert main(["export", "com.", "--graph", str(build_out), "--out", str(tmp_path / "dot")]) == 0
+        capsys.readouterr()
+        assert main(["export", "--all", "--graph", str(build_out), "--out", str(tmp_path / "all")]) == 1
+        assert capsys.readouterr().err == (f"refgraph: error: corrupt graph dump: line {line}:"
+                                           f" unknown refactoring type: 'bogus' in {dump}\n")
+        # its head line is still read: a dump of another version fails
+        dump.write_text(dump.read_text(encoding="ascii").replace('"format_version": "3"', '"format_version": "4"', 1),
+                        encoding="ascii")
+        assert main(["export", "com.", "--graph", str(build_out), "--out", str(tmp_path / "dot")]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: unsupported graph dump version: '4' in {dump}\n"
 
     def test_all_on_an_empty_build_writes_nothing(self, tmp_path, capsys):
         records = tmp_path / "empty.jsonl"
@@ -1000,7 +1040,7 @@ def test_a_long_project_name_gets_a_short_directory(tmp_path, length, directory_
 
 def test_a_long_project_name_shortened_onto_another_is_an_error(tmp_path, capsys):
     long = "p" * 300
-    short = cli._safe_name(long, fallback="project")  # the directory the long name shortens to
+    short = report.safe_name(long, fallback="project")  # the directory the long name shortens to
     out = tmp_path / "build"
     assert main(["build", "--records", _records_file(tmp_path / "r.jsonl", [long, short]), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -1012,7 +1052,7 @@ def test_subgraph_ids_sharing_a_file_name_are_an_error(tmp_path, capsys):
     # Two ids with one 80-character safe prefix and one 32-bit SHA-1 prefix.
     stem = "org.apache.lucene.codecs.lucene90.blocktree.Lucene90BlockTreeTermsWriter#writeBlock"
     ids = [f"{stem}30142(int)", f"{stem}139295(int)"]
-    assert cli._safe_name(ids[0], fallback="subgraph") == cli._safe_name(ids[1], fallback="subgraph")
+    assert report.safe_name(ids[0], fallback="subgraph") == report.safe_name(ids[1], fallback="subgraph")
     records = [dict(corpus.CHART_AXIS_RECORDS[0], project="lucene", source=source, target=target)
                for source, target in zip(ids, ["zzz.Z#zzzA(int)", "zzz.Z#zzzB(int)"])]
     path = tmp_path / "r.jsonl"
@@ -1209,14 +1249,77 @@ def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, o
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"], ["export", "com."]],
+                         ids=["stats", "export", "export-selector"])
 def test_each_dump_is_opened_once(tmp_path, monkeypatch, command, workers):
+    # With a selector, a dump holding it stays open from its scan to its load.
     build_out = TESTS_DIR / "golden" / "build"
     log = tmp_path / "opens.log"
     monkeypatch.setattr(cli, "_workers", lambda: workers)
     monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: file), raising=False)
     assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
     assert sorted(Path(file) for _, file in _log_lines(log)) == sorted(build_out.glob("*/graph.json"))
+
+
+# Per project, a chain of vertices holding what the selector's escaping must
+# get right: '"' and "\\", non-ASCII and non-BMP characters.
+_ESCAPED_VERTICES = {
+    "quotes": ['pkg.Q#say(Map<String, "x">)', 'pkg.Q#said(Map<String, "x">)', "pkg.Q#back\\slash()"],
+    "accents": ["pkg.Café#naïve(int)", "pkg.Café#déjà(int)", "pkg.Crème#brûlée()"],
+    "emoji": ["pkg.E\U0001f600#m(int)", "pkg.E\U0001f600#n(int)", "pkg.E\U0001f600#o\U0001d518()"],
+    "plain": ["pkg.Plain#m(int)", "pkg.Plain#n(int)", "pkg.Plain#o()"],
+}
+_SELECTORS = st.one_of(
+    st.tuples(st.sampled_from([v for chain in _ESCAPED_VERTICES.values() for v in chain]),
+              st.integers(0, 30), st.integers(1, 30)).map(lambda t: t[0][t[1]:t[1] + t[2]]).filter(bool),
+    st.text(st.sampled_from('"\\é\U0001f600\ud83d\x00\x1f\t.#(<QmE'), min_size=1, max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def escaped_build(tmp_path_factory):
+    records = tmp_path_factory.mktemp("escaped") / "records.jsonl"
+    records.write_text(corpus.to_jsonl(
+        corpus.rec(project, f"c0ffee{i}", f"2020-01-0{i + 1}T00:00:00Z", "Dev", "dev@example.org", "rename", a, b)
+        for project, chain in _ESCAPED_VERTICES.items() for i, (a, b) in enumerate(zip(chain, chain[1:]))
+    ), encoding="utf-8")
+    out = records.parent / "build"
+    assert main(["build", "--records", str(records), "--out", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(selector=_SELECTORS, workers=st.sampled_from([1, 2]))
+@example(selector='"x">', workers=2)
+@example(selector="\\slash", workers=1)
+@example(selector="\U0001f600#", workers=2)
+@example(selector="\ud83d", workers=1)  # half of the escape the writer gives U+1F600
+def test_a_selector_export_is_the_export_of_every_dump_loaded(escaped_build, selector, workers):
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_workers", lambda: workers):
+        for scan in (scan_dump, lambda path, selector, keep: open(path, "rb")):  # the second: every dump a match
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with mock.patch.object(cli, "scan_dump", scan), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["export", selector, "--graph", str(escaped_build), "--out", str(out)])
+            runs.append((code, err.getvalue(), _tree(out) if out.exists() else None))
+            shutil.rmtree(out, ignore_errors=True)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 or runs[0][1] == f"refgraph: error: selector matched no subgraph: {selector!r}\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dumps_past_the_open_limit_are_opened_again(tmp_path, monkeypatch, workers):
+    log = tmp_path / "opens.log"
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    monkeypatch.setattr(cli, "_HELD_DUMPS", 1)
+    monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: Path(file).parent.name),
+                        raising=False)
+    assert main(["export", "com.", "--graph", str(GOLDEN_BUILD), "--out", str(tmp_path / "dot")]) == 0
+    assert sorted(project for _, project in _log_lines(log)) == [
+        "elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]
+    assert sorted(p.parent.name for p in (tmp_path / "dot").rglob("*.dot")) == ["mpandroidchart", "okhttp"]
 
 
 @pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
@@ -1289,17 +1392,23 @@ def _corrupt_copy(path, dump, edge, **fields):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_the_first_bad_dump_in_path_order_is_reported(tmp_path, monkeypatch, capsys, workers):
     # The third dump fails on its head line; the second, which its worker
-    # may reach later, fails on its last line, and is the one reported.
+    # may reach later, fails on its last line, and is the one reported. With
+    # the selector, the third is read for its head line alone, before the
+    # second loads, and its error waits for the second's. Put before the
+    # second, the third is the one reported.
     monkeypatch.setattr(cli, "_workers", lambda: workers)
     late = tmp_path / "late.json"
     line = _corrupt_copy(late, corpus.read_dump(GOLDEN_BUILD / "mpandroidchart" / "graph.json"), -1, type="bogus")
     early = tmp_path / "early.json"
     early.write_text(json.dumps({"format_version": "3", "project": 7}) + "\n", encoding="utf-8")
-    for command in (["stats"], ["export", "--all"]):
+    for command in (["stats"], ["export", "--all"], ["export", "charting"]):  # only late holds "charting"
         out = tmp_path / command[0]
         assert main([*command, "--graph", str(GOLDEN_BUILD / "okhttp"), str(late), str(early), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (f"refgraph: error: corrupt graph dump: line {line}:"
                                            f" unknown refactoring type: 'bogus' in {late}\n")
+        assert not out.exists() and not _temporaries(out) and _no_child_is_left()
+        assert main([*command, "--graph", str(GOLDEN_BUILD / "okhttp"), str(early), str(late), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: corrupt graph dump: line 1: field 'project' is not a string in {early}\n"
         assert not out.exists() and not _temporaries(out) and _no_child_is_left()
 
 
@@ -1312,8 +1421,8 @@ def test_a_repeated_project_is_reported_before_a_later_error_of_its_dump(tmp_pat
     shutil.copy(good, again)
     failing = []  # the graph that fails, as id(), in the process that loaded it
 
-    def loading(path):
-        project, graph = load_graph(path)
+    def loading(path, *handle):
+        project, graph = load_graph(path, *handle)
         if path == again:
             failing.append(id(graph))
         return project, graph
@@ -1330,6 +1439,14 @@ def test_a_repeated_project_is_reported_before_a_later_error_of_its_dump(tmp_pat
         assert main([*command, "--graph", str(again), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "refgraph: error: injected error\n"
         assert main([*command, "--graph", str(good), str(again), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: graph dumps {good} and {again} both name project 'okhttp'\n"
+        assert not out.exists() and _temporaries(out) == [] and _no_child_is_left()
+    # Read for their head line alone, as they do not hold the selector, they still repeat a project;
+    # a dump before them that holds it loads first.
+    chart = GOLDEN_BUILD / "mpandroidchart" / "graph.json"
+    for dumps in ([good, again], [chart, good, again]):
+        out = tmp_path / "selected"
+        assert main(["export", "charting", "--graph", *map(str, dumps), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"refgraph: error: graph dumps {good} and {again} both name project 'okhttp'\n"
         assert not out.exists() and _temporaries(out) == [] and _no_child_is_left()
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import codecs
 import json
 import random
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 from oracles import bfs_components, dedup_edges
+from refgraph import graph as graph_module
 from refgraph.graph import (
     GraphDumpError,
     RefactoringGraph,
@@ -19,6 +23,7 @@ from refgraph.graph import (
     graph_to_dict,
     load_graph,
     partition,
+    scan_dump,
 )
 from refgraph.ingest import EDGE_KEYS, parse_signature
 
@@ -399,6 +404,117 @@ def test_dump_project_reads_the_head_the_writer_emits(tmp_path_factory, project)
         problem = f"corrupt graph dump: line 1: .*project.* in {path}"
     with pytest.raises(GraphDumpError, match=_whole(problem)):
         load_graph(path)
+
+
+# Two edges as build writes them, sorted: line 2 is
+# {"source": "pkg.Café#m(Map<K, V>)", "target": "pkg.Café#n()", ...}
+# and line 3, all ASCII and with no escape, {"source": "pkg.Plain#m(Map<K, V>)", "target": "pkg.Plain#n()", ...}
+_SPELLED = build(corpus.records_of([
+    corpus.rec("p", "abc1234", "2020-01-01T00:00:00Z", "Dev", "dev@example.org", rtype, f"pkg.{name}#m(Map<K, V>)",
+               f"pkg.{name}#n()")
+    for name, rtype in (("Café", "rename"), ("Plain", "move"))
+]))
+
+
+def _spelled_text() -> str:
+    return "".join(dump_chunks(graph_to_dict(_SPELLED, "p")))
+
+
+@pytest.mark.parametrize("respell, line, key", [
+    (lambda text: text.replace('"pkg.Plain#m', '"\\u0070kg.Plain#m'), 3, "source"),  # an escaped ASCII character
+    (lambda text: text.replace("Plain#m(Map<K, V>)", "Plain#m(Map<K,V>)"), 3, "source"),  # spacing parsing drops
+    (lambda text: text.replace('"pkg.Caf\\u00e9#n()"', '"pkg. Caf\\u00e9#n()"'), 2, "target"),
+    (lambda text: text.replace("\\u00e9", "é"), 2, "source"),  # raw UTF-8, as json.dumps(ensure_ascii=False) writes
+    (lambda text: text.replace("\\u00e9", "\\u00E9"), 2, "source"),  # the hex digits upper case
+    (lambda text: text.replace("Plain#n", "Plain#\\u006e"), 3, "target"),  # one end as written, one not
+], ids=["escaped-ascii", "generic-spacing", "class-path-space", "raw-utf-8", "upper-case-hex", "one-end"])
+def test_a_vertex_not_written_as_build_writes_it_is_refused(tmp_path_factory, respell, line, key):
+    # A selector export finds a dump's vertices by the bytes build writes,
+    # so a dump spelling one otherwise would be skipped although it holds it.
+    assert respell(_spelled_text()) != _spelled_text()
+    path = _write_dump(tmp_path_factory, respell(_spelled_text()))
+    vertex = getattr(_SPELLED.edges[line - 2], key)
+    problem = f"corrupt graph dump: line {line}: {key} {vertex!r} is not written as build writes it, {json.dumps(vertex)}"
+    with pytest.raises(GraphDumpError, match=_whole(f"{problem} in {path}")):
+        load_graph(path)
+
+
+def test_an_escape_outside_the_vertices_is_loaded(tmp_path_factory):
+    respelled = _spelled_text().replace('"target"', '"t\\u0061rget"').replace("dev@", "d\\u0065v@")
+    path = _write_dump(tmp_path_factory, respelled)
+    assert load_graph(path) == ("p", _SPELLED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.integers(1, 48), data=st.data())
+@example(seed=0, block=1, data=None)
+def test_scan_dump_finds_every_vertex_substring(tmp_path_factory, seed, block, data):
+    rng = random.Random(seed)
+    records = corpus.random_records(rng, rng.randint(1, 12), pool_size=rng.randint(2, 12), prefix="pké.q\U0001f600")
+    graph = build(records)
+    path = _written(tmp_path_factory, graph, "p")
+    vertex = rng.choice(graph.vertices)
+    start = rng.randrange(len(vertex))
+    selectors = [vertex[start:rng.randint(start + 1, len(vertex))], "\U0001f600", "é", "#", '"', "\\", "\x00"]
+    if data is not None:
+        selectors.append(data.draw(st.text(st.sampled_from('"\\é\U0001f600\x00\x1f.#(Cqm0'), min_size=1)))
+    with mock.patch.object(graph_module, "_BLOCK", block):
+        for selector in selectors:
+            found = scan_dump(path, selector)
+            if isinstance(found, str):
+                assert found == "p" and not any(selector in v for v in graph.vertices), selector
+            else:
+                with found:
+                    assert found.read() == path.read_bytes()
+
+
+def test_scan_dump_holds_a_block_at_a_time(tmp_path_factory):
+    head, line, _ = _spelled_text().splitlines(keepends=True)
+    path = _write_dump(tmp_path_factory, head + line * 40000 + line.replace("#n()", "#last()"))  # about 8 MB
+    assert path.stat().st_size > 100 * graph_module._BLOCK
+    for selector, loads in (("absent", False), ("#last(", True)):
+        tracemalloc.start()
+        try:
+            found = scan_dump(path, selector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(found, str) != loads
+        if loads:
+            found.close()
+        assert peak < 4 * graph_module._BLOCK, peak
+
+
+@pytest.mark.parametrize("text", [
+    b'{"format_version": "3", "project": 7}\n',
+    b"[1]\n",
+    b'{"format_version": "2", "project": "p"}\n',
+    b"",
+    b'{\n  "format_version": "3",\n  "project": "p"\n}\n',
+    b'{"format_version": "3", "project": " p"}\n',
+    b'{"format_version": "3", "project": "\xff"}\n',
+    b'{"format_version": "3", "project": "p"} x\n',
+    b'{"format_version": "3", "project": "p"}',
+    b'{"format_version": "3", "project": "p"}\r',
+    codecs.BOM_UTF8 + b'{"format_version": "3", "project": "p"}\r\n',
+    b'\n{"format_version": "3", "project": "p"}\n',
+], ids=["project-not-a-string", "not-an-object", "version-2", "empty", "indented", "spaced-project",
+        "invalid-utf-8", "extra-data", "no-newline", "carriage-return", "byte-order-mark", "blank-first-line"])
+def test_scan_dump_checks_a_head_as_load_graph_does(tmp_path_factory, text):
+    # The edge lines hold no "absent", so scan_dump reads only the head.
+    line = _spelled_text().splitlines(keepends=True)[1]
+    path = tmp_path_factory.mktemp("dump") / "graph.json"
+    path.write_bytes(text + line.encode("ascii") * 3)
+    try:
+        expected = load_graph(path)[0]
+    except GraphDumpError as exc:
+        expected = exc
+    if isinstance(expected, str):
+        assert scan_dump(path, "absent") == expected
+    else:
+        with pytest.raises(GraphDumpError) as scanned:
+            scan_dump(path, "absent")
+        assert str(scanned.value) == str(expected)
 
 
 class TestRecordAsEdge:

@@ -35,7 +35,8 @@ def _fresh_interpreter(code: str, *args: str) -> dict:
 
 # Modules that `build` never runs, each a few milliseconds or megabytes of every
 # process's start-up: dataclasses (which imports inspect, ast and dis),
-# statistics (stats only) and hashlib (OpenSSL; export's file names only).
+# statistics (stats only) and hashlib (OpenSSL, about 3 MB; no command needs it,
+# as report.safe_name takes SHA-1 from the built-in _sha1 module).
 UNUSED_BY_BUILD = ("dataclasses", "inspect", "statistics", "hashlib")
 
 
@@ -69,6 +70,25 @@ def test_build_and_stats_run_without_hashlib(tmp_path):
     )
     result = _fresh_interpreter(code, str(REPO_ROOT / "demo"), str(tmp_path))
     assert result == {"codes": [0, 0], "hashlib": False}
+
+
+def test_export_names_its_files_without_hashlib(tmp_path):
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from refgraph.cli import main\n"
+        "build, out = sys.argv[1:]\n"
+        "codes = [main(['export', '--graph', build, '--all', '--out', out]), main(['export', 'com.', '--graph', build,"
+        " '--out', out + '-selected'])]\n"
+        "print(json.dumps({'codes': codes, 'hashlib': 'hashlib' in set(sys.modules) - before}))\n"
+    )
+    golden = REPO_ROOT / "tests" / "golden"
+    result = _fresh_interpreter(code, str(golden / "build"), str(tmp_path / "export"))
+    assert result == {"codes": [0, 0], "hashlib": False}
+    written = sorted(path.relative_to(tmp_path / "export") for path in (tmp_path / "export").rglob("*.dot"))
+    assert written == sorted(path.relative_to(golden / "export") for path in (golden / "export").rglob("*.dot"))
+    for path in written:  # the file names are the SHA-1 digests hashlib gives
+        assert (tmp_path / "export" / path).read_bytes() == (golden / "export" / path).read_bytes()
 
 
 # The named-tuple result types: each with its fields in order and a value for

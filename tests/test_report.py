@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
+import sys
+
+import pytest
 
 import corpus
 from dot_grammar import parse_dot
 from refgraph.graph import build, filter_multi_commit, partition
 from refgraph.metrics import aggregate, measure
-from refgraph.report import TABLE_FILES, emit_dot, emit_json_summary, emit_tables
+from refgraph.report import TABLE_FILES, emit_dot, emit_json_summary, emit_tables, safe_name
 
 
 def _read_csv(path):
@@ -209,3 +213,13 @@ class TestDot:
             subgraph = corpus.subgraph_of(dicts)
             parsed = parse_dot(emit_dot(subgraph))
             assert parsed.node_ids == set(subgraph.vertices)
+
+
+@pytest.mark.parametrize("sha1_built_in", [True, False])
+def test_safe_name_digests_are_sha1(monkeypatch, sha1_built_in):
+    if not sha1_built_in:  # importing _sha1 fails, as on a Python built without its own hash modules
+        monkeypatch.setitem(sys.modules, "_sha1", None)
+    for identifier, fallback, safe in [("a.B#m(int)", "f", "a.B_m_int"), ("..", "subgraph", "subgraph"),
+                                       ("é" * 300, "project", "project")]:
+        digest = hashlib.sha1(identifier.encode("utf-8")).hexdigest()[:8]
+        assert safe_name(identifier, fallback=fallback) == f"{safe}-{digest}"
