@@ -12,13 +12,11 @@ import itertools
 import json
 import os
 import re
-import shutil
 import sys
-from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import ingest
+from . import ingest, output
 from .graph import (
     GraphDumpError,
     RefactoringGraph,
@@ -41,7 +39,8 @@ from .ingest import (
     parse_records,
 )
 from .metrics import ProjectAgesError, aggregate, load_project_ages, measure
-from .report import TABLE_FILES, emit_dot, emit_tables, safe_name, write_json_summary
+from .output import CliError
+from .report import emit_dot, emit_tables, safe_name, write_json_summary
 
 RUN_LOG_VERSION = "1"
 
@@ -49,17 +48,6 @@ COMMIT_LOG_FORMAT_HELP = (
     "tab-separated: <full-hash>TAB<ISO-8601>TAB<author name>TAB<author email>, "
     "as produced by: git log --first-parent --format='%H%x09%aI%x09%an%x09%ae'"
 )
-
-
-class CliError(Exception):
-    """Failure with a chosen process exit code."""
-
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
-
-    def __reduce__(self):  # so an error a worker process sends up keeps its code
-        return type(self), (str(self), self.code)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +158,8 @@ def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
 
 def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, Sequence[RefactoringRecord]], dict]:
     """The records analyzed per project, in first-record order, and the run
-    log's ``inputs`` and ``stages`` blocks. Each caller builds one project's
-    graph at a time from them. Each records file is cut into byte ranges,
+    log's ``inputs`` and ``stages`` blocks. A project's graph is built from
+    its group alone. Each records file is cut into byte ranges,
     parsed and filtered in forked workers; each record joins its project's
     group as its range comes back."""
     from .workers import OrderedMap  # here: importing the CLI loads neither pickle nor signal
@@ -233,6 +221,19 @@ def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Re
     subgraphs = partition(graph)
     kept, _ = filter_multi_commit(subgraphs, min_commits)
     return len(subgraphs), sum(1 for s in subgraphs if s.commit_count() == 1), kept
+
+
+def _built(min_commits: int, item: tuple) -> Iterator[dict]:
+    """Build and split the graph of a ``(project, group, directory)`` item, write its dump into the
+    directory, and yield the project's run-log row."""
+    project, group, directory = item
+    graph = build(group)
+    total, single, kept = _split(graph, min_commits)
+    # An exhausted generator drops its frame, so no dump outlives its write.
+    _write_json(directory / "graph.json", dump_chunks(graph_to_dict(graph, project)))
+    yield dict(project=project, records=len(group), vertices=graph.n_vertices, edges=graph.n_edges,
+               subgraphs=total, single_commit=single, multi_commit=total - single,
+               below_threshold=total - len(kept), kept=len(kept))
 
 
 def _workers() -> int:  # one per CPU this process may run on, or one where the platform cannot tell
@@ -300,69 +301,6 @@ def _project_dir(out: Path, project: str, owners: dict[str, str]) -> Path:
     return out / name
 
 
-# Each command's outputs, as paths under --out. An existing --out is replaced
-# only if it holds nothing else, so no other file is deleted.
-_WRITES = {"build": ("run_log.json", "*/graph.json"),
-           "stats": (*TABLE_FILES, "summary.json"), "export": ("*/*.dot",)}
-
-
-def _refuse_foreign(root: str, command: str) -> None:
-    """Exit 2 unless ``--out`` is missing or a directory holding only paths
-    ``command`` writes, each at its depth, and none a symbolic link."""
-    out, cwd = Path(os.path.abspath(root)), Path.cwd()
-    if out.resolve() in (cwd, *cwd.parents):  # "/" is always among them
-        raise CliError(f"--out {root} is or contains the working directory", code=2)
-    if out.is_symlink() or out.exists() and not out.is_dir():
-        raise CliError(f"--out {root} is a symbolic link or not a directory", code=2)
-    for path in out.rglob("*"):  # nothing when --out is missing
-        rel = path.relative_to(out).as_posix()
-        # a directory a command writes is a "*" component of one of its paths
-        if path.is_symlink() or not any(
-            rel.count("/") < shape.count("/") if path.is_dir()
-            else rel.count("/") == shape.count("/") and fnmatchcase(rel, shape) and path.is_file()
-            for shape in _WRITES[command]
-        ):
-            raise CliError(f"--out {root} holds {Path(root, rel)}, which {command} does not write;"
-                           " give a new or empty directory", code=2)
-
-
-@contextlib.contextmanager
-def _output_tree(root: str, command: str) -> Iterator[Path]:
-    """A new dot-named directory beside ``--out``, made once ``--out`` passes
-    :func:`_refuse_foreign`. If the ``with`` block ends normally, it replaces
-    ``--out``: the old tree is renamed aside, the new one in, and the old one
-    removed. If the block raises anything, the new directory and the parents
-    of ``--out`` this run made are removed, and ``--out`` is left as it was."""
-    _refuse_foreign(root, command)
-    out = Path(os.path.abspath(root))
-    made = [p for p in (out.parent, *out.parent.parents) if not p.is_dir()]  # deepest first
-    new = None  # set once made, so a name found taken is never removed
-    try:
-        name = out.with_name(f".{out.name}.{os.urandom(4).hex()}")
-        name.mkdir(parents=True)  # mkdir, unlike tempfile.mkdtemp, gives the mode the umask allows
-        new = name
-        yield new
-        _refuse_foreign(root, command)  # --out may have changed while the run read its inputs
-        if not os.path.lexists(out):
-            new.rename(out)
-            return
-        aside = new.with_name(new.name + ".old")
-        out.rename(aside)
-        try:
-            new.rename(out)
-        except BaseException:
-            aside.rename(out)
-            raise
-        shutil.rmtree(aside)
-    except BaseException:
-        if new is not None:
-            shutil.rmtree(new, ignore_errors=True)
-        for directory in made:
-            with contextlib.suppress(OSError):  # not empty: something else is in it
-                directory.rmdir()
-        raise
-
-
 def _write_json(path: Path, chunks: Iterator[str]) -> None:
     # Chunks are written 1024 at a time: one write per chunk is slow, and
     # joining them all would hold a large dump in memory at once.
@@ -376,26 +314,20 @@ def _write_json(path: Path, chunks: Iterator[str]) -> None:
 
 
 def cmd_build(args) -> int:
+    from .workers import OrderedMap
+
     min_commits = _min_commits(args)
     config = _filter_config(args)
-    with _output_tree(args.out, "build") as out:
+    with output.tree(args.out, "build") as out:
         groups, front_log = _run_front_pipeline(args, config)
         owners: dict[str, str] = {}
-        directories = [_project_dir(out, project, owners) for project in groups]  # a collision fails before any dump
+        # a collision fails before any dump
+        items = [(project, group, _project_dir(out, project, owners)) for project, group in groups.items()]
         if "run_log.json" in owners:
             raise CliError(f"project {owners['run_log.json']!r} would take the path of the run log, run_log.json")
-        project_rows = []
-        for (project, group), directory in zip(groups.items(), directories):
-            graph = build(group)
-            total, single, kept = _split(graph, min_commits)
-            project_rows.append(dict(
-                project=project, records=len(group), vertices=graph.n_vertices, edges=graph.n_edges,
-                subgraphs=total, single_commit=single, multi_commit=total - single,
-                below_threshold=total - len(kept), kept=len(kept),
-            ))
-            # An exhausted generator drops its frame, so no dump outlives its write.
-            _write_json(directory / "graph.json", dump_chunks(graph_to_dict(graph, project)))
-            del graph, kept  # not held while the next graph is built
+        with OrderedMap(functools.partial(_built, min_commits), items, _workers(), lambda item: CliError(
+                f"the worker process building project {item[0]!r} ended before it was done")) as rows:
+            project_rows = [row for values in rows for row in values]
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
         run_log = dict(
@@ -424,7 +356,7 @@ def cmd_stats(args) -> int:
     for dest in ("commit_log", "exclude_keywords", "keep_constructors", "strict") if args.graph else ():
         if getattr(args, dest) not in (None, False, []):  # given, not left at its default
             raise CliError(f"--{dest.replace('_', '-')} applies only with --records", code=2)
-    with _output_tree(args.out, "stats") as out:
+    with output.tree(args.out, "stats") as out:
         ages = load_project_ages(args.project_ages) if args.project_ages else None
         if args.records:
             records = _run_front_pipeline(args, _filter_config(args))[0]
@@ -465,7 +397,7 @@ def cmd_export(args) -> int:
     owners: dict[str, str] = {}
     written = loaded = total = 0
     dumps = _per_dump(args.graph, lambda graph: _dots(graph, selector), selector)
-    with _output_tree(args.out, "export") as out, contextlib.closing(dumps):
+    with output.tree(args.out, "export") as out, contextlib.closing(dumps):
         for project, dots in dumps:
             total += 1
             loaded += dots is not None

@@ -414,13 +414,16 @@ def open_range(path, start: int, end: int | None) -> io.TextIOWrapper:
 def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
     """Parse a stream of record lines, collecting per-line errors.
 
-    Blank lines are ignored.  A malformed line is skipped and reported as a
-    :class:`RecordError`; in strict mode the first one is raised instead.
+    A blank line, holding nothing but JSON whitespace (space, tab, CR, LF),
+    is ignored.  Any other line is parsed, so a line of other whitespace
+    alone, such as a no-break space or a form feed, is malformed.  A
+    malformed line is skipped and reported as a :class:`RecordError`; in
+    strict mode the first one is raised instead.
     """
     records: list[RefactoringRecord] = []
     issues: list[RecordError] = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip(" \t\r\n"):
             continue
         try:
             records.append(parse_record_line(line))

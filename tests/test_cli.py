@@ -62,6 +62,16 @@ def _fail_on_call(n, func, error=None):
     return failing
 
 
+def _fail_when(when, func):
+    """``func``, except that a call with arguments ``when`` is true of raises an OSError."""
+    def failing(*args):
+        if when(*args):
+            raise OSError("injected write error")
+        return func(*args)
+
+    return failing
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
@@ -251,12 +261,16 @@ class TestBuild:
         assert err == f"refgraph: error: commit log {log}: line 1: expected 4 tab-separated fields, got 1\n"
         assert not (tmp_path / "out").exists()
 
-    def test_write_error_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch, capsys):
-        # The third project's dump fails after two dumps are written; the earlier run's tree stays as it was.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_write_error_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch, capsys, workers):
+        # The third project's dump fails, in whichever process builds it; with one process, after two dumps
+        # are written. The earlier run's tree stays as it was.
         out = tmp_path / "out"
         assert main(["build", "--records", str(demo_records_path), "--min-commits", "3", "--out", str(out)]) == 0
         before = _snapshot(out)
-        monkeypatch.setattr(cli, "graph_to_dict", _fail_on_call(3, graph_to_dict))
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(cli, "graph_to_dict", _fail_when(lambda graph, project: project == "spring-framework",
+                                                             graph_to_dict))
         capsys.readouterr()
         assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "refgraph: error: injected write error\n"
@@ -283,6 +297,7 @@ class TestBuild:
         assert _snapshot(out) == before and "elasticsearch" not in before
         assert _temporaries(out) == []
 
+    @pytest.mark.usefixtures("one_process")  # so the interrupt is raised in the process that runs the command
     def test_an_interrupt_mid_run_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch):
         calls = []
 
@@ -1496,7 +1511,7 @@ _WORKER_RUNS = {
     "export": ["export", "--all", "--graph", str(GOLDEN_BUILD)],
 }
 _KILLED = [("loading", "stats"), ("loading", "export"), ("sending", "stats"), ("sending", "export"),
-           ("parsing", "build"), ("sending", "build")]
+           ("parsing", "build"), ("sending", "build"), ("building", "build")]
 
 
 @pytest.mark.parametrize("when, command", _KILLED, ids=[f"{when}-{command}" for when, command in _KILLED])
@@ -1507,6 +1522,8 @@ def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatc
     elif when == "parsing":  # the second of the two ranges of the records file
         monkeypatch.setattr(ingest, "open_range", _killed_in_a_worker(lambda path, start, end: start > 0,
                                                                       ingest.open_range))
+    elif when == "building":
+        monkeypatch.setattr(cli, "build", _killed_in_a_worker(lambda group: group[0].project == "okhttp", build))
     else:  # the pipe then ends inside a pickle: the dump's project, or the first batch of records
         sent = (lambda value: isinstance(value, list)) if command == "build" else (lambda value: value == "okhttp")
         monkeypatch.setattr(pickle, "dump", _killed_mid_value(sent, pickle.dump))
@@ -1523,7 +1540,10 @@ def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatc
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 1
-    doing = f"parsing {DEMO_RECORDS}" if command == "build" else f"loading {GOLDEN_BUILD / 'okhttp' / 'graph.json'}"
+    if when == "building":
+        doing = "building project 'okhttp'"
+    else:
+        doing = f"parsing {DEMO_RECORDS}" if command == "build" else f"loading {GOLDEN_BUILD / 'okhttp' / 'graph.json'}"
     assert capsys.readouterr().err == f"refgraph: error: the worker process {doing} ended before it was done\n"
     assert not (tmp_path / "out").exists() and not _temporaries(tmp_path / "out") and _no_child_is_left()
     assert _open_fds() == fds
@@ -1607,6 +1627,36 @@ def test_errors_keep_their_message_and_code_through_pickle():
         assert getattr(copy, "code", None) == getattr(error, "code", None)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_projects_are_built_in_workers_dealt_round_robin(tmp_path, monkeypatch, workers):
+    # Whichever process builds a project, the tree and the run log are the golden ones.
+    log = tmp_path / "builds.log"
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    monkeypatch.setattr(cli, "build", _logged(log, build, lambda group: group[0].project))
+    monkeypatch.chdir(TESTS_DIR.parent)  # the run log holds the records path as given
+    assert main(["build", "--records", "demo/refactorings.jsonl", "--commit-log",
+                 "mpandroidchart=demo/commit_log_mpandroidchart.tsv", "--out", str(tmp_path / "out")]) == 0
+    assert _tree(tmp_path / "out") == _tree(GOLDEN_BUILD)
+    by_process: dict[int, list[str]] = {}
+    for pid, project in _log_lines(log):
+        by_process.setdefault(pid, []).append(project)
+    order = ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]  # first-record order
+    if workers == 1:
+        assert by_process == {os.getpid(): order}
+    else:
+        assert os.getpid() not in by_process
+        assert sorted(by_process.values()) == sorted(order[i::workers] for i in range(workers))
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_one_project_is_built_in_this_process(tmp_path, monkeypatch):
+    log = tmp_path / "builds.log"
+    monkeypatch.setattr(cli, "build", _logged(log, build, lambda group: group[0].project))
+    records = _records_file(tmp_path / "r.jsonl", ["solo"])
+    assert main(["build", "--records", records, "--out", str(tmp_path / "out")]) == 0
+    assert _log_lines(log) == [(os.getpid(), "solo")]
+
+
 def test_one_worker_per_usable_cpu(monkeypatch):
     assert cli._workers() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
@@ -1619,6 +1669,7 @@ def test_one_worker_per_usable_cpu(monkeypatch):
 _ODD_LINES = {
     "blank": b"",
     "spaces": b"  \t",
+    "other-spaces": "\xa0\u2028\x0c\x85".encode("utf-8"),  # not JSON whitespace: a malformed line
     "malformed": CORRUPT_LINE.strip().encode("utf-8"),
     "not-json": b"{oops",
 }
@@ -1626,7 +1677,8 @@ _ODD_LINES = {
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_edges=st.integers(1, 40),
-       odd=st.lists(st.sampled_from(["blank", "spaces", "malformed", "not-json", "undecodable", "bom"]), max_size=6),
+       odd=st.lists(st.sampled_from(["blank", "spaces", "other-spaces", "malformed", "not-json", "undecodable", "bom"]),
+                    max_size=6),
        ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=5),
        bom_first=st.booleans(), final_end=st.booleans())
 @example(seed=1, n_edges=12, odd=["bom", "undecodable", "malformed", "blank"], ends=[b"\r\n", b"\r", b"\n"],
@@ -1667,7 +1719,7 @@ def test_records_cut_into_ranges_build_what_one_process_builds(seed, n_edges, od
         assert errors[2] == errors[3] == errors[1] == ((1, errors[1][1]) if skipped else (0, ""))
         if skipped:  # the first bad line in the file, under its number in the file
             with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-                first = next(n for n, line in enumerate(handle, 1) if line.strip() and _bad(line))
+                first = next(n for n, line in enumerate(handle, 1) if line.strip(" \t\r\n") and _bad(line))
             assert errors[1][1].startswith(f"refgraph: error: records file {path}: line {first}: ")
         else:  # the same outputs, the run log's config aside
             strict, lax = _tree(tmp / "strict-1"), _tree(tmp / "out-1")
@@ -1715,6 +1767,17 @@ def test_a_strict_error_names_its_records_file(tmp_path, monkeypatch, capsys, wo
         assert not out.exists()
 
 
+def test_a_line_of_other_whitespace_is_a_skipped_line(tmp_path, capsys):
+    # A no-break space is whitespace to str.strip, not to JSON; only the line of JSON whitespace is blank.
+    path = tmp_path / "r.jsonl"
+    path.write_text(corpus.to_jsonl(corpus.DEMO_CORPUS[:2]) + "\xa0\n \t\n", encoding="utf-8")
+    assert main(["build", "--records", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _read_json(tmp_path / "out" / "run_log.json")["inputs"] == [{"path": str(path), "records": 2, "skipped": 1}]
+    capsys.readouterr()
+    assert main(["build", "--strict", "--records", str(path), "--out", str(tmp_path / "strict")]) == 1
+    assert capsys.readouterr().err == f"refgraph: error: records file {path}: line 3: invalid JSON: Expecting value\n"
+
+
 def test_a_string_two_ranges_hold_is_one_object(tmp_path, monkeypatch):
     # The demo records twice over: each value of the second range is in the first too.
     text = DEMO_RECORDS.read_text(encoding="utf-8")
@@ -1722,11 +1785,12 @@ def test_a_string_two_ranges_hold_is_one_object(tmp_path, monkeypatch):
     path.write_text(text + text, encoding="utf-8")
     assert len(ingest.record_ranges(path, 2)) == 2
     monkeypatch.setattr(cli, "_workers", lambda: 2)
-    groups = []
-    monkeypatch.setattr(cli, "build", lambda group: groups.append(group) or build(group))
+    fronts = []  # what the front pipeline gave, in this process
+    front = cli._run_front_pipeline
+    monkeypatch.setattr(cli, "_run_front_pipeline", lambda *args: fronts.append(front(*args)) or fronts[-1])
     assert main(["build", "--records", str(path), "--out", str(tmp_path / "out")]) == 0
     objects: dict[str, set[int]] = {}  # each vertex, commit, email, timestamp, project and type -> its objects
-    for record in (record for group in groups for record in group):
+    for record in (record for group in fronts[0][0].values() for record in group):
         for value in record:
             objects.setdefault(value, set()).add(id(value))
     assert len(objects) > 20 and all(len(ids) == 1 for ids in objects.values())

@@ -63,9 +63,10 @@ def _run(argv: list[str]) -> int:
 
 
 def _non_blank_lines(path: Path) -> int:
-    """Record lines as the CLI reads them: universal newlines, bad bytes escaped."""
+    """Record lines as the CLI reads them: universal newlines, bad bytes escaped, and a line blank only if it
+    holds nothing but JSON whitespace."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return sum(1 for line in handle if line.strip())
+        return sum(1 for line in handle if line.strip(" \t\r\n"))
 
 
 @settings(max_examples=100, deadline=None)

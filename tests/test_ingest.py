@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import os
 import pickle
@@ -215,7 +216,8 @@ class TestParseSignature:
 
 
 _lower_seg = st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True)
-_class_seg = st.from_regex(r"[A-Z][A-Za-z0-9]{0,5}", fullmatch=True)
+_package_seg = st.one_of(_lower_seg, st.sampled_from(DEFAULT_EXCLUDED_KEYWORDS))
+_class_seg = st.from_regex(r"[A-Z][A-Za-z0-9]{0,5}(\$([A-Z][A-Za-z0-9]{0,3}|[0-9]{1,2})){0,2}", fullmatch=True)
 _param = st.from_regex(
     r"[A-Za-z][A-Za-z0-9]{0,5}(<[A-Za-z][A-Za-z0-9]{0,3}(, [A-Za-z][A-Za-z0-9]{0,3})?>)?(\[\])?",
     fullmatch=True,
@@ -224,10 +226,14 @@ _param = st.from_regex(
 
 @st.composite
 def canonical_signatures(draw) -> str:
-    package = ".".join(draw(st.lists(_lower_seg, max_size=3)))
+    """Canonical signatures with package keywords, ``$`` nesting, varargs and constructors among them."""
+    package = ".".join(draw(st.lists(_package_seg, max_size=3)))
     class_path = ".".join(draw(st.lists(_class_seg, min_size=1, max_size=2)))
-    method = draw(st.from_regex(r"[a-z][A-Za-z0-9_]{0,7}", fullmatch=True))
+    method = draw(st.one_of(st.from_regex(r"[a-z][A-Za-z0-9_]{0,7}", fullmatch=True),
+                            st.just("<init>"), st.just(re.split(r"[.$]", class_path)[-1])))
     params = draw(st.lists(_param, max_size=3))
+    if params and draw(st.booleans()):
+        params[-1] += "..."
     prefix = f"{package}.{class_path}" if package else class_path
     return f"{prefix}#{method}({', '.join(params)})"
 
@@ -254,6 +260,30 @@ def test_parse_ignores_spacing_around_class_path_dots(signature, rnd):
     noisy = ".".join(rnd.choice(["", " ", "\t"]) + segment + rnd.choice(["", " ", "\n"])
                      for segment in prefix.split("."))
     assert parse_signature(f"{noisy}#{member}") == signature
+
+
+# Whitespace as str.strip and str.split see it, JSON's own among it.
+_WHITESPACE = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+# The tokens of a canonical signature; the only space in one is the one after a comma.
+_SIGNATURE_TOKEN = re.compile(r"<init>|\.\.\.|[.$#(),<>\[\]]|[^.$#(),<>\[\] ]+")
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_signatures(), st.lists(st.text(st.sampled_from(_WHITESPACE), max_size=3), min_size=1, max_size=80))
+@example("p.tests.Outer$Inner.In$1#<init>(Map<K, V>[], int...)", [" \t", "", "\xa0", "\n\u2028", "\x85", "\x1c"])
+def test_whitespace_at_every_token_boundary_leaves_the_vertex_and_its_verdict(signature, spaces):
+    # spaces[i], cycled, goes before the i-th token, and after the last.
+    tokens = _SIGNATURE_TOKEN.findall(signature)
+    assert "".join(tokens) == signature.replace(", ", ",")
+    spaces = itertools.islice(itertools.cycle(spaces), len(tokens) + 1)
+    noisy = next(spaces) + "".join(token + space for token, space in zip(tokens, spaces))
+    assert parse_signature(signature) == signature  # a canonical string is a fixed point
+    assert parse_signature(noisy) == signature
+    verdicts = []
+    for spelling in (signature, noisy):
+        kept, excluded = apply_filters([parse_record_line(json.dumps(dict(json.loads(VALID_LINE), source=spelling)))])
+        verdicts.append((len(kept), excluded))
+    assert verdicts[0] == verdicts[1]
 
 
 # The timestamp grammar (RFC 3339 date-time) as plain literals: input -> UTC
@@ -497,9 +527,18 @@ class TestParseRecords:
         assert result.issues == ()
 
     def test_blank_lines_skipped(self):
-        result = parse_records(["", "   ", VALID_LINE, "\n"])
+        result = parse_records(["", "   ", VALID_LINE, "\n", " \t\r\n"])
         assert len(result.records) == 1
         assert not result.issues
+
+    # Whitespace to str.strip but not to JSON: a line of it alone is a record line, and malformed.
+    @pytest.mark.parametrize("space", ["\xa0", "\u2028", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85"])
+    def test_a_line_of_other_whitespace_is_malformed(self, space):
+        result = parse_records([VALID_LINE, f" {space}\t\n"])
+        assert len(result.records) == 1
+        assert [(issue.line_no, issue.message) for issue in result.issues] == [(2, "invalid JSON: Expecting value")]
+        with pytest.raises(RecordError, match="^line 2: invalid JSON: Expecting value$"):
+            parse_records([VALID_LINE, space], strict=True)
 
     def test_file_order_preserved(self):
         lines = [

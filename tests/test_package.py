@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,30 @@ def test_export_names_its_files_without_hashlib(tmp_path):
     assert written == sorted(path.relative_to(golden / "export") for path in (golden / "export").rglob("*.dot"))
     for path in written:  # the file names are the SHA-1 digests hashlib gives
         assert (tmp_path / "export" / path).read_bytes() == (golden / "export" / path).read_bytes()
+
+
+def test_every_module_is_below_the_compile_token_limit():
+    # CPython 3.11's compile peak jumps between about 4090 and 4110 tokens of one module (README, "Start-up"),
+    # and every command compiles the package from source when no bytecode is cached.
+    counts = {}
+    for path in sorted((REPO_ROOT / "src" / "refgraph").glob("*.py")):
+        with open(path, "rb") as handle:
+            counts[path.name] = sum(1 for _ in tokenize.tokenize(handle.readline))
+    assert "cli.py" in counts
+    assert {name: count for name, count in counts.items() if count >= 4096} == {}
+
+
+def test_the_benchmark_trace_discovers_every_layer_span():
+    # bench/child.py times the layer functions refgraph.cli imports; a span bench/run.py lists that the CLI
+    # no longer imports would read 0 calls in every run, and CI's trace step would fail.
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import child, run\n"
+        "from refgraph import cli\n"
+        "print(json.dumps(sorted(set(run.LAYER_SPANS) - set(child.discover(cli)))))\n"
+    )
+    assert _fresh_interpreter(code, str(REPO_ROOT / "bench")) == []
 
 
 # The named-tuple result types: each with its fields in order and a value for
