@@ -325,8 +325,12 @@ def cmd_build(args) -> int:
         items = [(project, group, _project_dir(out, project, owners)) for project, group in groups.items()]
         if "run_log.json" in owners:
             raise CliError(f"project {owners['run_log.json']!r} would take the path of the run log, run_log.json")
+        del groups
+        # This process takes the first share itself rather than wait on its workers' rows, so a trace
+        # of it (bench/child.py) still sees the graph layer at work.
         with OrderedMap(functools.partial(_built, min_commits), items, _workers(), lambda item: CliError(
-                f"the worker process building project {item[0]!r} ended before it was done")) as rows:
+                f"the worker process building project {item[0]!r} ended before it was done"), here=True) as rows:
+            del items  # the workers' records are then freed here, for this process's own share
             project_rows = [row for values in rows for row in values]
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}

@@ -27,26 +27,39 @@ class OrderedMap(Generic[Item]):
     items in order and pickles each value up its pipe, then None, or the
     exception that ended the item; an item's iterator raises that exception
     in this process, and ``died(item)`` if the child ended before it was
-    done.  Each iterator must be used up before the next is taken.  With one
-    process, and for the items of children a failed fork left out, ``work``
-    runs in this process.  A child leaves only through ``os._exit``, so
+    done.  Each iterator must be used up before the next is taken.  With
+    ``here``, this process takes the first share itself and forks one child
+    fewer.  With one process, and for the items of children a failed fork
+    left out, ``work`` runs in this process.  Once the children are forked,
+    the map holds an item dealt to one of them only as the error ``died``
+    makes of it, so a caller that lets go of its items frees what they
+    hold for the work done here.  A child leaves only through ``os._exit``, so
     nothing of this process (exit handlers, buffered output, the rest of the
     command) runs twice.  :meth:`close`, which ``with`` calls, kills and reaps
     every child and closes its pipe.
     """
 
     def __init__(self, work: Callable[[Item], Iterable], items: Sequence[Item], processes: int,
-                 died: Callable[[Item], Exception]):
-        self._work, self._items, self._died = work, items, died
+                 died: Callable[[Item], Exception], here: bool = False):
+        self._work, self._items = work, list(items)
         self._n = min(len(items), processes)
-        self._children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+        self._here = int(here)  # the shares before the children's, run in this process
+        self._children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), share by share
         try:
-            while self._n > 1 and len(self._children) < self._n:
+            while self._n > 1 and self._here + len(self._children) < self._n:
                 if not self._fork():
                     break
         except BaseException:
             self.close()
             raise
+        for i, item in enumerate(self._items):
+            if self._child(i) is not None:
+                self._items[i] = died(item)
+
+    def _child(self, i: int) -> BinaryIO | None:
+        """The pipe of the child that runs item ``i``, or None if it runs here."""
+        child = i % self._n - self._here
+        return self._children[child][1] if 0 <= child < len(self._children) else None
 
     def _fork(self) -> bool:
         read, write = os.pipe()
@@ -61,7 +74,7 @@ class OrderedMap(Generic[Item]):
                 for fd in [read, *(pipe.fileno() for _, pipe in self._children)]:  # so it cannot block on a dead parent
                     os.close(fd)
                 with open(write, "wb") as pipe:
-                    for item in self._items[len(self._children)::self._n]:
+                    for item in self._items[self._here + len(self._children)::self._n]:
                         try:
                             for value in self._work(item):
                                 pickle.dump(value, pipe)
@@ -78,15 +91,15 @@ class OrderedMap(Generic[Item]):
 
     def __iter__(self) -> Iterator[Iterator]:
         for i, item in enumerate(self._items):
-            child = i % self._n
-            yield self._received(self._children[child][1], item) if child < len(self._children) else self._work(item)
+            pipe = self._child(i)
+            yield self._work(item) if pipe is None else self._received(pipe, item)
 
-    def _received(self, pipe: BinaryIO, item: Item) -> Iterator:
+    def _received(self, pipe: BinaryIO, died: Exception) -> Iterator:
         while True:
             try:
                 value = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):  # the child died mid-item: killed, say, or out of memory
-                raise self._died(item) from None
+                raise died from None
             if value is None:
                 return
             if isinstance(value, Exception):

@@ -261,10 +261,10 @@ class TestBuild:
         assert err == f"refgraph: error: commit log {log}: line 1: expected 4 tab-separated fields, got 1\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_write_error_removes_what_the_run_wrote(self, demo_records_path, tmp_path, monkeypatch, capsys, workers):
-        # The third project's dump fails, in whichever process builds it; with one process, after two dumps
-        # are written. The earlier run's tree stays as it was.
+        # The third project's dump fails, in whichever process builds it: this one, with one or two processes
+        # (this one takes the first share), or a worker, with three. The earlier run's tree stays as it was.
         out = tmp_path / "out"
         assert main(["build", "--records", str(demo_records_path), "--min-commits", "3", "--out", str(out)]) == 0
         before = _snapshot(out)
@@ -1628,7 +1628,7 @@ def test_errors_keep_their_message_and_code_through_pickle():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_projects_are_built_in_workers_dealt_round_robin(tmp_path, monkeypatch, workers):
+def test_projects_are_built_in_this_process_and_workers_dealt_round_robin(tmp_path, monkeypatch, workers):
     # Whichever process builds a project, the tree and the run log are the golden ones.
     log = tmp_path / "builds.log"
     monkeypatch.setattr(cli, "_workers", lambda: workers)
@@ -1641,11 +1641,8 @@ def test_projects_are_built_in_workers_dealt_round_robin(tmp_path, monkeypatch, 
     for pid, project in _log_lines(log):
         by_process.setdefault(pid, []).append(project)
     order = ["mpandroidchart", "elasticsearch", "spring-framework", "okhttp"]  # first-record order
-    if workers == 1:
-        assert by_process == {os.getpid(): order}
-    else:
-        assert os.getpid() not in by_process
-        assert sorted(by_process.values()) == sorted(order[i::workers] for i in range(workers))
+    assert by_process.pop(os.getpid()) == order[::workers]  # this process takes the first share itself
+    assert sorted(by_process.values()) == sorted(order[i::workers] for i in range(1, workers))
 
 
 @pytest.mark.usefixtures("two_workers")
@@ -1655,6 +1652,35 @@ def test_one_project_is_built_in_this_process(tmp_path, monkeypatch):
     records = _records_file(tmp_path / "r.jsonl", ["solo"])
     assert main(["build", "--records", records, "--out", str(tmp_path / "out")]) == 0
     assert _log_lines(log) == [(os.getpid(), "solo")]
+
+
+class _Group(list):
+    """A project's records, as a list a weak reference can follow."""
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_this_process_lets_go_of_the_records_its_worker_builds(tmp_path, monkeypatch):
+    refs = {}
+    front = cli._run_front_pipeline
+
+    def weakly_held(args, config):
+        groups, log = front(args, config)
+        groups = {project: _Group(group) for project, group in groups.items()}
+        refs.update((project, weakref.ref(group)) for project, group in groups.items())
+        return groups, log
+
+    parent, held = os.getpid(), []
+
+    def building(group):
+        if os.getpid() == parent:
+            held.append(sorted(project for project, ref in refs.items() if ref() is not None))
+        return build(group)
+
+    monkeypatch.setattr(cli, "_run_front_pipeline", weakly_held)
+    monkeypatch.setattr(cli, "build", building)
+    assert main(["build", "--records", str(DEMO_RECORDS), "--out", str(tmp_path / "out")]) == 0
+    # This process builds the first and third projects; the worker, elasticsearch and okhttp.
+    assert held == [["mpandroidchart", "spring-framework"]] * 2
 
 
 def test_one_worker_per_usable_cpu(monkeypatch):
