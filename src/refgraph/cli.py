@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 fatal input error, 2 selector/config error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import itertools
@@ -16,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import ingest, output
+from . import ingest, options, output
 from .graph import (
     GraphDumpError,
     RefactoringGraph,
@@ -31,7 +30,6 @@ from .graph import (
 )
 from .history import CommitLogError, load_commit_log, restrict_to_log
 from .ingest import (
-    DEFAULT_EXCLUDED_KEYWORDS,
     FilterConfig,
     RecordError,
     RefactoringRecord,
@@ -44,65 +42,11 @@ from .report import emit_dot, emit_tables, safe_name, write_json_summary
 
 RUN_LOG_VERSION = "1"
 
-COMMIT_LOG_FORMAT_HELP = (
-    "tab-separated: <full-hash>TAB<ISO-8601>TAB<author name>TAB<author email>, "
-    "as produced by: git log --first-parent --format='%H%x09%aI%x09%an%x09%ae'"
-)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="refgraph",
-        description="Build and characterize method-level refactoring graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="ingest records and write per-project graph dumps")
-    _add_ingest_args(p_build)
-    p_build.add_argument("--out", required=True, help="output directory")
-    p_build.set_defaults(func=cmd_build)
-
-    p_stats = sub.add_parser("stats", help="emit corpus tables and the JSON summary")
-    _add_ingest_args(p_stats, records_required=False)
-    p_stats.add_argument("--graph", nargs="+", action="extend", metavar="PATH", help="graph dump file(s) or a build output directory")
-    p_stats.add_argument("--project-ages", metavar="PATH", help="JSON file mapping project name to age")
-    p_stats.add_argument("--out", required=True, help="output directory")
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_export = sub.add_parser("export", help="export subgraphs as Graphviz DOT files")
-    p_export.add_argument("--graph", nargs="+", action="extend", required=True, metavar="PATH", help="graph dump file(s) or a build output directory")
-    p_export.add_argument("--all", action="store_true", help="export every subgraph")
-    p_export.add_argument("selector", nargs="?", help="subgraph id or vertex substring")
-    p_export.add_argument("--out", required=True, help="output directory")
-    p_export.set_defaults(func=cmd_export)
-    return parser
-
-
-def _add_ingest_args(parser: argparse.ArgumentParser, records_required: bool = True) -> None:
-    parser.add_argument(
-        "--records", nargs="+", action="extend", required=records_required, metavar="PATH",
-        help="JSON-lines refactoring record file(s)",
-    )
-    parser.add_argument(
-        "--commit-log", action="append", default=[], metavar="PROJECT=PATH",
-        help=f"restrict a project to its main-branch commits ({COMMIT_LOG_FORMAT_HELP})",
-    )
-    parser.add_argument("--min-commits", type=int, default=2, metavar="N",
-                        help="keep subgraphs spanning at least N distinct commits (default 2)")
-    parser.add_argument("--exclude-keywords", default=None, metavar="CSV",
-                        help="comma-separated package segment keywords to drop "
-                        f"(default: {','.join(DEFAULT_EXCLUDED_KEYWORDS)})")
-    parser.add_argument("--keep-constructors", action="store_true",
-                        help="do not drop constructor endpoints")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat any malformed record line as fatal")
-
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = options.build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return {"build": cmd_build, "stats": cmd_stats, "export": cmd_export}[args.command](args)
     except (CliError, OSError, CommitLogError, GraphDumpError, ProjectAgesError) as exc:
         print(f"refgraph: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1
@@ -116,60 +60,39 @@ def run() -> None:
 # shared pipeline
 
 
-def _filter_config(args) -> FilterConfig:
-    keywords = DEFAULT_EXCLUDED_KEYWORDS
-    if args.exclude_keywords is not None:
-        keywords = tuple(k.strip() for k in args.exclude_keywords.split(",") if k.strip())
-    return FilterConfig(keywords, drop_constructors=not args.keep_constructors)
-
-
-def _min_commits(args) -> int:
-    if args.min_commits < 1:
-        raise CliError(f"--min-commits must be >= 1, got {args.min_commits}", code=2)
-    return args.min_commits
-
-
-def _commit_log_paths(args) -> dict[str, str]:
-    paths: dict[str, str] = {}
-    for item in args.commit_log:
-        project, sep, path = item.partition("=")
-        if not sep or not project or not path:
-            raise CliError(f"--commit-log expects PROJECT=PATH, got {item!r}", code=2)
-        if project in paths:
-            raise CliError(f"--commit-log given more than once for project {project!r}", code=2)
-        paths[project] = path
-    return paths
-
-
 def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
     """What the byte range ``(path, start, end)`` of a records file gives: its line count, its records'
-    projects, its parsed, skipped and excluded counts, then its kept records as plain tuples, 1024 at a time.
+    projects, its parsed, skipped, excluded and kept counts, then ``(project, bytes)`` per project of its kept
+    records, in first-record order, the bytes being that project's records pickled as one list of plain tuples.
     The range is parsed whole first, so a worker does not wait on its pipe while it parses."""
+    import pickle  # loaded with refgraph.workers, which runs this
+
     lines = itertools.count()  # counts a line each time the file gives one
     with ingest.open_range(*item) as handle:
         records, issues = parse_records((line for line, _ in zip(handle, lines)), strict=strict)
     kept, excluded = apply_filters(records, config)
-    yield next(lines), {record.project for record in records}, len(records), len(issues), excluded
+    yield next(lines), {record.project for record in records}, len(records), len(issues), excluded, len(kept)
     del records
-    while kept:  # each batch let go once sent, so in one process the records are not held twice
-        yield list(map(tuple, kept[:1024]))
-        del kept[:1024]
+    groups: dict[str, list[RefactoringRecord]] = {}
+    for record in kept:
+        groups.setdefault(record.project, []).append(record)
+    del kept
+    for project in list(groups):  # each group let go once sent
+        yield project, pickle.dumps(list(map(tuple, groups.pop(project))))
 
 
-def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, Sequence[RefactoringRecord]], dict]:
-    """The records analyzed per project, in first-record order, and the run
-    log's ``inputs`` and ``stages`` blocks. A project's graph is built from
-    its group alone. Each records file is cut into byte ranges,
-    parsed and filtered in forked workers; each record joins its project's
-    group as its range comes back."""
+def _run_front_pipeline(args, config: FilterConfig) -> tuple[list[tuple[str, list[bytes], dict | None]], dict]:
+    """Per project, in first-record order, ``(project, batches, log)``: the pickled batches of its kept records,
+    one per byte range holding any, in range order, and its commit log or None; and the run log's ``inputs``
+    and ``stages`` blocks, the stages after ``filtered`` left at 0 for the per-project step to count.
+    Each records file is cut into byte ranges, parsed and filtered in forked workers."""
     from .workers import OrderedMap  # here: importing the CLI loads neither pickle nor signal
 
-    log_paths = _commit_log_paths(args)
+    log_paths = options.commit_log_paths(args)
     n = _workers()
     ranges = [(path, *span) for path in args.records for span in ingest.record_ranges(path, n)]
-    share = {}.setdefault  # so a string two ranges hold is one object here
-    groups: dict[str, Sequence[RefactoringRecord]] = {}
-    inputs, projects, excluded = [], set(), dict.fromkeys(ingest.FILTER_REASONS, 0)
+    groups: dict[str, list[bytes]] = {}
+    inputs, projects, excluded, filtered = [], set(), dict.fromkeys(ingest.FILTER_REASONS, 0), 0
     with OrderedMap(functools.partial(_parsed, args.strict, config), ranges, n,
                     lambda item: CliError(f"the worker process parsing {item[0]} ended before it was done")) as results:
         logs = {project: load_commit_log(path) for project, path in log_paths.items()}  # as the workers parse
@@ -178,7 +101,7 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, Sequence[
                 inputs.append({"path": str(path), "records": 0, "skipped": 0})
                 offset = 0  # lines in the file's ranges before this one
             try:
-                lines, seen, parsed, skipped, dropped = next(values)
+                lines, seen, parsed, skipped, dropped, kept = next(values)
             except RecordError as exc:  # numbered within its range
                 raise CliError(f"records file {path}: line {offset + exc.line_no}: {exc.message}") from None
             offset += lines
@@ -187,11 +110,9 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, Sequence[
             inputs[-1]["skipped"] += skipped
             for reason, count in dropped.items():
                 excluded[reason] += count
-            for batch in values:
-                for fields in batch:
-                    record = RefactoringRecord._make(map(share, fields, fields))
-                    groups.setdefault(record.project, []).append(record)
-    del share
+            filtered += kept
+            for project, batch in values:
+                groups.setdefault(project, []).append(batch)
     for project in logs:
         if project not in projects:
             raise CliError(f"--commit-log project {project!r} matches no record", code=2)
@@ -200,19 +121,13 @@ def _run_front_pipeline(args, config: FilterConfig) -> tuple[dict[str, Sequence[
         "parsed": sum(entry["records"] for entry in inputs),
         "parse_skipped": sum(entry["skipped"] for entry in inputs),
         "excluded": excluded,
-        "filtered": sum(map(len, groups.values())),
+        "filtered": filtered,
         "off_branch_dropped": 0,
         "ambiguous_commit": 0,
+        "analyzed": 0,
     }
-    for project, log in logs.items():
-        if project in groups:
-            outcome = restrict_to_log(groups[project], log)
-            groups[project] = outcome.kept
-            stages["off_branch_dropped"] += outcome.dropped
-            stages["ambiguous_commit"] += len(outcome.issues)
-
-    stages["analyzed"] = sum(map(len, groups.values()))
-    return groups, {"inputs": inputs, "stages": stages}
+    return [(project, batches, logs.get(project)) for project, batches in groups.items()], \
+        {"inputs": inputs, "stages": stages}
 
 
 def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[RefactoringGraph]]:
@@ -223,17 +138,44 @@ def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Re
     return len(subgraphs), sum(1 for s in subgraphs if s.commit_count() == 1), kept
 
 
-def _built(min_commits: int, item: tuple) -> Iterator[dict]:
-    """Build and split the graph of a ``(project, group, directory)`` item, write its dump into the
-    directory, and yield the project's run-log row."""
-    project, group, directory = item
+def _built(min_commits: int, item: tuple) -> Iterator[tuple]:
+    """Build and split the graph of a ``(project, batches, log, directory)`` item. Its records are unpickled from
+    the batches, each string they repeat made one object, and restricted to the log unless it is None. Without a
+    directory, yield the split, for ``stats`` to measure; with one, write the dump into it and yield the project's
+    run-log row with its off-branch and ambiguous-commit counts."""
+    import pickle  # loaded with refgraph.workers, which runs this
+
+    project, batches, log, directory = item
+    share = {}.setdefault
+    group = [RefactoringRecord._make(map(share, fields, fields)) for batch in batches for fields in pickle.loads(batch)]
+    del share
+    dropped, issues = 0, ()
+    if log is not None:
+        group, dropped, issues = restrict_to_log(group, log)
     graph = build(group)
     total, single, kept = _split(graph, min_commits)
+    if directory is None:  # stats measures the kept subgraphs, with the graph let go of
+        del graph
+        yield total, single, kept
+        return
     # An exhausted generator drops its frame, so no dump outlives its write.
     _write_json(directory / "graph.json", dump_chunks(graph_to_dict(graph, project)))
     yield dict(project=project, records=len(group), vertices=graph.n_vertices, edges=graph.n_edges,
                subgraphs=total, single_commit=single, multi_commit=total - single,
-               below_threshold=total - len(kept), kept=len(kept))
+               below_threshold=total - len(kept), kept=len(kept)), dropped, len(issues)
+
+
+def _per_project(work: Callable[[tuple], Iterable], items: list[tuple], here: bool = False) -> Iterator[tuple]:
+    """``(project, values)`` per ``(project, ...)`` item in order, ``values`` being what ``work`` gives for it
+    in a forked worker (or, with ``here``, in this process for the first share). Once the workers are forked,
+    the items dealt to them are let go of, so a caller keeping no reference to ``items`` frees them."""
+    from .workers import OrderedMap
+
+    projects = [item[0] for item in items]
+    with OrderedMap(work, items, _workers(), lambda item: CliError(
+            f"the worker process building project {item[0]!r} ended before it was done"), here=here) as results:
+        del items
+        yield from zip(projects, results)
 
 
 def _workers() -> int:  # one per CPU this process may run on, or one where the platform cannot tell
@@ -314,24 +256,28 @@ def _write_json(path: Path, chunks: Iterator[str]) -> None:
 
 
 def cmd_build(args) -> int:
-    from .workers import OrderedMap
-
-    min_commits = _min_commits(args)
-    config = _filter_config(args)
+    min_commits = options.min_commits(args)
+    config = options.filter_config(args)
     with output.tree(args.out, "build") as out:
-        groups, front_log = _run_front_pipeline(args, config)
+        items, front_log = _run_front_pipeline(args, config)
         owners: dict[str, str] = {}
         # a collision fails before any dump
-        items = [(project, group, _project_dir(out, project, owners)) for project, group in groups.items()]
+        items = [(*item, _project_dir(out, item[0], owners)) for item in items]
         if "run_log.json" in owners:
             raise CliError(f"project {owners['run_log.json']!r} would take the path of the run log, run_log.json")
-        del groups
         # This process takes the first share itself rather than wait on its workers' rows, so a trace
         # of it (bench/child.py) still sees the graph layer at work.
-        with OrderedMap(functools.partial(_built, min_commits), items, _workers(), lambda item: CliError(
-                f"the worker process building project {item[0]!r} ended before it was done"), here=True) as rows:
-            del items  # the workers' records are then freed here, for this process's own share
-            project_rows = [row for values in rows for row in values]
+        results = _per_project(functools.partial(_built, min_commits), items, here=True)
+        del items  # so the workers' batches are freed here, for this process's own share
+        with contextlib.closing(results):
+            project_rows = []
+            stages = front_log["stages"]
+            for _, values in results:
+                for row, off_branch, ambiguous in values:
+                    project_rows.append(row)
+                    stages["off_branch_dropped"] += off_branch
+                    stages["ambiguous_commit"] += ambiguous
+                    stages["analyzed"] += row["records"]
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
         run_log = dict(
@@ -353,7 +299,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    min_commits = _min_commits(args)
+    min_commits = options.min_commits(args)
     if bool(args.records) == bool(args.graph):
         raise CliError("pass either --records or --graph, not both" if args.records
                        else "stats requires --records or --graph", code=2)
@@ -363,8 +309,9 @@ def cmd_stats(args) -> int:
     with output.tree(args.out, "stats") as out:
         ages = load_project_ages(args.project_ages) if args.project_ages else None
         if args.records:
-            records = _run_front_pipeline(args, _filter_config(args))[0]
-            results = ((project, [_split(build(group), min_commits)]) for project, group in records.items())
+            items = _run_front_pipeline(args, options.filter_config(args))[0]
+            results = _per_project(functools.partial(_built, min_commits), [(*item, None) for item in items])
+            del items  # so each project's batches are freed once dealt to its worker
         else:
             results = _per_dump(args.graph, lambda graph: [_split(graph, min_commits)])
         with contextlib.closing(results):  # a process holds one project's graph at a time

@@ -23,10 +23,12 @@ class CommitLogError(ValueError):
 
 
 def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, str, str]]:
-    """Parse tab-separated commit log lines; any malformed line is fatal."""
+    """Parse tab-separated commit log lines; any malformed line is fatal.
+    A line of nothing but spaces, tabs and line ends is blank and skipped, as in a records file;
+    one holding other whitespace (a no-break space, a form feed) is malformed."""
     log: dict[str, tuple[str, str, str]] = {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip(" \t\r\n"):
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 4:

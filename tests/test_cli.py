@@ -21,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from refgraph import cli, ingest, report
+from refgraph import cli, history, ingest, report
 from refgraph.cli import main
 from refgraph.graph import GraphDumpError, build, graph_to_dict, load_graph, partition, scan_dump
-from refgraph.ingest import _MEMOS, clear_caches, parse_record_line
+from refgraph.ingest import _MEMOS, RefactoringRecord, clear_caches, parse_record_line
 from refgraph.report import emit_dot, emit_tables
 
 CORRUPT_LINE = '{"project": "x", "commit": "zz", "oops": true}\n'
@@ -1509,9 +1509,10 @@ _WORKER_RUNS = {
     "build": ["build", "--records", str(DEMO_RECORDS)],
     "stats": ["stats", "--graph", str(GOLDEN_BUILD)],
     "export": ["export", "--all", "--graph", str(GOLDEN_BUILD)],
+    "stats --records": ["stats", "--records", str(DEMO_RECORDS)],
 }
 _KILLED = [("loading", "stats"), ("loading", "export"), ("sending", "stats"), ("sending", "export"),
-           ("parsing", "build"), ("sending", "build"), ("building", "build")]
+           ("parsing", "build"), ("sending", "build"), ("building", "build"), ("building", "stats --records")]
 
 
 @pytest.mark.parametrize("when, command", _KILLED, ids=[f"{when}-{command}" for when, command in _KILLED])
@@ -1524,8 +1525,13 @@ def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatc
                                                                       ingest.open_range))
     elif when == "building":
         monkeypatch.setattr(cli, "build", _killed_in_a_worker(lambda group: group[0].project == "okhttp", build))
-    else:  # the pipe then ends inside a pickle: the dump's project, or the first batch of records
-        sent = (lambda value: isinstance(value, list)) if command == "build" else (lambda value: value == "okhttp")
+    else:  # the pipe then ends inside a pickle: the dump's project, or a project's pickled records
+        if command == "build":
+            def sent(value):
+                return isinstance(value, tuple) and isinstance(value[-1], bytes)
+        else:
+            def sent(value):
+                return value == "okhttp"
         monkeypatch.setattr(pickle, "dump", _killed_mid_value(sent, pickle.dump))
 
     def hung(signum, frame):
@@ -1654,33 +1660,25 @@ def test_one_project_is_built_in_this_process(tmp_path, monkeypatch):
     assert _log_lines(log) == [(os.getpid(), "solo")]
 
 
-class _Group(list):
-    """A project's records, as a list a weak reference can follow."""
-
-
 @pytest.mark.usefixtures("two_workers")
-def test_this_process_lets_go_of_the_records_its_worker_builds(tmp_path, monkeypatch):
-    refs = {}
-    front = cli._run_front_pipeline
+def test_this_process_makes_no_record_of_a_project_a_worker_builds(tmp_path, monkeypatch):
+    # The parse workers send each project's records as bytes; its records are made where it is built.
+    parent, made = os.getpid(), set()
 
-    def weakly_held(args, config):
-        groups, log = front(args, config)
-        groups = {project: _Group(group) for project, group in groups.items()}
-        refs.update((project, weakref.ref(group)) for project, group in groups.items())
-        return groups, log
-
-    parent, held = os.getpid(), []
-
-    def building(group):
+    def making(*fields):
         if os.getpid() == parent:
-            held.append(sorted(project for project, ref in refs.items() if ref() is not None))
-        return build(group)
+            made.add(fields[-1])
+        return RefactoringRecord(*fields)
 
-    monkeypatch.setattr(cli, "_run_front_pipeline", weakly_held)
-    monkeypatch.setattr(cli, "build", building)
-    assert main(["build", "--records", str(DEMO_RECORDS), "--out", str(tmp_path / "out")]) == 0
+    making._make = lambda fields: making(*fields)
+    for module in (ingest, cli, history):  # parsing, unpickling, restricting to the commit log
+        monkeypatch.setattr(module, "RefactoringRecord", making)
+    monkeypatch.chdir(TESTS_DIR.parent)  # the run log holds the records path as given
+    assert main(["build", "--records", "demo/refactorings.jsonl", "--commit-log",
+                 "mpandroidchart=demo/commit_log_mpandroidchart.tsv", "--out", str(tmp_path / "out")]) == 0
+    assert _tree(tmp_path / "out") == _tree(GOLDEN_BUILD)
     # This process builds the first and third projects; the worker, elasticsearch and okhttp.
-    assert held == [["mpandroidchart", "spring-framework"]] * 2
+    assert made == {"mpandroidchart", "spring-framework"}
 
 
 def test_one_worker_per_usable_cpu(monkeypatch):
@@ -1715,6 +1713,11 @@ def test_records_cut_into_ranges_build_what_one_process_builds(seed, n_edges, od
     for project in ("alpha", "beta"):
         records += corpus.random_records(rng, n_edges, pool_size=rng.randint(2, n_edges + 2),
                                          n_commits=rng.randint(1, 4), project=project)
+    # alpha has a commit log: a record off it, one whose commit prefixes two of its hashes, the rest on it
+    alpha = [record for record in records if record.project == "alpha"]
+    records += [alpha[0]._replace(commit="abcdef0"), alpha[-1]._replace(commit="fedcba9")]
+    log = [f"{commit:0<40}\t2021-01-01T00:00:00Z\tDev\tdev@example.org\n" for commit in sorted({r.commit for r in alpha})]
+    log += [f"abcdef0{fill * 33}\t2021-01-02T00:00:00Z\tDev\tdev@example.org\n" for fill in "ab"]
     rng.shuffle(records)
     lines = [json.dumps(corpus.record_dict(record)).encode("utf-8") for record in records]
     for kind in odd:
@@ -1732,16 +1735,23 @@ def test_records_cut_into_ranges_build_what_one_process_builds(seed, n_edges, od
         tmp = Path(tmp)
         path = tmp / "records.jsonl"
         path.write_bytes((codecs.BOM_UTF8 if bom_first else b"") + data)
+        (tmp / "alpha.tsv").write_text("".join(log), encoding="utf-8")
+        inputs = ["--records", str(path), "--commit-log", f"alpha={tmp / 'alpha.tsv'}"]
         errors = {}
         for workers in (1, 2, 3):
             with mock.patch.object(cli, "_workers", lambda: workers):
-                argv = ["build", "--records", str(path)]
-                assert main([*argv, "--out", str(tmp / f"out-{workers}")]) == 0
+                assert main(["build", *inputs, "--out", str(tmp / f"out-{workers}")]) == 0
+                assert main(["stats", *inputs, "--out", str(tmp / f"stats-{workers}")]) == 0
                 with contextlib.redirect_stderr(io.StringIO()) as err:
-                    code = main([*argv, "--strict", "--out", str(tmp / f"strict-{workers}")])
+                    code = main(["build", *inputs, "--strict", "--out", str(tmp / f"strict-{workers}")])
                 errors[workers] = code, err.getvalue()
         assert _tree(tmp / "out-2") == _tree(tmp / "out-1") and _tree(tmp / "out-3") == _tree(tmp / "out-1")
-        skipped = _read_json(tmp / "out-1" / "run_log.json")["stages"]["parse_skipped"]
+        stages = _read_json(tmp / "out-1" / "run_log.json")["stages"]
+        assert stages["off_branch_dropped"] >= 1 and stages["ambiguous_commit"] >= 1
+        assert main(["stats", "--graph", str(tmp / "out-1"), "--out", str(tmp / "stats-graph")]) == 0
+        for workers in (1, 2, 3):  # stats --records is build followed by stats --graph
+            assert _tree(tmp / f"stats-{workers}") == _tree(tmp / "stats-graph")
+        skipped = stages["parse_skipped"]
         assert errors[2] == errors[3] == errors[1] == ((1, errors[1][1]) if skipped else (0, ""))
         if skipped:  # the first bad line in the file, under its number in the file
             with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -1811,15 +1821,16 @@ def test_a_string_two_ranges_hold_is_one_object(tmp_path, monkeypatch):
     path.write_text(text + text, encoding="utf-8")
     assert len(ingest.record_ranges(path, 2)) == 2
     monkeypatch.setattr(cli, "_workers", lambda: 2)
-    fronts = []  # what the front pipeline gave, in this process
-    front = cli._run_front_pipeline
-    monkeypatch.setattr(cli, "_run_front_pipeline", lambda *args: fronts.append(front(*args)) or fronts[-1])
+    groups = []  # what the projects built in this process are built from
+    monkeypatch.setattr(cli, "build", lambda group: groups.append(group) or build(group))
     assert main(["build", "--records", str(path), "--out", str(tmp_path / "out")]) == 0
-    objects: dict[str, set[int]] = {}  # each vertex, commit, email, timestamp, project and type -> its objects
-    for record in (record for group in fronts[0][0].values() for record in group):
-        for value in record:
-            objects.setdefault(value, set()).add(id(value))
-    assert len(objects) > 20 and all(len(ids) == 1 for ids in objects.values())
+    assert [group[0].project for group in groups] == ["mpandroidchart", "spring-framework"]
+    for group in groups:
+        objects: dict[str, set[int]] = {}  # each vertex, commit, email, timestamp, project and type -> its objects
+        for record in group:
+            for value in record:
+                objects.setdefault(value, set()).add(id(value))
+        assert len(objects) > 5 and all(len(ids) == 1 for ids in objects.values())
 
 
 @pytest.mark.usefixtures("one_process")  # the caches of this process are the ones parsing
@@ -1853,6 +1864,16 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["build"])  # --records and --out are required
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["build", "stats", "export"])
+def test_each_command_prints_its_help(capsys, command):
+    # The commit log format's "%H" and "%x09" are printed as they are, not read as format specifiers.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert ("--format='%H%x09%aI%x09%an%x09%ae'" in capsys.readouterr().out.replace("\n", "").replace(" ", "")) \
+        == (command != "export")
 
 
 DEEP_JSON = "[" * 100_000

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 import corpus
-from refgraph.history import CommitLogError, parse_commit_log, restrict_to_log
+from refgraph.history import CommitLogError, load_commit_log, parse_commit_log, restrict_to_log
 from refgraph.ingest import parse_signature, parse_timestamp
 
 LOG_LINES = [
@@ -54,6 +55,19 @@ class TestParseCommitLog:
     def test_blank_lines_ignored(self):
         log = parse_commit_log(["", LOG_LINES[0], "   "])
         assert list(log) == [LOG_LINES[0][:40]]
+
+    @pytest.mark.parametrize("space", ["\xa0", "\x0c", "\u2028", "\x0b", "\x85"])
+    def test_a_line_of_other_whitespace_is_fatal_with_line_number(self, space):
+        # Blank is what it is in a records file: nothing but spaces, tabs and line ends.
+        assert list(parse_commit_log([LOG_LINES[0], " \t\r\n", "\n"])) == [LOG_LINES[0][:40]]
+        with pytest.raises(CommitLogError, match="^line 3: expected 4 tab-separated fields, got 1$"):
+            parse_commit_log([LOG_LINES[0], "", f" {space}\n", LOG_LINES[1]])
+
+    def test_a_log_file_line_of_no_break_space_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text("\n".join([LOG_LINES[0], "\xa0", LOG_LINES[1]]) + "\n", encoding="utf-8")
+        with pytest.raises(CommitLogError, match=f"^commit log {re.escape(str(path))}: line 2: expected 4"):
+            load_commit_log(path)
 
     def test_exported_log_size_matches_line_count(self):
         lines = _synthetic_log_lines(137)
