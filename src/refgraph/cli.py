@@ -182,11 +182,6 @@ def _workers() -> int:  # one per CPU this process may run on, or one where the 
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# With a selector, at most this many dumps stay open from their scan to their load, so
-# a selector most dumps hold does not run out of file descriptors; the rest are opened again.
-_HELD_DUMPS = 64
-
-
 def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable],
               selector: str | None = None) -> Iterator[tuple[str, Iterator | None]]:
     """``(project, values)`` per dump under ``paths`` in path order, ``values`` being what ``work`` gives
@@ -194,31 +189,31 @@ def _per_dump(paths: Sequence[str], work: Callable[[RefactoringGraph], Iterable]
     here, in path order, by :func:`scan_dump`, and one whose bytes do not hold it is read for its head line
     alone: its ``values`` is None. The other dumps load in forked workers, read back in path order, so errors
     come in path order; a dump whose scan fails is loaded, to fail in its turn. Closing this kills and reaps
-    the workers, and closes the dumps still open from their scan."""
+    the workers."""
     from .workers import OrderedMap
 
-    def loaded(item):  # the dump's project, then what work gives for its graph
+    def loaded(path):  # the dump's project, then what work gives for its graph
         ingest.clear_caches()  # frees the strings only the dumps loaded before held
-        project, graph = load_graph(*item)
+        project, graph = load_graph(path)
         yield project
         yield from work(graph)
 
     dumps = dump_paths(paths)
     heads = {}  # path -> project, of each dump read for its head line alone
-    with contextlib.ExitStack() as held:
-        loads = []  # load_graph's arguments, per dump to load
-        for path in dumps:
-            try:
-                found = scan_dump(path, selector, keep=len(loads) < _HELD_DUMPS) if selector else None
-            except (OSError, GraphDumpError):  # loading the dump raises it again, in its turn
-                loads.append((path,))
-                break
-            if isinstance(found, str):
-                heads[path] = found
-            else:
-                loads.append((path, held.enter_context(found)) if found else (path,))
-        results = iter(held.enter_context(OrderedMap(loaded, loads, _workers(), lambda item: CliError(
-            f"the worker process loading {item[0]} ended before it was done"))))
+    loads = []  # the dumps to load
+    for path in dumps:
+        try:
+            project = scan_dump(path, selector) if selector else None
+        except (OSError, GraphDumpError):  # loading the dump raises it again, in its turn
+            loads.append(path)
+            break
+        if project:
+            heads[path] = project
+        else:
+            loads.append(path)
+    with OrderedMap(loaded, loads, _workers(), lambda path: CliError(
+            f"the worker process loading {path} ended before it was done")) as mapped:
+        results = iter(mapped)
         first: dict[str, Path] = {}  # project -> the dump that named it
         for path in dumps:
             project = heads.get(path)
@@ -334,14 +329,15 @@ def _dots(graph: RefactoringGraph, selector: str | None) -> Iterator[tuple[str, 
 
 
 def cmd_export(args) -> int:
+    # --graph takes every word up to the next option, so a selector right after it is a path
+    stray = len(args.graph) > 1 and not Path(args.graph[-1]).exists()
     if bool(args.selector) == bool(args.all):
         message = "pass exactly one of a selector or --all"
-        if not args.all and len(args.graph) > 1 and not Path(args.graph[-1]).exists():
-            # --graph takes every word up to the next option, so a selector right after it is a path
+        if stray and not args.all:
             message += (f"; {args.graph[-1]!r} was read as a --graph path:"
                         " put the selector before --graph or after --out DIR")
         raise CliError(message, code=2)
-    if args.all and len(args.graph) > 1 and not Path(args.graph[-1]).exists():
+    if stray and args.all:
         raise CliError(f"{args.graph[-1]!r} was read as a --graph path and does not exist;"
                        " a selector cannot be combined with --all", code=2)
     selector = None if args.all else args.selector

@@ -221,14 +221,13 @@ def _refusal(exc: ValueError, path, line_no: int) -> GraphDumpError:
     return GraphDumpError(f"corrupt graph dump: line {line_no}: {exc} in {path}")
 
 
-def _text(path, handle: BinaryIO | None):
-    return io.TextIOWrapper(handle or open(path, "rb"), encoding="utf-8-sig")  # a leading byte-order mark is skipped
+def _text(handle: BinaryIO) -> io.TextIOWrapper:
+    return io.TextIOWrapper(handle, encoding="utf-8-sig")  # a leading byte-order mark is skipped
 
 
-def load_graph(path, handle: BinaryIO | None = None) -> tuple[str, RefactoringGraph]:
-    """``(project, graph)`` of a dump, read one line at a time from ``handle``,
-    the dump at ``path`` open in binary mode at its start, or else from
-    ``path``; the graph equals the dumped one. Edges are checked by
+def load_graph(path) -> tuple[str, RefactoringGraph]:
+    """``(project, graph)`` of the dump at ``path``, read one line at a time;
+    the graph equals the dumped one. Edges are checked by
     :func:`~refgraph.ingest.parse_edge_fields`, the rule record lines follow,
     each of their ends must be on its line as :func:`dump_chunks` writes it,
     so that :func:`scan_dump` finds every vertex by its bytes, and they carry
@@ -237,7 +236,7 @@ def load_graph(path, handle: BinaryIO | None = None) -> tuple[str, RefactoringGr
     records: list[RefactoringRecord] = []
     line_no = 1
     try:
-        with _text(path, handle) as text:
+        with _text(open(path, "rb")) as text:
             project = _project(text.readline(), path)
             for line_no, line in enumerate(text, start=2):
                 edge = _decode_line(line, path, line_no)
@@ -262,33 +261,25 @@ def load_graph(path, handle: BinaryIO | None = None) -> tuple[str, RefactoringGr
 _BLOCK = 1 << 16  # bytes scan_dump reads at a time
 
 
-def scan_dump(path, substring: str, keep: bool = True) -> str | BinaryIO | None:
-    """The dump at ``path`` open in binary mode at its start, or None unless
-    ``keep``, if its bytes hold ``substring`` as :func:`dump_chunks` writes
-    it, ASCII-escaped; else the project its head line names, checked as
-    :func:`load_graph` checks it. As :func:`load_graph` refuses a vertex
-    not written so, a dump this gives a project for has no vertex holding
-    ``substring``. The dump is opened once and read ``_BLOCK`` bytes at a
-    time, so its size does not change how much of it is held."""
+def scan_dump(path, substring: str) -> str | None:
+    """None if the bytes of the dump at ``path`` hold ``substring`` as
+    :func:`dump_chunks` writes it, ASCII-escaped; else the project its head
+    line names, checked as :func:`load_graph` checks it. As
+    :func:`load_graph` refuses a vertex not written so, a dump this gives a
+    project for has no vertex holding ``substring``. The dump is read
+    ``_BLOCK`` bytes at a time, so its size does not change how much of it
+    is held, and is closed before this returns."""
     needle = _encode(substring)[1:-1].encode("ascii")
-    handle = open(path, "rb")
-    try:
+    with open(path, "rb") as handle:
         tail = b""  # the end of the bytes read so far, too short to hold the needle
         while block := handle.read(_BLOCK):
             window = tail + block
             if needle in window:
-                if not keep:
-                    handle.close()
-                    return None
-                handle.seek(0)
-                return handle
+                return None
             tail = window[max(0, len(window) - len(needle) + 1):]
         handle.seek(0)
-    except BaseException:
-        handle.close()
-        raise
-    try:
-        with _text(path, handle) as text:
-            return _project(text.readline(), path)
-    except ValueError as exc:
-        raise _refusal(exc, path, 1) from None
+        try:
+            with _text(handle) as text:
+                return _project(text.readline(), path)
+        except ValueError as exc:
+            raise _refusal(exc, path, 1) from None

@@ -1264,16 +1264,27 @@ def test_one_project_is_held_at_a_time(tmp_path, monkeypatch, command, source, o
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("command", [["stats"], ["export", "--all"], ["export", "com."]],
-                         ids=["stats", "export", "export-selector"])
+@pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])
 def test_each_dump_is_opened_once(tmp_path, monkeypatch, command, workers):
-    # With a selector, a dump holding it stays open from its scan to its load.
     build_out = TESTS_DIR / "golden" / "build"
     log = tmp_path / "opens.log"
     monkeypatch.setattr(cli, "_workers", lambda: workers)
     monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: file), raising=False)
     assert main([*command, "--graph", str(build_out), "--out", str(tmp_path / "out")]) == 0
     assert sorted(Path(file) for _, file in _log_lines(log)) == sorted(build_out.glob("*/graph.json"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_selector_export_opens_each_dump_to_scan_it_and_each_match_again_to_load_it(tmp_path, monkeypatch,
+                                                                                      workers):
+    log = tmp_path / "opens.log"
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: Path(file).parent.name),
+                        raising=False)
+    assert main(["export", "com.", "--graph", str(GOLDEN_BUILD), "--out", str(tmp_path / "dot")]) == 0
+    assert sorted(project for _, project in _log_lines(log)) == [
+        "elasticsearch", "mpandroidchart", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]
+    assert sorted(p.parent.name for p in (tmp_path / "dot").rglob("*.dot")) == ["mpandroidchart", "okhttp"]
 
 
 # Per project, a chain of vertices holding what the selector's escaping must
@@ -1312,7 +1323,7 @@ def escaped_build(tmp_path_factory):
 def test_a_selector_export_is_the_export_of_every_dump_loaded(escaped_build, selector, workers):
     runs = []
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_workers", lambda: workers):
-        for scan in (scan_dump, lambda path, selector, keep: open(path, "rb")):  # the second: every dump a match
+        for scan in (scan_dump, lambda path, selector: None):  # the second: every dump a match
             out = Path(tmp) / "out"
             err = io.StringIO()
             with mock.patch.object(cli, "scan_dump", scan), contextlib.redirect_stderr(err), \
@@ -1322,19 +1333,6 @@ def test_a_selector_export_is_the_export_of_every_dump_loaded(escaped_build, sel
             shutil.rmtree(out, ignore_errors=True)
     assert runs[0] == runs[1]
     assert runs[0][0] == 0 or runs[0][1] == f"refgraph: error: selector matched no subgraph: {selector!r}\n"
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_dumps_past_the_open_limit_are_opened_again(tmp_path, monkeypatch, workers):
-    log = tmp_path / "opens.log"
-    monkeypatch.setattr(cli, "_workers", lambda: workers)
-    monkeypatch.setattr(cli, "_HELD_DUMPS", 1)
-    monkeypatch.setattr("refgraph.graph.open", _logged(log, open, lambda file, *args: Path(file).parent.name),
-                        raising=False)
-    assert main(["export", "com.", "--graph", str(GOLDEN_BUILD), "--out", str(tmp_path / "dot")]) == 0
-    assert sorted(project for _, project in _log_lines(log)) == [
-        "elasticsearch", "mpandroidchart", "okhttp", "okhttp", "spring-framework"]
-    assert sorted(p.parent.name for p in (tmp_path / "dot").rglob("*.dot")) == ["mpandroidchart", "okhttp"]
 
 
 @pytest.mark.parametrize("command", [["stats"], ["export", "--all"]], ids=["stats", "export"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import os
 import random
 import re
 import tracemalloc
@@ -461,17 +462,17 @@ def test_scan_dump_finds_every_vertex_substring(tmp_path_factory, seed, block, d
     with mock.patch.object(graph_module, "_BLOCK", block):
         for selector in selectors:
             found = scan_dump(path, selector)
-            if isinstance(found, str):
-                assert found == "p" and not any(selector in v for v in graph.vertices), selector
+            if any(selector in v for v in graph.vertices):
+                assert found is None, selector
             else:
-                with found:
-                    assert found.read() == path.read_bytes()
+                assert found in (None, "p"), selector
 
 
 def test_scan_dump_holds_a_block_at_a_time(tmp_path_factory):
     head, line, _ = _spelled_text().splitlines(keepends=True)
     path = _write_dump(tmp_path_factory, head + line * 40000 + line.replace("#n()", "#last()"))  # about 8 MB
     assert path.stat().st_size > 100 * graph_module._BLOCK
+    fds = _open_fds()
     for selector, loads in (("absent", False), ("#last(", True)):
         tracemalloc.start()
         try:
@@ -479,10 +480,14 @@ def test_scan_dump_holds_a_block_at_a_time(tmp_path_factory):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert isinstance(found, str) != loads
-        if loads:
-            found.close()
+        assert (found is None) == loads
         assert peak < 4 * graph_module._BLOCK, peak
+    assert _open_fds() == fds  # a match and a miss alike close the dump
+
+
+def _open_fds():
+    """The file descriptors this process holds open."""
+    return sorted(os.listdir("/dev/fd"))
 
 
 @pytest.mark.parametrize("text", [
@@ -505,6 +510,7 @@ def test_scan_dump_checks_a_head_as_load_graph_does(tmp_path_factory, text):
     line = _spelled_text().splitlines(keepends=True)[1]
     path = tmp_path_factory.mktemp("dump") / "graph.json"
     path.write_bytes(text + line.encode("ascii") * 3)
+    fds = _open_fds()
     try:
         expected = load_graph(path)[0]
     except GraphDumpError as exc:
@@ -515,6 +521,7 @@ def test_scan_dump_checks_a_head_as_load_graph_does(tmp_path_factory, text):
         with pytest.raises(GraphDumpError) as scanned:
             scan_dump(path, "absent")
         assert str(scanned.value) == str(expected)
+    assert _open_fds() == fds  # a good head and a bad one alike close the dump
 
 
 class TestRecordAsEdge:
