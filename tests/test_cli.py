@@ -1502,12 +1502,13 @@ def _open_fds():
 
 
 # Each command on inputs its workers split between them: the byte ranges of
-# the demo records, or the four golden dumps.
+# the demo records, or the four golden dumps (of which "com." is in two).
 _WORKER_RUNS = {
     "build": ["build", "--records", str(DEMO_RECORDS)],
     "stats": ["stats", "--graph", str(GOLDEN_BUILD)],
     "export": ["export", "--all", "--graph", str(GOLDEN_BUILD)],
     "stats --records": ["stats", "--records", str(DEMO_RECORDS)],
+    "export com.": ["export", "com.", "--graph", str(GOLDEN_BUILD)],
 }
 _KILLED = [("loading", "stats"), ("loading", "export"), ("sending", "stats"), ("sending", "export"),
            ("parsing", "build"), ("sending", "build"), ("building", "build"), ("building", "stats --records")]
@@ -1554,7 +1555,8 @@ def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatc
 
 
 _OUTCOMES = [(outcome, command) for outcome in ("success", "corrupt-dump", "repeated-project", "write-error",
-                                                "interrupt", "killed-worker") for command in ("stats", "export")]
+                                                "interrupt", "killed-worker")
+             for command in ("stats", "export", "export com.")]
 _OUTCOMES += [(outcome, "build") for outcome in ("success", "strict-failure", "write-error", "interrupt",
                                                   "killed-worker")]
 
