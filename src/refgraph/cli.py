@@ -260,8 +260,10 @@ def cmd_build(args) -> int:
         items = [(*item, _project_dir(out, item[0], owners)) for item in items]
         if "run_log.json" in owners:
             raise CliError(f"project {owners['run_log.json']!r} would take the path of the run log, run_log.json")
-        # This process takes the first share itself rather than wait on its workers' rows, so a trace
-        # of it (bench/child.py) still sees the graph layer at work.
+        # This process takes the first share itself rather than wait on its workers' rows, so a trace of it
+        # (bench/child.py) still sees the graph layer at work. Against building every project here, the share made
+        # build 15 % faster on deep-hotspots and 12 % on wide-corpus at 400k records, and every project in a worker
+        # 7 % and 14 %. A share in every pool, the parse pool included, raised wide build's 25k peak 21.8 -> 27.1 MB.
         results = _per_project(functools.partial(_built, min_commits), items, here=True)
         del items  # so the workers' batches are freed here, for this process's own share
         with contextlib.closing(results):

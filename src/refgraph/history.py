@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, NamedTuple
 
-from .ingest import RefactoringRecord, parse_metadata
+from .ingest import JSON_WHITESPACE, RefactoringRecord, parse_metadata
 
 
 class CommitLogError(ValueError):
@@ -28,7 +28,7 @@ def parse_commit_log(lines: Iterable[str]) -> dict[str, tuple[str, str, str]]:
     one holding other whitespace (a no-break space, a form feed) is malformed."""
     log: dict[str, tuple[str, str, str]] = {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip(" \t\r\n"):
+        if not line.strip(JSON_WHITESPACE):
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 4:

@@ -21,6 +21,7 @@ from typing import Iterable, NamedTuple
 
 EDGE_KEYS = ("source", "target", "type", "commit", "timestamp", "author_email")
 RECORD_KEYS = frozenset({"project", "author_name", *EDGE_KEYS})
+JSON_WHITESPACE = " \t\r\n"  # a line of nothing else is blank, in a records file, commit log or dump
 
 DEFAULT_EXCLUDED_KEYWORDS = ("test", "tests", "example", "examples", "sample", "samples")
 
@@ -423,7 +424,7 @@ def parse_records(lines: Iterable[str], strict: bool = False) -> ParseResult:
     records: list[RefactoringRecord] = []
     issues: list[RecordError] = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip(" \t\r\n"):
+        if not line.strip(JSON_WHITESPACE):
             continue
         try:
             records.append(parse_record_line(line))
