@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from .ingest import EDGE_KEYS, JSON_WHITESPACE, RefactoringRecord, parse_edge_fields, require_strings
+from .ingest import EDGE_KEYS, RefactoringRecord, decode_json, parse_edge_fields, require_strings
 
 GRAPH_DUMP_VERSION = "3"
 
@@ -149,28 +149,6 @@ def dump_chunks(dump: dict) -> Iterator[str]:
         yield _EDGE_LINE % tuple(map(_encode, _edge_fields(edge)))
 
 
-# Not json.loads, which matches a whitespace regex before and after each value: it made load_graph 66 %
-# slower (94 -> 157 ms over deep-hotspots' 18,128 edges).
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode_line(line: str, path, line_no: int):
-    """The JSON value on line ``line_no`` of the dump at ``path``; only
-    whitespace may follow it."""
-    try:
-        value, end = _raw_decode(line)
-        if end == len(line) or not line[end:].strip(JSON_WHITESPACE):
-            return value
-        problem = "Extra data"
-    except json.JSONDecodeError as exc:
-        problem = exc.msg
-    except RecursionError:
-        problem = "nested too deeply"
-    except ValueError as exc:  # an integer too long for int()
-        problem = str(exc)
-    raise GraphDumpError(f"invalid JSON in graph dump {path}: line {line_no}: {problem}")
-
-
 def dump_paths(paths: Sequence[str]) -> list[Path]:
     """The dump files ``paths`` name, in order: a file is itself; a
     directory, its own ``graph.json`` if any, then its ``*/graph.json`` in
@@ -201,7 +179,7 @@ def _project(line: str, path) -> str:
     """The project the head line ``line`` of the dump at ``path`` names,
     checked: the dump's format version, and the record rule for the project,
     not blank and no whitespace around it."""
-    head = _decode_line(line, path, 1)
+    head = decode_json(line)
     if not isinstance(head, dict):
         raise ValueError("head is not an object")
     if head.get("format_version") != GRAPH_DUMP_VERSION:
@@ -242,7 +220,7 @@ def load_graph(path) -> tuple[str, RefactoringGraph]:
         with _text(open(path, "rb")) as text:
             project = _project(text.readline(), path)
             for line_no, line in enumerate(text, start=2):
-                edge = _decode_line(line, path, line_no)
+                edge = decode_json(line)
                 if not isinstance(edge, dict):
                     raise ValueError("edge is not an object")
                 record = RefactoringRecord(*parse_edge_fields(edge), project)

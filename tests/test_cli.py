@@ -1178,7 +1178,7 @@ def test_a_refused_graph_input_leaves_out_as_it_was(tmp_path, capsys, bad):
         if bad == "format-1":  # which listed the sorted vertices between the project and the edges
             old["vertices"] = sorted({v for edge in dump["edges"] for v in (edge["source"], edge["target"])})
         path.write_text(json.dumps(old, indent=2), encoding="utf-8")
-        problem = f"invalid JSON in graph dump {path}: line 1: Expecting property name enclosed in double quotes"
+        problem = f"corrupt graph dump: line 1: invalid JSON: Expecting property name enclosed in double quotes in {path}"
     elif bad == "no-dump":  # a directory holding neither a dump nor a build's run log
         path = path.parent
         problem = f"no graph dumps found under {path}"
@@ -1918,22 +1918,39 @@ class TestUnreadableInputs:
     # Each case replaces okhttp's third line, its second edge; a line with no
     # newline ends the file, as an interrupted write leaves it. The lines are
     # read as text in blocks, so undecodable bytes are not placed on a line.
+    # A JSON defect is named as on line 3 of a records file, where only a blank line is no defect.
     @pytest.mark.parametrize("third, problem", [
-        (b'{"source": "a.B#m()", "tar', "invalid JSON in graph dump {path}: line 3: Unterminated string starting at"),
-        (b"\n", "invalid JSON in graph dump {path}: line 3: Expecting value"),
-        (b"{} {}\n", "invalid JSON in graph dump {path}: line 3: Extra data"),
+        (b'{"source": "a.B#m()", "tar', "corrupt graph dump: line 3: invalid JSON: Unterminated string starting at"),
+        (b"\n", "corrupt graph dump: line 3: invalid JSON: Expecting value in {path}"),
+        (b"{} {}\n", "corrupt graph dump: line 3: invalid JSON: Extra data in {path}"),
         (b'["a.B#m()", "a.B#n()"]\n', "corrupt graph dump: line 3: edge is not an object in {path}"),
-        (DEEP_JSON.encode("ascii") + b"\n", "invalid JSON in graph dump {path}: line 3: nested too deeply"),
-        (b'{"n": ' + b"9" * 5000 + b"}\n", "invalid JSON in graph dump {path}: line 3: Exceeds the limit"),
+        (DEEP_JSON.encode("ascii") + b"\n", "corrupt graph dump: line 3: invalid JSON: nested too deeply in {path}"),
+        (b'{"n": ' + b"9" * 5000 + b"}\n", "corrupt graph dump: line 3: invalid JSON: Exceeds the limit (4300 digits)"),
         (b'{"source": "\xff"}\n', "invalid UTF-8 in graph dump {path}: invalid start byte"),
     ], ids=["truncated", "blank-line", "extra-data", "not-an-object", "deep", "long-int", "utf8"])
     def test_unreadable_dump(self, build_out, tmp_path, capsys, third, problem):
+        def with_third(lines):
+            return b"".join([*lines[:2], third, *(lines[3:] if third.endswith(b"\n") else [])])
+
         dump = build_out / "okhttp" / "graph.json"
-        lines = dump.read_bytes().splitlines(keepends=True)
-        dump.write_bytes(b"".join([*lines[:2], third, *(lines[3:] if third.endswith(b"\n") else [])]))
+        dump.write_bytes(with_third(dump.read_bytes().splitlines(keepends=True)))
         capsys.readouterr()
         assert main(["export", "--graph", str(build_out), "--all", "--out", str(tmp_path / "dot")]) == 1
-        assert capsys.readouterr().err.startswith("refgraph: error: " + problem.format(path=dump))
+        err = capsys.readouterr().err
+        assert err.startswith("refgraph: error: " + problem.format(path=dump))
+        if "invalid JSON" in problem:
+            records = tmp_path / "records.jsonl"
+            records.write_bytes(with_third(corpus.to_jsonl(corpus.DEMO_CORPUS).encode("utf-8").splitlines(keepends=True)))
+            with ingest.open_range(records, 0, None) as lines:
+                issues = ingest.parse_records(lines).issues
+            if third == b"\n":
+                assert issues == ()
+            else:
+                assert [issue.line_no for issue in issues] == [3]
+                assert err == f"refgraph: error: corrupt graph dump: line 3: {issues[0].message} in {dump}\n"
+                assert main(["build", "--strict", "--records", str(records), "--out", str(tmp_path / "strict")]) == 1
+                assert capsys.readouterr().err == (f"refgraph: error: records file {records}:"
+                                                   f" line 3: {issues[0].message}\n")
 
     # json.dumps writes a lone surrogate as an escape such as \udc80, valid JSON
     # that decodes to a string UTF-8 cannot encode.
@@ -2003,10 +2020,11 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("command, content, problem", [
         ("export", b'{"format_version": "3", "project": "p", "n": ' + b"9" * 5000 + b"}\n",
-         "invalid JSON in graph dump {path}: line 1: Exceeds the limit"),
+         "corrupt graph dump: line 1: invalid JSON: Exceeds the limit"),
         ("export", b'{"format_version": "3", "project": "p"}\n{"source": ',
-         "invalid JSON in graph dump {path}: line 2: Expecting value"),
-        ("export", b'{"format_version": "3", "project": ', "invalid JSON in graph dump {path}: line 1: Expecting value"),
+         "corrupt graph dump: line 2: invalid JSON: Expecting value in {path}"),
+        ("export", b'{"format_version": "3", "project": ',
+         "corrupt graph dump: line 1: invalid JSON: Expecting value in {path}"),
         ("stats", b'{"okhttp": 7' + b"0" * 5000 + b"}", "invalid project ages file {path}: Exceeds the limit"),
         ("stats", b'{"okhttp": 7.0', "invalid project ages file {path}: Expecting"),
     ], ids=["dump-long-int", "dump-truncated", "dump-head-truncated", "ages-long-int", "ages-truncated"])

@@ -400,7 +400,7 @@ def test_dump_project_reads_the_head_the_writer_emits(tmp_path_factory, project)
     text = "".join(dump_chunks(graph_to_dict(RefactoringGraph(), project))) + "not JSON\n"
     path = _write_dump(tmp_path_factory, text)
     if project.strip() == project != "":  # the rule a record line's project follows
-        problem = f"invalid JSON in graph dump {path}: line 2: Expecting value"
+        problem = f"corrupt graph dump: line 2: invalid JSON: Expecting value in {path}"
     else:
         problem = f"corrupt graph dump: line 1: .*project.* in {path}"
     with pytest.raises(GraphDumpError, match=_whole(problem)):

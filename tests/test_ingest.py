@@ -26,6 +26,7 @@ from refgraph.ingest import (
     SignatureError,
     apply_filters,
     clear_caches,
+    decode_json,
     normalize_commit,
     parse_record_line,
     parse_records,
@@ -284,6 +285,43 @@ def test_whitespace_at_every_token_boundary_leaves_the_vertex_and_its_verdict(si
         kept, excluded = apply_filters([parse_record_line(json.dumps(dict(json.loads(VALID_LINE), source=spelling)))])
         verdicts.append((len(kept), excluded))
     assert verdicts[0] == verdicts[1]
+
+
+# Text near JSON: structure, quotes, escapes, numbers, the letters of its literals, JSON whitespace, a
+# byte-order mark, and a no-break space, which is whitespace to str.strip but not to JSON.
+_JSONISH = st.text(st.sampled_from(list('[]{}",:\\/0123456789-+.eEtrufalsnNaIiy \t\r\n\ufeff\xa0')), max_size=24)
+# Most such text is no JSON, so JSON values are drawn too, as json.dumps writes them, with spacing around.
+_JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                                         max_size=3), max_leaves=6)
+_SPACING = st.text(st.sampled_from(list(" \t\r\n\ufeff\xa0")), max_size=3)
+_JSON_TEXT = _JSONISH | st.tuples(_SPACING, _JSON_VALUES, _SPACING).map(lambda t: t[0] + json.dumps(t[1]) + t[2])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_TEXT)
+@example("\ufeff{}")
+@example(' {"a": [1, 2.5e3, true, null]}\r\n')
+@example("[1] [2]")
+@example("[" * 100_000)
+@example("9" * 5000)
+@example("NaN")
+def test_decode_json_decodes_as_json_loads(text):
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        # json.loads names a leading U+FEFF a misread byte-order mark; to decode_json it is no value
+        problem = "Expecting value" if text.startswith("\ufeff") else exc.msg
+    except RecursionError:
+        problem = "nested too deeply"
+    except ValueError as exc:  # an integer too long for int()
+        problem = str(exc)
+    else:
+        assert repr(decode_json(text)) == repr(expected)  # repr: NaN is not equal to itself
+        return
+    with pytest.raises(ValueError) as caught:
+        decode_json(text)
+    assert str(caught.value) == f"invalid JSON: {problem}"
 
 
 # The timestamp grammar (RFC 3339 date-time) as plain literals: input -> UTC
@@ -616,6 +654,18 @@ class TestParseRecords:
         assert [(i.line_no, i.message) for i in result.issues] == [(2, "invalid JSON: nested too deeply")]
         with pytest.raises(RecordError, match="line 2: invalid JSON: nested too deeply"):
             parse_records([VALID_LINE, deep], strict=True)
+
+    # Two lines json.loads names otherwise: int() refuses more than 4300 digits with a ValueError that
+    # json.loads passes on as it is, and a byte-order mark is skipped only at the start of a file.
+    @pytest.mark.parametrize("bad, message", [
+        (VALID_LINE.replace('"2019-01-01T00:00:00Z"', "9" * 5000),
+         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"),
+        ("\ufeff" + VALID_LINE, "invalid JSON: Expecting value"),
+    ], ids=["long-int", "byte-order-mark"])
+    def test_a_json_defect_is_invalid_json(self, bad, message):
+        result = parse_records([VALID_LINE, bad, VALID_LINE])
+        assert len(result.records) == 2
+        assert [(i.line_no, i.message[:len(message)]) for i in result.issues] == [(2, message)]
 
     def test_undecodable_bytes_are_a_skipped_line(self):
         # A file read with errors="surrogateescape" turns the byte 0xff into "\udcff".
