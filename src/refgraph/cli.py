@@ -290,7 +290,7 @@ def cmd_build(args) -> int:
             projects=project_rows,
             totals=totals,
         )
-        _write_json(out / "run_log.json", itertools.chain(json.JSONEncoder(indent=2).iterencode(run_log), "\n"))
+        (out / "run_log.json").write_text(json.dumps(run_log, indent=2) + "\n", encoding="utf-8")
     print(f"build: {totals['subgraphs']} subgraphs, {totals['kept']} kept (min-commits={min_commits})")
     return 0
 

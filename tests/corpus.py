@@ -166,8 +166,8 @@ def to_jsonl(dicts) -> str:
 
 
 def read_dump(path) -> dict:
-    """A graph dump as ``graph_to_dict`` gives it: its head line's keys plus
-    ``edges``, the objects of the lines after it."""
+    """A graph dump file as dicts: its head line's keys plus ``edges``, the
+    objects of the lines after it."""
     with open(path, encoding="utf-8-sig") as handle:
         head, *edges = map(json.loads, handle)
     return {**head, "edges": edges}

@@ -283,14 +283,14 @@ class TestBuild:
         out = tmp_path / "out"
         assert main(["build", "--records", _without_elasticsearch(tmp_path), "--out", str(out)]) == 0
         before = _snapshot(out)
-        write_json = cli._write_json
+        write_text = Path.write_text
 
-        def failing(path, chunks):
+        def failing(path, *args, **kwargs):
             if path.name == "run_log.json":
                 raise OSError("injected write error")
-            return write_json(path, chunks)
+            return write_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_write_json", failing)
+        monkeypatch.setattr(Path, "write_text", failing)
         capsys.readouterr()
         assert main(["build", "--records", str(demo_records_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "refgraph: error: injected write error\n"
