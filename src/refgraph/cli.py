@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,6 +43,10 @@ from .report import emit_dot, emit_tables, safe_name, write_json_summary
 
 RUN_LOG_VERSION = "1"
 
+# The directory of the new tree that the parse workers write their batches to. No name that _project_dir or
+# safe_name gives holds a "~", so no project directory can take this one.
+_SPOOL = "spool~"
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = options.build_parser().parse_args(argv)
@@ -61,14 +66,16 @@ def run() -> None:
 
 
 def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
-    """What the byte range ``(path, start, end)`` of a records file gives: its line count, its records'
-    projects, its parsed, skipped, excluded and kept counts, then ``(project, bytes)`` per project of its kept
-    records, in first-record order, the bytes being that project's records pickled as one list of plain tuples.
-    The range is parsed whole first, so a worker does not wait on its pipe while it parses."""
+    """What the byte range ``(path, start, end, stem)`` of a records file gives: its line count, its records'
+    projects, its parsed, skipped, excluded and kept counts, then ``(project, batch)`` per project of its kept
+    records, in first-record order, once those records are written, pickled as one list of plain tuples, to the
+    new file ``batch``: ``stem``, a dot and the project's number in the range. The range is parsed whole first,
+    so a worker does not wait on its pipe while it parses."""
     import pickle  # loaded with refgraph.workers, which runs this
 
+    path, start, end, stem = item
     lines = itertools.count()  # counts a line each time the file gives one
-    with ingest.open_range(*item) as handle:
+    with ingest.open_range(path, start, end) as handle:
         records, issues = parse_records((line for line, _ in zip(handle, lines)), strict=strict)
     kept, excluded = apply_filters(records, config)
     yield next(lines), {record.project for record in records}, len(records), len(issues), excluded, len(kept)
@@ -77,26 +84,33 @@ def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
     for record in kept:
         groups.setdefault(record.project, []).append(record)
     del kept
-    for project in list(groups):  # each group let go once sent
-        yield project, pickle.dumps(list(map(tuple, groups.pop(project))))
+    for number, project in enumerate(list(groups)):  # each group let go once written
+        batch = f"{stem}.{number}"
+        with open(batch, "wb") as handle:
+            pickle.dump(list(map(tuple, groups.pop(project))), handle)
+        yield project, batch
 
 
-def _run_front_pipeline(args, config: FilterConfig) -> tuple[list[tuple[str, list[bytes], dict | None]], dict]:
-    """Per project, in first-record order, ``(project, batches, log)``: the pickled batches of its kept records,
-    one per byte range holding any, in range order, and its commit log or None; and the run log's ``inputs``
-    and ``stages`` blocks, the stages after ``filtered`` left at 0 for the per-project step to count.
-    Each records file is cut into byte ranges, parsed and filtered in forked workers."""
+def _run_front_pipeline(args, config: FilterConfig,
+                        spool: Path) -> tuple[list[tuple[str, list[str], dict | None]], dict]:
+    """Per project, in first-record order, ``(project, batches, log)``: the paths of the batch files of its kept
+    records, one per byte range holding any, in range order, and its commit log or None; and the run log's
+    ``inputs`` and ``stages`` blocks, the stages after ``filtered`` left at 0 for the per-project step to count.
+    Each records file is cut into byte ranges, parsed and filtered in forked workers, which write the batches
+    into the directory ``spool``, made here, so this process holds none of them."""
     from .workers import OrderedMap  # here: importing the CLI loads neither pickle nor signal
 
     log_paths = options.commit_log_paths(args)
     n = _workers()
+    spool.mkdir()
     ranges = [(path, *span) for path in args.records for span in ingest.record_ranges(path, n)]
-    groups: dict[str, list[bytes]] = {}
+    ranges = [(*item, str(spool / str(i))) for i, item in enumerate(ranges)]  # range i's batches: i.0, i.1, ...
+    groups: dict[str, list[str]] = {}
     inputs, projects, excluded, filtered = [], set(), dict.fromkeys(ingest.FILTER_REASONS, 0), 0
     with OrderedMap(functools.partial(_parsed, args.strict, config), ranges, n,
                     lambda item: CliError(f"the worker process parsing {item[0]} ended before it was done")) as results:
         logs = {project: load_commit_log(path) for project, path in log_paths.items()}  # as the workers parse
-        for (path, start, _), values in zip(ranges, results):
+        for (path, start, *_), values in zip(ranges, results):
             if not start:
                 inputs.append({"path": str(path), "records": 0, "skipped": 0})
                 offset = 0  # lines in the file's ranges before this one
@@ -140,14 +154,17 @@ def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Re
 
 def _built(min_commits: int, item: tuple) -> Iterator[tuple]:
     """Build and split the graph of a ``(project, batches, log, directory)`` item. Its records are unpickled from
-    the batches, each string they repeat made one object, and restricted to the log unless it is None. Without a
-    directory, yield the split, for ``stats`` to measure; with one, write the dump into it and yield the project's
-    run-log row with its off-branch and ambiguous-commit counts."""
+    the batch files, one at a time, each string they repeat made one object, and restricted to the log unless it
+    is None. Without a directory, yield the split, for ``stats`` to measure; with one, write the dump into it and
+    yield the project's run-log row with its off-branch and ambiguous-commit counts."""
     import pickle  # loaded with refgraph.workers, which runs this
 
     project, batches, log, directory = item
     share = {}.setdefault
-    group = [RefactoringRecord._make(map(share, fields, fields)) for batch in batches for fields in pickle.loads(batch)]
+    group: list[RefactoringRecord] = []
+    for batch in batches:
+        with open(batch, "rb") as handle:
+            group.extend(RefactoringRecord._make(map(share, fields, fields)) for fields in pickle.load(handle))
     del share
     dropped, issues = 0, ()
     if log is not None:
@@ -254,7 +271,7 @@ def cmd_build(args) -> int:
     min_commits = options.min_commits(args)
     config = options.filter_config(args)
     with output.tree(args.out, "build") as out:
-        items, front_log = _run_front_pipeline(args, config)
+        items, front_log = _run_front_pipeline(args, config, out / _SPOOL)
         owners: dict[str, str] = {}
         # a collision fails before any dump
         items = [(*item, _project_dir(out, item[0], owners)) for item in items]
@@ -265,7 +282,7 @@ def cmd_build(args) -> int:
         # build 15 % faster on deep-hotspots and 12 % on wide-corpus at 400k records, and every project in a worker
         # 7 % and 14 %. A share in every pool, the parse pool included, raised wide build's 25k peak 21.8 -> 27.1 MB.
         results = _per_project(functools.partial(_built, min_commits), items, here=True)
-        del items  # so the workers' batches are freed here, for this process's own share
+        del items  # so the workers' commit logs are freed here, for this process's own share
         with contextlib.closing(results):
             project_rows = []
             stages = front_log["stages"]
@@ -275,6 +292,7 @@ def cmd_build(args) -> int:
                     stages["off_branch_dropped"] += off_branch
                     stages["ambiguous_commit"] += ambiguous
                     stages["analyzed"] += row["records"]
+        shutil.rmtree(out / _SPOOL)  # a failed run loses it with the tree
         keys = ("vertices", "edges", "subgraphs", "below_threshold", "kept")
         totals = {key: sum(row[key] for row in project_rows) for key in keys}
         run_log = dict(
@@ -306,14 +324,16 @@ def cmd_stats(args) -> int:
     with output.tree(args.out, "stats") as out:
         ages = load_project_ages(args.project_ages) if args.project_ages else None
         if args.records:
-            items = _run_front_pipeline(args, options.filter_config(args))[0]
+            items = _run_front_pipeline(args, options.filter_config(args), out / _SPOOL)[0]
             results = _per_project(functools.partial(_built, min_commits), [(*item, None) for item in items])
-            del items  # so each project's batches are freed once dealt to its worker
+            del items  # so each project's commit log is freed once dealt to its worker
         else:
             results = _per_dump(args.graph, lambda graph: [_split(graph, min_commits)])
         with contextlib.closing(results):  # a process holds one project's graph at a time
             rows = sorted((project, total, single, [measure(subgraph) for subgraph in kept])  # a project is one row
                           for project, values in results for total, single, kept in values)
+        if args.records:
+            shutil.rmtree(out / _SPOOL)  # a failed run loses it with the tree
         summary = aggregate({project: metrics for project, *_, metrics in rows}, [row[:3] for row in rows], ages)
         emit_tables(summary, out)
         write_json_summary(summary, out / "summary.json")

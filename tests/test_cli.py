@@ -12,6 +12,7 @@ import random
 import shutil
 import signal
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -1001,6 +1002,16 @@ def _records_file(path, projects, records=corpus.CHART_AXIS_RECORDS):
     return str(path)
 
 
+@pytest.mark.parametrize("project", [cli._SPOOL, cli._SPOOL.replace("~", "_")], ids=["spool", "sanitized"])
+def test_a_project_named_as_the_spool_gets_a_directory_of_its_own(tmp_path, project):
+    out = tmp_path / "out"
+    records = _records_file(tmp_path / "r.jsonl", ["mpandroidchart", project])
+    for _ in range(2):  # the second run passes refuse_foreign on the tree of the first
+        assert main(["build", "--records", records, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["mpandroidchart", "run_log.json", "spool_"]
+        assert load_graph(out / "spool_" / "graph.json")[0] == project
+
+
 def test_colliding_project_dirs_are_an_error(tmp_path, capsys):
     # "a/b" and "a_b" both map to directory a_b; neither command may write.
     both = tmp_path / "both"
@@ -1511,7 +1522,18 @@ _WORKER_RUNS = {
     "export com.": ["export", "com.", "--graph", str(GOLDEN_BUILD)],
 }
 _KILLED = [("loading", "stats"), ("loading", "export"), ("sending", "stats"), ("sending", "export"),
-           ("parsing", "build"), ("sending", "build"), ("building", "build"), ("building", "stats --records")]
+           ("parsing", "build"), ("sending", "build"), ("spooling", "build"), ("spooling", "stats --records"),
+           ("building", "build"), ("building", "stats --records")]
+
+
+def _spooled(value, *_):
+    """Whether ``pickle.dump`` is writing ``value`` to a batch file: a project's records, as one list."""
+    return isinstance(value, list)
+
+
+def _spools(root):
+    """The spool directories anywhere under ``root``."""
+    return list(root.rglob(cli._SPOOL))
 
 
 @pytest.mark.parametrize("when, command", _KILLED, ids=[f"{when}-{command}" for when, command in _KILLED])
@@ -1524,10 +1546,12 @@ def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatc
                                                                       ingest.open_range))
     elif when == "building":
         monkeypatch.setattr(cli, "build", _killed_in_a_worker(lambda group: group[0].project == "okhttp", build))
-    else:  # the pipe then ends inside a pickle: the dump's project, or a project's pickled records
+    elif when == "spooling":  # the batch file then ends inside a pickle
+        monkeypatch.setattr(pickle, "dump", _killed_mid_value(_spooled, pickle.dump))
+    else:  # the pipe then ends inside a pickle: the dump's project, or a project and the path of its batch file
         if command == "build":
             def sent(value):
-                return isinstance(value, tuple) and isinstance(value[-1], bytes)
+                return isinstance(value, tuple) and len(value) == 2 and f"/{cli._SPOOL}/" in str(value[1])
         else:
             def sent(value):
                 return value == "okhttp"
@@ -1547,18 +1571,21 @@ def test_a_worker_killed_by_a_signal_is_an_error_not_a_hang(tmp_path, monkeypatc
     assert code == 1
     if when == "building":
         doing = "building project 'okhttp'"
+    elif "--graph" in _WORKER_RUNS[command]:
+        doing = f"loading {GOLDEN_BUILD / 'okhttp' / 'graph.json'}"
     else:
-        doing = f"parsing {DEMO_RECORDS}" if command == "build" else f"loading {GOLDEN_BUILD / 'okhttp' / 'graph.json'}"
+        doing = f"parsing {DEMO_RECORDS}"
     assert capsys.readouterr().err == f"refgraph: error: the worker process {doing} ended before it was done\n"
     assert not (tmp_path / "out").exists() and not _temporaries(tmp_path / "out") and _no_child_is_left()
-    assert _open_fds() == fds
+    assert _open_fds() == fds and not _spools(tmp_path)
 
 
 _OUTCOMES = [(outcome, command) for outcome in ("success", "corrupt-dump", "repeated-project", "write-error",
                                                 "interrupt", "killed-worker")
              for command in ("stats", "export", "export com.")]
-_OUTCOMES += [(outcome, "build") for outcome in ("success", "strict-failure", "write-error", "interrupt",
-                                                  "killed-worker")]
+_OUTCOMES += [(outcome, command) for outcome in ("success", "strict-failure", "write-error", "interrupt",
+                                                  "killed-worker", "spool-write-error")
+              for command in ("build", "stats --records")]
 
 
 @pytest.mark.parametrize("outcome, command", _OUTCOMES, ids=[f"{outcome}-{command}" for outcome, command in _OUTCOMES])
@@ -1574,19 +1601,21 @@ def test_no_worker_is_left_after_a_run(tmp_path, monkeypatch, capsys, command, o
     elif outcome == "strict-failure":  # in the second range
         records = tmp_path / "bad.jsonl"
         records.write_text(DEMO_RECORDS.read_text(encoding="utf-8") + CORRUPT_LINE, encoding="utf-8")
-        argv = ["build", "--strict", "--records", str(records)]
+        argv = [argv[0], "--strict", "--records", str(records)]
     elif outcome == "write-error":  # in this process: export's while the workers run, stats' and build's after them
-        if command == "stats":
+        if argv[0] == "stats":
             monkeypatch.setattr(cli, "emit_tables", _fail_on_call(1, emit_tables))
         else:
             monkeypatch.setattr(cli, "_project_dir", _fail_on_call(2, cli._project_dir))
     elif outcome == "interrupt":  # while this process waits on a worker
         monkeypatch.setattr(pickle, "load", _fail_on_call(2, pickle.load, KeyboardInterrupt()))
-    elif outcome == "killed-worker" and command == "build":
+    elif outcome == "killed-worker" and "--records" in argv:
         monkeypatch.setattr(ingest, "open_range", _killed_in_a_worker(lambda path, start, end: start > 0,
                                                                       ingest.open_range))
     elif outcome == "killed-worker":
         monkeypatch.setattr(cli, "load_graph", _killed_in_a_worker(_loading_okhttp, load_graph))
+    elif outcome == "spool-write-error":  # in a parse worker
+        monkeypatch.setattr(pickle, "dump", _fail_when(_spooled, pickle.dump))
     out = tmp_path / "out"
     argv = [*argv, "--out", str(out)]
     fds = _open_fds()
@@ -1598,7 +1627,7 @@ def test_no_worker_is_left_after_a_run(tmp_path, monkeypatch, capsys, command, o
         assert capsys.readouterr().err.startswith("refgraph: error:") == (outcome != "success")
     assert out.exists() == (outcome == "success")
     assert _temporaries(out) == [] and _no_child_is_left()
-    assert _open_fds() == fds
+    assert _open_fds() == fds and not _spools(tmp_path)
 
 
 @pytest.mark.parametrize("made", [0, 1], ids=["no-worker", "one-worker"])
@@ -1679,6 +1708,41 @@ def test_this_process_makes_no_record_of_a_project_a_worker_builds(tmp_path, mon
     assert _tree(tmp_path / "out") == _tree(GOLDEN_BUILD)
     # This process builds the first and third projects; the worker, elasticsearch and okhttp.
     assert made == {"mpandroidchart", "spring-framework"}
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_this_process_holds_no_batch_of_records(tmp_path, monkeypatch):
+    # Two projects of records whose long signatures are each their own, so no
+    # string is shared and each batch of the two ranges is large.
+    long = "x" * 600
+    records = tmp_path / "big.jsonl"
+    records.write_text(corpus.to_jsonl(
+        corpus.rec(f"p{i % 2}", f"{i % 50:07x}", "2020-01-01T00:00:00Z", "dev", "dev@example.org", "move",
+                   f"org.big.C{i}#m{i}{long}()", f"org.big.D{i}#m{i}{long}()")
+        for i in range(3000)), encoding="utf-8")
+    import refgraph.workers  # noqa: F401  imported ahead, so its import is not measured
+    front, seen = cli._run_front_pipeline, {}
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            items, log = front(*args)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        batches = [batch for _, paths, _ in items for batch in paths]
+        seen.update(growth=current - before, peak=peak - before, batches=batches,
+                    size=sum(os.path.getsize(batch) for batch in batches if isinstance(batch, str)))
+        return items, log
+
+    monkeypatch.setattr(cli, "_run_front_pipeline", measured)
+    assert main(["build", "--records", str(records), "--out", str(tmp_path / "out")]) == 0
+    assert len(seen["batches"]) == 4 and all(isinstance(batch, str) for batch in seen["batches"])
+    assert seen["size"] >= 2 * 2**20  # what the parse workers wrote
+    assert seen["growth"] <= seen["peak"] < 256 * 2**10, seen  # at no moment of the front
+    assert not _spools(tmp_path)
 
 
 def test_one_worker_per_usable_cpu(monkeypatch):
