@@ -92,12 +92,13 @@ def _parsed(strict: bool, config: FilterConfig, item: tuple) -> Iterator:
 
 
 def _run_front_pipeline(args, config: FilterConfig,
-                        spool: Path) -> tuple[list[tuple[str, list[str], dict | None]], dict]:
+                        spool: Path) -> tuple[list[tuple[str, list[str], str | None]], dict]:
     """Per project, in first-record order, ``(project, batches, log)``: the paths of the batch files of its kept
-    records, one per byte range holding any, in range order, and its commit log or None; and the run log's
-    ``inputs`` and ``stages`` blocks, the stages after ``filtered`` left at 0 for the per-project step to count.
-    Each records file is cut into byte ranges, parsed and filtered in forked workers, which write the batches
-    into the directory ``spool``, made here, so this process holds none of them."""
+    records, one per byte range holding any, in range order, and the path of its commit log or None; and the run
+    log's ``inputs`` and ``stages`` blocks, the stages after ``filtered`` left at 0 for the per-project step to
+    count. Each records file is cut into byte ranges, parsed and filtered in forked workers, which write the
+    batches into the directory ``spool``, made here, so this process holds none of them. No commit log is read
+    here: each is loaded where its project is built, and one naming a project of no record is an error first."""
     from .workers import OrderedMap  # here: importing the CLI loads neither pickle nor signal
 
     log_paths = options.commit_log_paths(args)
@@ -109,7 +110,6 @@ def _run_front_pipeline(args, config: FilterConfig,
     inputs, projects, excluded, filtered = [], set(), dict.fromkeys(ingest.FILTER_REASONS, 0), 0
     with OrderedMap(functools.partial(_parsed, args.strict, config), ranges, n,
                     lambda item: CliError(f"the worker process parsing {item[0]} ended before it was done")) as results:
-        logs = {project: load_commit_log(path) for project, path in log_paths.items()}  # as the workers parse
         for (path, start, *_), values in zip(ranges, results):
             if not start:
                 inputs.append({"path": str(path), "records": 0, "skipped": 0})
@@ -127,7 +127,7 @@ def _run_front_pipeline(args, config: FilterConfig,
             filtered += kept
             for project, batch in values:
                 groups.setdefault(project, []).append(batch)
-    for project in logs:
+    for project in log_paths:
         if project not in projects:
             raise CliError(f"--commit-log project {project!r} matches no record", code=2)
 
@@ -140,7 +140,7 @@ def _run_front_pipeline(args, config: FilterConfig,
         "ambiguous_commit": 0,
         "analyzed": 0,
     }
-    return [(project, batches, logs.get(project)) for project, batches in groups.items()], \
+    return [(project, batches, log_paths.get(project)) for project, batches in groups.items()], \
         {"inputs": inputs, "stages": stages}
 
 
@@ -153,12 +153,14 @@ def _split(graph: RefactoringGraph, min_commits: int) -> tuple[int, int, list[Re
 
 
 def _built(min_commits: int, item: tuple) -> Iterator[tuple]:
-    """Build and split the graph of a ``(project, batches, log, directory)`` item. Its records are unpickled from
-    the batch files, one at a time, each string they repeat made one object, and restricted to the log unless it
-    is None. Without a directory, yield the split, for ``stats`` to measure; with one, write the dump into it and
-    yield the project's run-log row with its off-branch and ambiguous-commit counts."""
+    """Build and split the graph of a ``(project, batches, log, directory)`` item. The parser memos are emptied
+    first, so no earlier project's strings stay. Its records are unpickled from the batch files, one at a time,
+    each string they repeat made one object, and restricted to the commit log at the path ``log``, loaded here,
+    unless it is None. Without a directory, yield the split, for ``stats`` to measure; with one, write the dump
+    into it and yield the project's run-log row with its off-branch and ambiguous-commit counts."""
     import pickle  # loaded with refgraph.workers, which runs this
 
+    ingest.clear_caches()
     project, batches, log, directory = item
     share = {}.setdefault
     group: list[RefactoringRecord] = []
@@ -168,7 +170,7 @@ def _built(min_commits: int, item: tuple) -> Iterator[tuple]:
     del share
     dropped, issues = 0, ()
     if log is not None:
-        group, dropped, issues = restrict_to_log(group, log)
+        group, dropped, issues = restrict_to_log(group, load_commit_log(log))
     graph = build(group)
     total, single, kept = _split(graph, min_commits)
     if directory is None:  # stats measures the kept subgraphs, with the graph let go of
@@ -184,15 +186,12 @@ def _built(min_commits: int, item: tuple) -> Iterator[tuple]:
 
 def _per_project(work: Callable[[tuple], Iterable], items: list[tuple], here: bool = False) -> Iterator[tuple]:
     """``(project, values)`` per ``(project, ...)`` item in order, ``values`` being what ``work`` gives for it
-    in a forked worker (or, with ``here``, in this process for the first share). Once the workers are forked,
-    the items dealt to them are let go of, so a caller keeping no reference to ``items`` frees them."""
+    in a forked worker (or, with ``here``, in this process for the first share)."""
     from .workers import OrderedMap
 
-    projects = [item[0] for item in items]
     with OrderedMap(work, items, _workers(), lambda item: CliError(
             f"the worker process building project {item[0]!r} ended before it was done"), here=here) as results:
-        del items
-        yield from zip(projects, results)
+        yield from ((item[0], values) for item, values in zip(items, results))
 
 
 def _workers() -> int:  # one per CPU this process may run on, or one where the platform cannot tell
@@ -282,7 +281,6 @@ def cmd_build(args) -> int:
         # build 15 % faster on deep-hotspots and 12 % on wide-corpus at 400k records, and every project in a worker
         # 7 % and 14 %. A share in every pool, the parse pool included, raised wide build's 25k peak 21.8 -> 27.1 MB.
         results = _per_project(functools.partial(_built, min_commits), items, here=True)
-        del items  # so the workers' commit logs are freed here, for this process's own share
         with contextlib.closing(results):
             project_rows = []
             stages = front_log["stages"]
@@ -326,7 +324,6 @@ def cmd_stats(args) -> int:
         if args.records:
             items = _run_front_pipeline(args, options.filter_config(args), out / _SPOOL)[0]
             results = _per_project(functools.partial(_built, min_commits), [(*item, None) for item in items])
-            del items  # so each project's commit log is freed once dealt to its worker
         else:
             results = _per_dump(args.graph, lambda graph: [_split(graph, min_commits)])
         with contextlib.closing(results):  # a process holds one project's graph at a time

@@ -30,18 +30,15 @@ class OrderedMap(Generic[Item]):
     done.  Each iterator must be used up before the next is taken.  With
     ``here``, this process takes the first share itself and forks one child
     fewer.  With one process, and for the items of children a failed fork
-    left out, ``work`` runs in this process.  Once the children are forked,
-    the map holds an item dealt to one of them only as the error ``died``
-    makes of it, so a caller that lets go of its items frees what they
-    hold for the work done here.  A child leaves only through ``os._exit``, so
-    nothing of this process (exit handlers, buffered output, the rest of the
-    command) runs twice.  :meth:`close`, which ``with`` calls, kills and reaps
-    every child and closes its pipe.
+    left out, ``work`` runs in this process.  A child leaves only through
+    ``os._exit``, so nothing of this process (exit handlers, buffered output,
+    the rest of the command) runs twice.  :meth:`close`, which ``with``
+    calls, kills and reaps every child and closes its pipe.
     """
 
     def __init__(self, work: Callable[[Item], Iterable], items: Sequence[Item], processes: int,
                  died: Callable[[Item], Exception], here: bool = False):
-        self._work, self._items = work, list(items)
+        self._work, self._items, self._died = work, items, died
         self._n = min(len(items), processes)
         self._here = int(here)  # the shares before the children's, run in this process
         self._children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), share by share
@@ -52,9 +49,6 @@ class OrderedMap(Generic[Item]):
         except BaseException:
             self.close()
             raise
-        for i, item in enumerate(self._items):
-            if self._child(i) is not None:
-                self._items[i] = died(item)
 
     def _child(self, i: int) -> BinaryIO | None:
         """The pipe of the child that runs item ``i``, or None if it runs here."""
@@ -92,7 +86,7 @@ class OrderedMap(Generic[Item]):
     def __iter__(self) -> Iterator[Iterator]:
         for i, item in enumerate(self._items):
             pipe = self._child(i)
-            yield self._work(item) if pipe is None else self._received(pipe, item)
+            yield self._work(item) if pipe is None else self._received(pipe, self._died(item))
 
     def _received(self, pipe: BinaryIO, died: Exception) -> Iterator:
         while True:

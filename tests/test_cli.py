@@ -1745,6 +1745,89 @@ def test_this_process_holds_no_batch_of_records(tmp_path, monkeypatch):
     assert not _spools(tmp_path)
 
 
+DEMO_LOG = DEMO_RECORDS.parent / "commit_log_mpandroidchart.tsv"
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_each_commit_log_is_loaded_where_its_project_is_built(tmp_path, monkeypatch):
+    # okhttp's log is mpandroidchart's too, so all of okhttp's records are off it.
+    calls = tmp_path / "calls.log"
+    monkeypatch.setattr(cli, "load_commit_log", _logged(calls, history.load_commit_log, lambda path: f"load {path}"))
+    monkeypatch.setattr(cli, "restrict_to_log", _logged(calls, history.restrict_to_log,
+                                                        lambda group, log: f"restrict {group[0].project}"))
+    front, items = cli._run_front_pipeline, []
+
+    def kept(*args):
+        items[:], front_log = front(*args)
+        return items, front_log
+
+    monkeypatch.setattr(cli, "_run_front_pipeline", kept)
+    okhttp_log = tmp_path / "okhttp.tsv"
+    shutil.copy(DEMO_LOG, okhttp_log)
+    assert main(["build", "--records", str(DEMO_RECORDS), "--commit-log", f"mpandroidchart={DEMO_LOG}",
+                 "--commit-log", f"okhttp={okhttp_log}", "--out", str(tmp_path / "out")]) == 0
+    assert {project: log for project, _, log in items} == {
+        "mpandroidchart": str(DEMO_LOG), "elasticsearch": None, "spring-framework": None, "okhttp": str(okhttp_log)}
+    by_process: dict[int, list[str]] = {}
+    for pid, call in _log_lines(calls):
+        by_process.setdefault(pid, []).append(call)
+    # This process builds the first and third projects; the worker, elasticsearch and okhttp.
+    assert by_process.pop(os.getpid()) == [f"load {DEMO_LOG}", "restrict mpandroidchart"]
+    assert list(by_process.values()) == [[f"load {okhttp_log}", "restrict okhttp"]]
+
+
+def _bad_log(path, kind):
+    """A commit log at ``path`` that fails to load as ``kind`` says, and the error it gives."""
+    if kind == "missing":
+        return f"[Errno 2] No such file or directory: {str(path)!r}"
+    if kind == "malformed":
+        path.write_bytes(DEMO_LOG.read_bytes() + b"notalog\n")
+        line = len(DEMO_LOG.read_bytes().splitlines()) + 1
+        return f"commit log {path}: line {line}: expected 4 tab-separated fields, got 1"
+    path.write_bytes(DEMO_LOG.read_bytes().replace(b"\t", b"\t\xc3(", 1))
+    return f"invalid UTF-8 in commit log {path}: invalid continuation byte"
+
+
+@pytest.mark.parametrize("kind", ["missing", "malformed", "undecodable"])
+def test_a_bad_commit_log_fails_alike_wherever_its_project_is_built(tmp_path, monkeypatch, capsys, kind):
+    # okhttp, the last project, is built in this process alone, or in the worker of two.
+    log = tmp_path / "okhttp.tsv"
+    error = _bad_log(log, kind)
+    calls = tmp_path / "calls.log"
+    monkeypatch.setattr(cli, "load_commit_log", _logged(calls, history.load_commit_log, str))
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        out = tmp_path / f"out{workers}"
+        fds = _open_fds()
+        assert main(["build", "--records", str(DEMO_RECORDS), "--commit-log", f"okhttp={log}",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"refgraph: error: {error}\n"
+        assert not out.exists() and not _temporaries(out) and not _spools(tmp_path)
+        assert _open_fds() == fds and _no_child_is_left()
+        [(pid, path)] = _log_lines(calls)
+        assert path == str(log) and (pid == os.getpid()) == (workers == 1)
+        calls.unlink()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_commit_log_errors_come_in_first_record_order(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    calls = tmp_path / "calls.log"
+    monkeypatch.setattr(cli, "load_commit_log", _logged(calls, history.load_commit_log, str))
+    first, last = tmp_path / "mpandroidchart.tsv", tmp_path / "okhttp.tsv"
+    _bad_log(last, "malformed")
+    argv = ["build", "--records", str(DEMO_RECORDS), "--commit-log", f"okhttp={last}", "--out", str(tmp_path / "out")]
+    # A log naming a project of no record fails first, and no log is opened.
+    assert main([*argv, "--commit-log", f"nosuch={tmp_path / 'nosuch.tsv'}"]) == 2
+    assert capsys.readouterr().err == "refgraph: error: --commit-log project 'nosuch' matches no record\n"
+    assert not calls.exists()
+    # Of two bad logs, the one of the project with the first record is named, whatever the order given.
+    error = _bad_log(first, "undecodable")
+    assert main([*argv, "--commit-log", f"mpandroidchart={first}"]) == 1
+    assert capsys.readouterr().err == f"refgraph: error: {error}\n"
+    assert not (tmp_path / "out").exists() and _no_child_is_left()
+
+
 def test_one_worker_per_usable_cpu(monkeypatch):
     assert cli._workers() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
@@ -1901,6 +1984,13 @@ def test_a_string_two_ranges_hold_is_one_object(tmp_path, monkeypatch):
 def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
     # The first run starts from empty parser caches, the second reuses them.
     clear_caches()
+    hits = []  # per emptying of the caches, each cache's hits just before it
+
+    def clearing():
+        hits.append([memo.cache_info().hits for memo in _MEMOS])
+        clear_caches()
+
+    monkeypatch.setattr(ingest, "clear_caches", clearing)
     monkeypatch.chdir(TESTS_DIR.parent)
     for run in ("cold", "warm"):
         out = tmp_path / run
@@ -1909,14 +1999,15 @@ def test_warm_parser_caches_leave_outputs_unchanged(tmp_path, monkeypatch):
             # after the last, so the warm run starts from that project's entries
             for memo in _MEMOS:
                 assert memo.cache_info().currsize, memo
+        hits.clear()
         assert main(["build", "--records", "demo/refactorings.jsonl",
                      "--commit-log", "mpandroidchart=demo/commit_log_mpandroidchart.tsv",
                      "--out", str(out / "build")]) == 0
         if run == "warm":
-            # Emptying a cache resets its counters too; build reads every
-            # project in one pass, so each cache has been hit by now.
-            for memo in _MEMOS:
-                assert memo.cache_info().hits, memo
+            # Emptying a cache resets its counters too; build parses every
+            # record before it empties the caches for its first project, so by
+            # then each cache has been hit.
+            assert all(hits[0]), hits[0]
         assert main(["stats", "--graph", str(out / "build"),
                      "--project-ages", "demo/project_ages.json", "--out", str(out / "stats")]) == 0
         assert main(["export", "--graph", str(out / "build"), "--all", "--out", str(out / "export")]) == 0

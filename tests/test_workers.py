@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import os
 import signal
-import weakref
 
 import pytest
 
@@ -25,15 +24,11 @@ def _died(box: _Box) -> Exception:
 
 @pytest.mark.parametrize("here", [False, True], ids=["workers-only", "here-too"])
 @pytest.mark.parametrize("processes", [1, 2, 3])
-def test_items_dealt_to_workers_are_let_go_of_here(processes, here):
-    # This process keeps only its own share; the workers have theirs from the fork.
-    boxes = [_Box(n) for n in range(5)]
-    refs = [weakref.ref(box) for box in boxes]
-    with OrderedMap(_doubled, boxes, processes, _died, here=here) as results:
-        del boxes
-        runs_here = [processes == 1 or (here and i % processes == 0) for i in range(5)]
-        assert [ref() is not None for ref in refs] == runs_here
+def test_items_are_dealt_round_robin_and_read_back_in_order(processes, here):
+    # With here, this process runs the first share itself; with one process, every item.
+    with OrderedMap(_doubled, [_Box(n) for n in range(5)], processes, _died, here=here) as results:
         values = [list(values) for values in results]
+    runs_here = [processes == 1 or (here and i % processes == 0) for i in range(5)]
     assert [doubled for _, doubled in values] == [2 * n for n in range(5)]
     assert [pid == os.getpid() for pid, _ in values] == runs_here
     assert len({pid for pid, _ in values}) == min(processes, 5)
